@@ -51,10 +51,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sp.add_argument(
-        "--threads", type=int, default=1, help="worker threads; never changes results"
+        "--threads", type=_positive_int, default=1,
+        help="worker threads, at least 1; never changes results",
     )
     sp.add_argument(
         "--manifest", default=None, help="manifest path (default: <output>.manifest.txt)"

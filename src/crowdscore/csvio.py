@@ -68,6 +68,10 @@ def load_trajectory_csv(path) -> CrowdTrajectory:
 
     if not rows:
         raise DataError(f"{path}: no data rows")
+    bad = np.argwhere(~np.isfinite([[t, *values] for _, t, values in rows]))
+    if bad.size:
+        k, c = bad[0]
+        raise DataError(f"{path}: non-finite {('t', *header[2:])[c]!r} for agent {rows[k][0]}")
     rows.sort(key=lambda r: (r[0], r[1]))
 
     times = np.array(sorted({t for _, t, _ in rows}))

@@ -18,6 +18,10 @@ from .errors import DataError
 from .geometry import TTC_HORIZON, closest_approach_arrays, time_to_collision_arrays
 from .trajectory import EPS_SPEED, CrowdTrajectory
 
+# Neighbour pairs (t, i, j) the pairwise pass holds at once: about 2 MB per
+# float64 array, so extract's memory does not grow with the recording length.
+_PAIR_BUDGET = 1 << 18
+
 # Canonical listing order; every per-feature loop and every serialized
 # breakdown follows it so reductions are reproducible.
 FEATURE_CODES = (
@@ -135,6 +139,8 @@ class FundamentalDiagramCurve:
                 raise DataError(f"bad fundamental-diagram entry {item!r}") from None
         if not pairs:
             raise DataError("empty fundamental-diagram curve")
+        if not all(math.isfinite(d) and math.isfinite(v) for d, v in pairs):
+            raise DataError(f"non-finite fundamental-diagram entry in {text!r}")
         pairs.sort()
         return cls(
             densities=np.array([p[0] for p in pairs]),
@@ -179,35 +185,40 @@ def _alternation_flags(delta: np.ndarray, threshold: float) -> np.ndarray:
     return flags
 
 
-def _hull_area_perimeter(points: np.ndarray) -> tuple[float, float]:
-    """Convex hull area and perimeter; degenerate sets fall back to segments."""
-    pts = np.unique(points, axis=0)
-    n = pts.shape[0]
-    if n == 1:
-        return 0.0, 0.0
-    if n == 2:
-        return 0.0, 2.0 * float(np.linalg.norm(pts[1] - pts[0]))
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[np.ndarray] = []
+def _half_hull(pts) -> list[tuple[float, float]]:
+    """One monotone chain over sorted points, keeping only left turns."""
+    chain: list[tuple[float, float]] = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
-    if hull.shape[0] < 3:  # collinear
-        return 0.0, 2.0 * float(np.linalg.norm(pts[-1] - pts[0]))
-    shifted = np.roll(hull, -1, axis=0)
-    area = 0.5 * abs(float(np.sum(hull[:, 0] * shifted[:, 1] - shifted[:, 0] * hull[:, 1])))
-    perimeter = float(np.sum(np.linalg.norm(shifted - hull, axis=1)))
-    return area, perimeter
+        x, y = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _hull_area_perimeter(points: np.ndarray) -> tuple[float, float]:
+    """Convex hull area and perimeter; degenerate sets fall back to segments.
+
+    Andrew's monotone chain on plain Python floats: per-element numpy access
+    costs more than the whole hull for the few hundred points of a crowd.
+    """
+    pts = sorted(set(map(tuple, points.tolist())))
+    if len(pts) == 1:
+        return 0.0, 0.0
+    if len(pts) == 2:
+        return 0.0, 2.0 * math.dist(pts[0], pts[1])
+    hull = _half_hull(pts)[:-1] + _half_hull(reversed(pts))[:-1]
+    if len(hull) < 3:  # collinear
+        return 0.0, 2.0 * math.dist(pts[0], pts[-1])
+    twice_area = 0.0
+    perimeter = 0.0
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        twice_area += x0 * y1 - x1 * y0
+        perimeter += math.hypot(x1 - x0, y1 - y0)
+    return 0.5 * abs(twice_area), perimeter
 
 
 def _inflated_area(points: np.ndarray, margin: float) -> float:
@@ -302,44 +313,60 @@ def extract(crowd: CrowdTrajectory, params: FeatureParams | None = None) -> dict
     # --- pairwise, per agent and step ---
     cap = p.ttc_horizon
     if N > 1:
-        PT = P.transpose(1, 0, 2)  # (T, N, 2)
-        VT = V.transpose(1, 0, 2)
-        dp = PT[:, None, :, :] - PT[:, :, None, :]  # [t, i, j] = p_j - p_i
-        dv = VT[:, None, :, :] - VT[:, :, None, :]
-        dist = np.linalg.norm(dp, axis=3)
+        # Coordinate-major (2, T, N) copies: each chunk's relative vectors
+        # then have contiguous x and y planes, which the kernels read faster.
+        PC = np.ascontiguousarray(P.transpose(2, 1, 0))
+        VC = np.ascontiguousarray(V.transpose(2, 1, 0))
         eye = np.eye(N, dtype=bool)
-        dist[:, eye] = np.inf
-
-        nn = dist.min(axis=2)  # (T, N)
-        dta = np.minimum(nn, p.interaction_horizon).T
-        neighbor = dist <= p.interaction_horizon
-
-        ldn = (dist <= p.local_density_radius).sum(axis=2).T / (
-            math.pi * p.local_density_radius**2
-        )
-
         body_sum = rb[:, None] + rb[None, :]
-        col = (dist < body_sum[None, :, :]).any(axis=2).T.astype(float)
-        contact = col > 0.0
-
         personal_sum = rp[:, None] + rp[None, :]
-        ovp = np.maximum(0.0, personal_sum[None, :, :] - dist).max(axis=2).T
 
-        ttc_pair = time_to_collision_arrays(dp, dv, body_sum[None, :, :], cap)
-        ttc_pair = np.where(neighbor, ttc_pair, cap)
-        ttc = ttc_pair.min(axis=2).T
+        # Per (t, i) reductions over the neighbours j, filled chunk by chunk.
+        nn = np.empty((T, N))
+        near = np.empty((T, N), dtype=np.intp)
+        touching = np.empty((T, N), dtype=bool)
+        overlap = np.empty((T, N))
+        ttc_t = np.empty((T, N))
+        has = np.empty((T, N), dtype=bool)
+        tca_sel = np.empty((T, N))
+        dca_sel = np.empty((T, N))
 
-        tca_pair, dca_pair = closest_approach_arrays(dp, dv)
-        cand = neighbor & (tca_pair < cap)
-        dca_masked = np.where(cand, dca_pair, np.inf)
-        j_star = dca_masked.argmin(axis=2)
-        has = cand.any(axis=2)
-        tca_sel = np.take_along_axis(tca_pair, j_star[:, :, None], axis=2)[:, :, 0]
-        dca_sel = np.take_along_axis(dca_pair, j_star[:, :, None], axis=2)[:, :, 0]
+        chunk = max(1, _PAIR_BUDGET // (N * N))
+        for t0 in range(0, T, chunk):
+            ts = slice(t0, t0 + chunk)
+            # [t, i, j] = p_j - p_i, as (chunk, N, N, 2) views of the planes
+            dp = np.moveaxis(PC[:, ts, None, :] - PC[:, ts, :, None], 0, -1)
+            dv = np.moveaxis(VC[:, ts, None, :] - VC[:, ts, :, None], 0, -1)
+            dx, dy = dp[..., 0], dp[..., 1]
+            dist = np.sqrt(dx * dx + dy * dy)
+            dist[:, eye] = np.inf
+
+            nn[ts] = dist.min(axis=2)
+            neighbor = dist <= p.interaction_horizon
+            near[ts] = (dist <= p.local_density_radius).sum(axis=2)
+            touching[ts] = (dist < body_sum).any(axis=2)
+            overlap[ts] = np.maximum(0.0, personal_sum - dist).max(axis=2)
+
+            ttc_pair = time_to_collision_arrays(dp, dv, body_sum, cap)
+            ttc_t[ts] = np.where(neighbor, ttc_pair, cap).min(axis=2)
+
+            tca_pair, dca_pair = closest_approach_arrays(dp, dv)
+            cand = neighbor & (tca_pair < cap)
+            j_star = np.where(cand, dca_pair, np.inf).argmin(axis=2)[:, :, None]
+            has[ts] = cand.any(axis=2)
+            tca_sel[ts] = np.take_along_axis(tca_pair, j_star, axis=2)[:, :, 0]
+            dca_sel[ts] = np.take_along_axis(dca_pair, j_star, axis=2)[:, :, 0]
+
+        dta = np.minimum(nn, p.interaction_horizon).T
+        ldn = near.T / (math.pi * p.local_density_radius**2)
+        contact = touching.T
+        col = contact.astype(float)
+        ovp = overlap.T
+        ttc = ttc_t.T
         tca = np.where(has, tca_sel, cap).T
         dca = np.where(has.T, dca_sel.T, dta)
 
-        lam = np.array([N / _inflated_area(PT[t], p.area_margin) for t in range(T)])
+        lam = np.array([N / _inflated_area(P[:, t], p.area_margin) for t in range(T)])
         edn = (nn * 2.0 * np.sqrt(lam)[:, None]).T
     else:
         horizon = p.interaction_horizon

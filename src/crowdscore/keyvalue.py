@@ -7,6 +7,8 @@ Callers validate the key set; this module only handles the syntax.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DataError
 
 
@@ -37,7 +39,11 @@ def format_keyvalue(items) -> str:
 
 
 def parse_float(key: str, value: str, source: str = "<string>") -> float:
+    """Parse a float value; nan and inf are rejected like malformed text."""
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise DataError(f"{source}: value for {key!r} is not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise DataError(f"{source}: value for {key!r} is not finite: {value!r}")
+    return number

@@ -48,6 +48,29 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(tmp_path, workspace, capsys, threads):
+    assert run(["score", "--trajectory", str(workspace["sample"]),
+                "--stats", str(workspace["stats"]), "--threads", threads,
+                "--breakdown", str(tmp_path / "b.csv")]) == 1
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_non_finite_trajectory_exits_2(tmp_path, workspace, capsys):
+    lines = workspace["sample"].read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[2] = "nan"  # the x column
+    lines[5] = ",".join(fields)
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run(["score", "--trajectory", str(bad), "--stats", str(workspace["stats"]),
+                "--breakdown", str(tmp_path / "b.csv")]) == 2
+    captured = capsys.readouterr()
+    assert "non-finite 'x'" in captured.err
+    assert "S_QF" not in captured.out
+
+
 def test_simulate_writes_trajectory_and_manifest(tmp_path, workspace):
     out = tmp_path / "sim.csv"
     assert run(["simulate", "--kind", "circle", "--agents", "4",

@@ -84,6 +84,13 @@ def test_rows_may_arrive_unsorted(tmp_path):
             "agent_id,t,x,y\n0,0,0,0\n0,0.1,1,0\n1,0,0,1\n",
             "does not cover the shared time grid",
         ),
+        ("agent_id,t,x,y\n0,0,0,0\n0,0.1,nan,0\n", "non-finite 'x' for agent 0"),
+        ("agent_id,t,x,y\n3,0,0,0\n3,inf,1,0\n", "non-finite 't' for agent 3"),
+        (
+            "agent_id,t,x,y,goal_x,goal_y,comfort_speed,radius\n"
+            "0,0,0,0,5,0,1.3,0.25\n0,0.1,0.1,0,5,0,1.3,-inf\n",
+            "non-finite 'radius'",
+        ),
     ],
 )
 def test_malformed_files_raise_data_error(tmp_path, content, fragment):

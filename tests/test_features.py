@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crowdscore import features
 from crowdscore.errors import DataError
 from crowdscore.features import (
     FEATURE_CODES,
@@ -14,7 +15,7 @@ from crowdscore.features import (
     fundamental_diagram_curve,
     merge_flat_samples,
 )
-from crowdscore.geometry import time_to_collision
+from crowdscore.geometry import predict_pair, time_to_collision
 from crowdscore.trajectory import AgentStatics
 
 from helpers import (
@@ -263,6 +264,12 @@ def test_fundamental_diagram_curve_fitting_and_round_trip():
         FundamentalDiagramCurve.deserialize("0.25;1.4")
 
 
+@pytest.mark.parametrize("text", ["0.25:nan,0.75:1.0", "inf:1.4", "0.25:-inf"])
+def test_fundamental_diagram_curve_rejects_non_finite(text):
+    with pytest.raises(DataError, match="non-finite"):
+        FundamentalDiagramCurve.deserialize(text)
+
+
 def test_reference_curve_changes_fdg():
     crowd = straight_crowd(speed=1.0, steps=10)
     slow = FundamentalDiagramCurve(densities=np.array([0.25]), speeds=np.array([1.4]))
@@ -311,3 +318,98 @@ def test_merge_flat_samples_concatenates():
     assert merged["GLR"].shape == (5,)
     assert merged["VAR"].shape == (22,)
     assert np.array_equal(merged["AWS"][:20], a["AWS"].flat())
+
+
+def contact_crowd(seed=3, n_agents=9, steps=40):
+    """Random walkers packed into a 3 m square, so bodies touch now and then."""
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(-1.5, 1.5, size=(n_agents, 1, 2))
+    steps_xy = rng.normal(0.0, 0.12, size=(n_agents, steps - 1, 2))
+    return crowd_from_positions(
+        np.concatenate([start, start + np.cumsum(steps_xy, axis=1)], axis=1)
+    )
+
+
+def test_pairwise_chunking_is_exact(monkeypatch):
+    crowd = contact_crowd()
+    n, steps = crowd.n_agents, crowd.n_steps
+    results = []
+    # chunks of 1 step, of 7 (a ragged last chunk) and of the whole recording
+    for budget in (1, 7 * n * n, steps * n * n):
+        monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
+        results.append(extract(crowd))
+    assert np.any(results[0]["COL"].values == 1.0)  # the crowd has contacts
+    for other in results[1:]:
+        for code in FEATURE_CODES:
+            assert np.array_equal(results[0][code].values, other[code].values), code
+
+
+def test_pairwise_minima_match_scalar_predictions():
+    crowd = contact_crowd(seed=5)
+    p = FeatureParams()
+    f = extract(crowd, p)
+    P, V, r = crowd.positions(), crowd.velocities(), crowd.body_radii()
+    N, T = crowd.n_agents, crowd.n_steps
+    ttc = np.full((N, T), p.ttc_horizon)
+    tca = np.full((N, T), p.ttc_horizon)
+    dca = np.empty((N, T))
+    for t in range(T):
+        for i in range(N):
+            gaps = {j: np.linalg.norm(P[j, t] - P[i, t]) for j in range(N) if j != i}
+            dca[i, t] = min(min(gaps.values()), p.interaction_horizon)  # nothing ahead
+            best = math.inf
+            for j, gap in gaps.items():
+                if gap > p.interaction_horizon:
+                    continue
+                pred = predict_pair(P[i, t], V[i, t], r[i], P[j, t], V[j, t], r[j],
+                                    p.ttc_horizon)
+                ttc[i, t] = min(ttc[i, t], pred.ttc)
+                if pred.tca < p.ttc_horizon and pred.dca < best:
+                    best = pred.dca
+                    tca[i, t], dca[i, t] = pred.tca, pred.dca
+    assert np.any(ttc < p.ttc_horizon) and np.any(tca < p.ttc_horizon)
+    for code, expected in (("TTC", ttc), ("TCA", tca), ("DCA", dca)):
+        np.testing.assert_allclose(f[code].values, expected, rtol=1e-12, atol=1e-12,
+                                   err_msg=code)
+
+
+@pytest.mark.parametrize(
+    "points,area,perimeter",
+    [
+        # square with interior points and a point on an edge
+        ([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1), (0.5, 1.5), (1, 0)], 4.0, 8.0),
+        # collinear: a segment, counted on both sides
+        ([(0, 0), (3, 0), (1, 0), (2, 0)], 0.0, 6.0),
+        # a 3-4-5 triangle with every corner repeated
+        ([(0, 0), (4, 0), (0, 3), (4, 0), (0, 0), (0, 3)], 6.0, 12.0),
+        ([(1.5, -2.0), (1.5, -2.0)], 0.0, 0.0),
+        ([(1.5, -2.0)], 0.0, 0.0),
+        ([(0, 0), (3, 4)], 0.0, 10.0),
+    ],
+)
+def test_hull_of_known_shapes(points, area, perimeter):
+    assert features._hull_area_perimeter(np.array(points, dtype=float)) == (area, perimeter)
+
+
+def brute_force_hull(pts):
+    """Area and perimeter from the edges that keep every point on their left."""
+    area = perimeter = 0.0
+    for i, a in enumerate(pts):
+        for j, b in enumerate(pts):
+            if i == j:
+                continue
+            cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
+            if np.all(cross >= 0.0):
+                area += 0.5 * (a[0] * b[1] - b[0] * a[1])
+                perimeter += math.hypot(*(b - a))
+    return area, perimeter
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hull_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(0.0, 3.0, size=(int(rng.integers(3, 40)), 2))
+    area, perimeter = features._hull_area_perimeter(pts)
+    ref_area, ref_perimeter = brute_force_hull(pts)
+    assert area == pytest.approx(ref_area, rel=1e-12)
+    assert perimeter == pytest.approx(ref_perimeter, rel=1e-12)

@@ -25,6 +25,7 @@ from crowdscore.quality import (
     score,
 )
 from crowdscore.features import FeatureSamples
+from crowdscore.simulator import parse_params
 
 from helpers import straight_crowd
 
@@ -266,6 +267,22 @@ def test_stats_grammar_errors():
     )
     with pytest.raises(DataError, match="VAR"):
         parse_reference_stats(text)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_key_values_rejected(bad):
+    stats = "\n".join(f"{c}.mu = 1.0\n{c}.sigma = 0.5" for c in FEATURE_CODES)
+    with pytest.raises(DataError, match="not finite"):
+        parse_reference_stats(stats.replace("AWS.sigma = 0.5", f"AWS.sigma = {bad}"))
+    with pytest.raises(DataError, match="not finite"):
+        parse_reference_stats(stats.replace("VAR.mu = 1.0", f"VAR.mu = {bad}"))
+    with pytest.raises(DataError, match="non-finite"):
+        parse_reference_stats(stats + f"\nFDG.curve = 0.25:1.4,0.75:{bad}")
+    weights = "".join(f"{c}.omega = 0.01\n" for c in FEATURE_CODES)
+    with pytest.raises(DataError, match="not finite"):
+        parse_weights(weights.replace("DTA.omega = 0.01", f"DTA.omega = {bad}"))
+    with pytest.raises(DataError, match="not finite"):
+        parse_params(f"relaxation_time = {bad}\n")
 
 
 def test_stats_sigma_is_floored_on_load():
