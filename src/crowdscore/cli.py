@@ -62,7 +62,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sp.add_argument(
         "--threads", type=_positive_int, default=1,
-        help="worker threads, at least 1; never changes results",
+        help="accepted for compatibility, at least 1; fitness evaluation is serial, "
+        "so it changes neither results nor speed",
     )
     sp.add_argument(
         "--manifest", default=None, help="manifest path (default: <output>.manifest.txt)"
@@ -286,7 +287,7 @@ def _cmd_train_weights(args) -> None:
     examples = build_training_set(golden, degraded, stats.feature_params())
     initial = load_weights(args.initial_weights) if args.initial_weights else None
     weights, result = train_weights(
-        examples, stats, _ga_config(args), initial=initial, workers=args.threads
+        examples, stats, _ga_config(args), initial=initial
     )
     save_weights(weights, args.out)
     history_path = args.history or f"{args.out}.history.csv"
@@ -328,7 +329,7 @@ def _cmd_features(args) -> None:
 
     out = args.out or f"{args.trajectory}.features.csv"
     times = crowd.times()
-    ids = [c.statics.agent_id for c in crowd.characters]
+    ids = crowd.agent_ids.tolist()
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "agent_id", "t", "value"])
@@ -386,7 +387,7 @@ def _cmd_tune(args) -> None:
         exploration_decay=args.decay,
         initial_params=load_params(args.initial_params) if args.initial_params else None,
     )
-    result = tune(config, stats, weights, workers=args.threads)
+    result = tune(config, stats, weights)
 
     save_params(result.p_opt, args.out)
     history_path = args.history or f"{args.out}.history.csv"

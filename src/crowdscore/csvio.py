@@ -13,13 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .trajectory import (
-    CANONICAL_DT,
-    AgentIndividuals,
-    AgentStatics,
-    CrowdTrajectory,
-    derive_kinematics,
-)
+from .trajectory import CANONICAL_DT, CrowdTrajectory, derive_kinematics, validate
 
 REQUIRED_COLUMNS = ("agent_id", "t", "x", "y")
 OPTIONAL_COLUMNS = ("goal_x", "goal_y", "comfort_speed", "radius")
@@ -30,7 +24,11 @@ _PERSONAL_STANDOFF = 0.2
 
 
 def load_trajectory_csv(path) -> CrowdTrajectory:
-    """Read a trajectory CSV into a CrowdTrajectory (kinematics derived)."""
+    """Read a trajectory CSV into a CrowdTrajectory (kinematics derived).
+
+    Columns may come in any order.  Per-agent columns are read from each
+    agent's first row; the built crowd must pass ``validate``.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -47,34 +45,38 @@ def load_trajectory_csv(path) -> CrowdTrajectory:
             raise DataError(f"{path}: unknown columns {unknown}")
         if ("goal_x" in header) != ("goal_y" in header):
             raise DataError(f"{path}: goal_x and goal_y must appear together")
-        idx = {h: i for i, h in enumerate(header)}
+        id_col = header.index("agent_id")
+        # Float table columns: t first, then the rest in file order.
+        names = ["t"] + [h for h in header if h not in ("agent_id", "t")]
+        value_cols = [header.index(h) for h in names]
 
-        rows = []
+        ids, rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
-                rows.append(
-                    (
-                        int(row[idx["agent_id"]]),
-                        float(row[idx["t"]]),
-                        [float(row[idx[c]]) for c in header[2:]],
-                    )
-                )
+                ids.append(int(row[id_col]))
+                rows.append([float(row[i]) for i in value_cols])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
 
     if not rows:
         raise DataError(f"{path}: no data rows")
-    bad = np.argwhere(~np.isfinite([[t, *values] for _, t, values in rows]))
+    table = np.array(rows)
+    bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         k, c = bad[0]
-        raise DataError(f"{path}: non-finite {('t', *header[2:])[c]!r} for agent {rows[k][0]}")
-    rows.sort(key=lambda r: (r[0], r[1]))
+        raise DataError(f"{path}: non-finite {names[c]!r} for agent {ids[k]}")
+    ids = np.array(ids)
+    if ids.dtype == object:
+        raise DataError(f"{path}: agent_id outside the 64-bit integer range")
+    order = np.lexsort((table[:, 0], ids))
+    ids, table = ids[order], table[order]
+    t = table[:, 0]
 
-    times = np.array(sorted({t for _, t, _ in rows}))
+    times = np.unique(t)
     if times.size < 2:
         raise DataError(f"{path}: need at least 2 timesteps")
     diffs = np.diff(times)
@@ -85,81 +87,53 @@ def load_trajectory_csv(path) -> CrowdTrajectory:
         # Snap rounding noise in written time columns so a save/load round
         # trip re-derives bit-identical kinematics.
         dt = CANONICAL_DT
-    t0 = float(times[0])
+    T = times.size
 
-    per_agent: dict[int, list] = {}
-    for aid, t, values in rows:
-        per_agent.setdefault(aid, []).append((t, values))
+    # Every agent's rows must be the shared grid, step for step.
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    counts = np.diff(np.r_[starts, ids.size])
+    rank = np.arange(ids.size) - np.repeat(starts, counts)
+    off_grid = np.abs(t - times[np.minimum(rank, T - 1)]) > 1e-9
+    uncovered = (counts != T) | np.logical_or.reduceat(off_grid, starts)
+    if uncovered.any():
+        k = int(np.argmax(uncovered))
+        raise DataError(
+            f"{path}: agent {ids[starts[k]]} does not cover the shared time grid "
+            f"({counts[k]} rows, expected {T})"
+        )
 
-    tail = header[2:]
-
-    def col(values, name, default=None):
-        if name in idx:
-            return values[tail.index(name)]
-        return default
-
-    positions = []
-    statics = []
-    individuals = []
-    for aid, agent_rows in per_agent.items():
-        agent_times = np.array([t for t, _ in agent_rows])
-        if agent_times.size != times.size or np.any(np.abs(agent_times - times) > 1e-9):
-            raise DataError(
-                f"{path}: agent {aid} does not cover the shared time grid "
-                f"({agent_times.size} rows, expected {times.size})"
-            )
-        pos = np.array([[v[tail.index("x")], v[tail.index("y")]] for _, v in agent_rows])
-        positions.append(pos)
-
-        first = agent_rows[0][1]
-        radius = col(first, "radius")
-        if radius is not None:
-            statics.append(
-                AgentStatics(
-                    agent_id=aid,
-                    body_radius=radius,
-                    personal_radius=radius + _PERSONAL_STANDOFF,
-                )
-            )
-        else:
-            statics.append(AgentStatics(agent_id=aid))
-
-        gx, gy = col(first, "goal_x"), col(first, "goal_y")
-        goal = np.array([gx, gy]) if gx is not None else pos[-1].copy()
-        comfort = col(first, "comfort_speed")
-        if comfort is None:
-            step = np.linalg.norm(np.diff(pos, axis=0), axis=1) / dt
-            comfort = max(float(np.median(step)), 1e-3)
-        individuals.append(AgentIndividuals(goal_position=goal, comfort_speed=float(comfort)))
-
-    return derive_kinematics(
-        dict(zip(per_agent.keys(), positions)),
+    grid = table.reshape(starts.size, T, len(names))
+    first = {name: grid[:, 0, c] for c, name in enumerate(names)}
+    radius = first.get("radius")
+    crowd = derive_kinematics(
+        grid[:, :, [names.index("x"), names.index("y")]],
         dt,
-        t0=t0,
-        statics=statics,
-        individuals=individuals,
+        t0=float(times[0]),
+        agent_ids=ids[starts],
+        goals=np.column_stack([first["goal_x"], first["goal_y"]]) if "goal_x" in first else None,
+        comfort_speeds=first.get("comfort_speed"),
+        body_radii=radius,
+        personal_radii=None if radius is None else radius + _PERSONAL_STANDOFF,
     )
+    report = validate(crowd)
+    if not report.ok:
+        raise DataError(f"{path}: {report.violations[0]}")
+    return crowd
 
 
 def save_trajectory_csv(crowd: CrowdTrajectory, path) -> None:
     """Write the full-column CSV (goals, comfort speeds and radii included)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    N, T = crowd.n_agents, crowd.n_steps
+    order = np.argsort(crowd.agent_ids, kind="stable")
+    P = crowd.positions[order]
+    per_agent = (crowd.goals[order, 0], crowd.goals[order, 1],
+                 crowd.comfort_speeds[order], crowd.body_radii[order])
+    columns = [np.tile(crowd.times(), N), P[..., 0].ravel(), P[..., 1].ravel()]
+    columns += [np.repeat(v, T) for v in per_agent]
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(REQUIRED_COLUMNS) + list(OPTIONAL_COLUMNS))
-        for c in sorted(crowd.characters, key=lambda ch: ch.statics.agent_id):
-            goal = c.individuals.goal_position
-            for k in range(c.n_steps):
-                t = crowd.t0 + k * crowd.dt
-                writer.writerow(
-                    [
-                        c.statics.agent_id,
-                        repr(float(t)),
-                        repr(float(c.positions[k, 0])),
-                        repr(float(c.positions[k, 1])),
-                        repr(float(goal[0])),
-                        repr(float(goal[1])),
-                        repr(float(c.individuals.comfort_speed)),
-                        repr(float(c.statics.body_radius)),
-                    ]
-                )
+        writer.writerows(
+            zip(np.repeat(crowd.agent_ids[order], T).tolist(),
+                *(map(repr, c.tolist()) for c in columns))
+        )

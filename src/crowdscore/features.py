@@ -270,14 +270,14 @@ def extract(crowd: CrowdTrajectory, params: FeatureParams | None = None) -> dict
         raise DataError(f"need at least 2 timesteps to extract features, got {T}")
     dt = crowd.dt
 
-    P = crowd.positions()  # (N, T, 2)
-    V = crowd.velocities()
-    S = crowd.speeds()
-    H = crowd.headings()
-    goals = crowd.goals()
-    comfort = crowd.comfort_speeds()
-    rb = crowd.body_radii()
-    rp = crowd.personal_radii()
+    P = crowd.positions  # (N, T, 2)
+    V = crowd.velocities
+    S = crowd.speeds
+    H = crowd.headings
+    goals = crowd.goals
+    comfort = crowd.comfort_speeds
+    rb = crowd.body_radii
+    rp = crowd.personal_radii
 
     # --- individual, per agent and step ---
     aws = S.copy()

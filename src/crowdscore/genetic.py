@@ -8,7 +8,6 @@ even when the fitness landscape is resampled between generations.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,13 +81,8 @@ def _tournament(rng: np.random.Generator, fits: np.ndarray, size: int) -> int:
     return int(picks[np.argmin(fits[picks])])
 
 
-def _evaluate(fitness, population: np.ndarray, pool) -> np.ndarray:
-    rows = list(population)
-    if pool is None:
-        values = [fitness(row) for row in rows]
-    else:
-        values = list(pool.map(fitness, rows))  # order-preserving
-    arr = np.asarray(values, dtype=float)
+def _evaluate(fitness, population: np.ndarray) -> np.ndarray:
+    arr = np.asarray([fitness(row) for row in population], dtype=float)
     return np.where(np.isfinite(arr), arr, np.inf)
 
 
@@ -100,16 +94,14 @@ def ga_optimize(
     mutation_decay: float = 1.0,
     initial=None,
     on_generation=None,
-    workers: int = 1,
 ) -> GaResult:
     """Minimize ``fitness`` over the box given by ``bounds``.
 
     ``initial`` seeds one genome (or a (k, genes) block) into the first
     population.  ``on_generation(gen)`` runs before each generation is
     evaluated; the tuner uses it to resample scenarios.  ``mutation_decay``
-    geometrically shrinks the mutation scale each generation.  Results are
-    identical for any ``workers`` value: evaluation order is fixed and all
-    random draws happen single-threaded at the generation barrier.
+    geometrically shrinks the mutation scale each generation.  Genomes are
+    evaluated one after another in population order.
     """
     cfg = config if config is not None else GaConfig()
     cfg.validate()
@@ -137,57 +129,52 @@ def ga_optimize(
     history: list[float] = []
     stop_reason = "max-generations"
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for gen in range(cfg.max_generations):
-            if on_generation is not None:
-                on_generation(gen)
-            fits = _evaluate(fitness, population, pool)
-            order = np.argsort(fits, kind="stable")
-            if fits[order[0]] < best_fit:
-                best_fit = float(fits[order[0]])
-                best_genome = population[order[0]].copy()
-            history.append(best_fit)
+    for gen in range(cfg.max_generations):
+        if on_generation is not None:
+            on_generation(gen)
+        fits = _evaluate(fitness, population)
+        order = np.argsort(fits, kind="stable")
+        if fits[order[0]] < best_fit:
+            best_fit = float(fits[order[0]])
+            best_genome = population[order[0]].copy()
+        history.append(best_fit)
 
-            if best_fit <= 0.0:
-                stop_reason = "target"
-                break
-            p = cfg.plateau_generations
-            if len(history) > p and history[-1 - p] - history[-1] < cfg.plateau_epsilon:
-                stop_reason = "plateau"
-                break
-            if gen == cfg.max_generations - 1:
-                break
+        if best_fit <= 0.0:
+            stop_reason = "target"
+            break
+        p = cfg.plateau_generations
+        if len(history) > p and history[-1 - p] - history[-1] < cfg.plateau_epsilon:
+            stop_reason = "plateau"
+            break
+        if gen == cfg.max_generations - 1:
+            break
 
-            elite = population[order[: cfg.elitism_count]].copy()
-            n_children = cfg.population_size - cfg.elitism_count
-            children = np.empty((n_children, n_genes))
-            filled = 0
-            while filled < n_children:
-                pa = _tournament(rng, fits, cfg.tournament_size)
-                pb = _tournament(rng, fits, cfg.tournament_size)
-                child_a = population[pa].copy()
-                child_b = population[pb].copy()
-                if rng.random() < cfg.crossover_rate:
-                    mask = rng.random(n_genes) < 0.5
-                    child_a[mask] = population[pb][mask]
-                    child_b[mask] = population[pa][mask]
-                for child in (child_a, child_b):
-                    if filled == n_children:
-                        break
-                    mmask = rng.random(n_genes) < cfg.mutation_rate
-                    if mmask.any():
-                        child[mmask] += rng.standard_normal(int(mmask.sum())) * (
-                            scale * span[mmask]
-                        )
-                        np.clip(child, low, high, out=child)
-                    children[filled] = child
-                    filled += 1
-            population = np.vstack([elite, children]) if cfg.elitism_count else children
-            scale *= mutation_decay
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+        elite = population[order[: cfg.elitism_count]].copy()
+        n_children = cfg.population_size - cfg.elitism_count
+        children = np.empty((n_children, n_genes))
+        filled = 0
+        while filled < n_children:
+            pa = _tournament(rng, fits, cfg.tournament_size)
+            pb = _tournament(rng, fits, cfg.tournament_size)
+            child_a = population[pa].copy()
+            child_b = population[pb].copy()
+            if rng.random() < cfg.crossover_rate:
+                mask = rng.random(n_genes) < 0.5
+                child_a[mask] = population[pb][mask]
+                child_b[mask] = population[pa][mask]
+            for child in (child_a, child_b):
+                if filled == n_children:
+                    break
+                mmask = rng.random(n_genes) < cfg.mutation_rate
+                if mmask.any():
+                    child[mmask] += rng.standard_normal(int(mmask.sum())) * (
+                        scale * span[mmask]
+                    )
+                    np.clip(child, low, high, out=child)
+                children[filled] = child
+                filled += 1
+        population = np.vstack([elite, children]) if cfg.elitism_count else children
+        scale *= mutation_decay
 
     return GaResult(
         best_genome=best_genome,

@@ -16,13 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .keyvalue import format_keyvalue, parse_float, parse_keyvalue
-from .trajectory import (
-    CANONICAL_DT,
-    AgentIndividuals,
-    AgentStatics,
-    CrowdTrajectory,
-    derive_kinematics,
-)
+from .trajectory import CANONICAL_DT, DEFAULT_BODY_RADIUS, CrowdTrajectory, derive_kinematics
 
 GOAL_RADIUS = 0.3  # m, agents inside hold position
 
@@ -120,7 +114,7 @@ class CrowdSetup:
     positions: np.ndarray  # (N, 2)
     goals: np.ndarray  # (N, 2)
     comfort_speeds: np.ndarray  # (N,)
-    statics: list[AgentStatics]
+    body_radii: np.ndarray  # (N,)
 
 
 def _check_clearance(positions: np.ndarray, radii: np.ndarray, what: str) -> None:
@@ -141,8 +135,7 @@ def make_scenario(scenario: Scenario) -> CrowdSetup:
     comfort = np.clip(
         rng.normal(COMFORT_MEAN, COMFORT_STD, size=n), COMFORT_RANGE[0], COMFORT_RANGE[1]
     )
-    statics = [AgentStatics(agent_id=i) for i in range(n)]
-    radii = np.array([s.body_radius for s in statics])
+    radii = np.full(n, DEFAULT_BODY_RADIUS)
 
     if scenario.kind == "circle":
         radius = scenario.radius
@@ -184,7 +177,7 @@ def make_scenario(scenario: Scenario) -> CrowdSetup:
 
     _check_clearance(positions, radii, "spawn discs")
     return CrowdSetup(
-        positions=positions, goals=goals, comfort_speeds=comfort, statics=statics
+        positions=positions, goals=goals, comfort_speeds=comfort, body_radii=radii
     )
 
 
@@ -321,23 +314,20 @@ def simulate(
         velocities=np.zeros_like(setup.positions),
         goals=setup.goals,
         comfort_speeds=setup.comfort_speeds,
-        body_radii=np.array([s.body_radius for s in setup.statics]),
+        body_radii=setup.body_radii,
     )
-    history = np.empty((n_steps, len(setup.statics), 2))
+    history = np.empty((n_steps,) + setup.positions.shape)
     history[0] = state.positions
     for t in range(1, n_steps):
         state = step(state, params, dt, noise_rng)
         history[t] = state.positions
 
-    individuals = [
-        AgentIndividuals(goal_position=setup.goals[i].copy(), comfort_speed=float(c))
-        for i, c in enumerate(setup.comfort_speeds)
-    ]
     return derive_kinematics(
         history.transpose(1, 0, 2),
         dt,
-        statics=setup.statics,
-        individuals=individuals,
+        goals=setup.goals,
+        comfort_speeds=setup.comfort_speeds,
+        body_radii=setup.body_radii,
     )
 
 

@@ -38,13 +38,16 @@ class TrainingExample:
 
 
 def _rebuild(crowd: CrowdTrajectory, positions: np.ndarray) -> CrowdTrajectory:
-    """New crowd with replaced positions; statics/goals/comfort preserved."""
+    """New crowd with replaced positions; ids, goals, comfort and radii preserved."""
     return derive_kinematics(
-        list(positions),
+        positions,
         crowd.dt,
         t0=crowd.t0,
-        statics=[c.statics for c in crowd.characters],
-        individuals=[c.individuals for c in crowd.characters],
+        agent_ids=crowd.agent_ids,
+        goals=crowd.goals,
+        comfort_speeds=crowd.comfort_speeds,
+        body_radii=crowd.body_radii,
+        personal_radii=crowd.personal_radii,
     )
 
 
@@ -56,24 +59,24 @@ def degrade(crowd: CrowdTrajectory, mode: str, seed: int = 0, **params) -> Crowd
     ``speed-scale`` multiplies all speeds by ``factor``; ``freeze`` stops a
     ``fraction`` of agents mid-trajectory.
     """
-    P = crowd.positions()
+    P = crowd.positions
     N, T = crowd.n_agents, crowd.n_steps
     rng = np.random.default_rng(seed)
 
     if mode == "no-avoidance":
         _reject_params(mode, params, ())
         start = P[:, 0, :]
-        goals = crowd.goals()
+        goals = crowd.goals
         delta = goals - start
         dist = np.linalg.norm(delta, axis=1)
         direction = np.where(dist[:, None] > 1e-9, delta / np.maximum(dist, 1e-9)[:, None], 0.0)
         t_rel = np.arange(T) * crowd.dt
-        travelled = np.minimum(crowd.comfort_speeds()[:, None] * t_rel[None, :], dist[:, None])
+        travelled = np.minimum(crowd.comfort_speeds[:, None] * t_rel[None, :], dist[:, None])
         positions = start[:, None, :] + travelled[:, :, None] * direction[:, None, :]
         return _rebuild(crowd, positions)
 
     if mode == "jitter":
-        amplitude = float(_take_param(params, "amplitude", JITTER_AMPLITUDE))
+        amplitude = float(params.pop("amplitude", JITTER_AMPLITUDE))
         _reject_params(mode, params, ())
         if amplitude == 0.0:
             return _rebuild(crowd, P.copy())
@@ -89,14 +92,14 @@ def degrade(crowd: CrowdTrajectory, mode: str, seed: int = 0, **params) -> Crowd
         return _rebuild(crowd, positions)
 
     if mode == "speed-scale":
-        factor = float(_take_param(params, "factor", SPEED_SCALE_FACTOR))
+        factor = float(params.pop("factor", SPEED_SCALE_FACTOR))
         _reject_params(mode, params, ())
         start = P[:, :1, :]
         positions = start + factor * (P - start)
         return _rebuild(crowd, positions)
 
     if mode == "freeze":
-        fraction = float(_take_param(params, "fraction", FREEZE_FRACTION))
+        fraction = float(params.pop("fraction", FREEZE_FRACTION))
         _reject_params(mode, params, ())
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"freeze fraction must be in [0,1], got {fraction}")
@@ -109,10 +112,6 @@ def degrade(crowd: CrowdTrajectory, mode: str, seed: int = 0, **params) -> Crowd
         return _rebuild(crowd, positions)
 
     raise ValueError(f"unknown degrade mode {mode!r}, expected one of {DEGRADE_MODES}")
-
-
-def _take_param(params, name, default):
-    return params.pop(name, default)
 
 
 def _reject_params(mode, params, allowed):
@@ -227,7 +226,6 @@ def train_weights(
     config: GaConfig | None = None,
     *,
     initial: WeightVector | np.ndarray | None = None,
-    workers: int = 1,
 ) -> tuple[WeightVector, GaResult]:
     """Fit the 21 feature weights to the labeled examples.
 
@@ -240,5 +238,5 @@ def train_weights(
     init = None
     if initial is not None:
         init = initial.vector() if isinstance(initial, WeightVector) else np.asarray(initial)
-    result = ga_optimize(fitness, bounds, config, initial=init, workers=workers)
+    result = ga_optimize(fitness, bounds, config, initial=init)
     return WeightVector.from_vector(result.best_genome), result

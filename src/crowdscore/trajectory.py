@@ -1,8 +1,8 @@
 """Crowd trajectory data model and kinematic derivation.
 
-A crowd trajectory is N characters sharing one uniform time axis (T steps of
-length dt starting at t0).  Each character carries static properties (radii),
-individual properties (goal, comfort speed) and a per-step kinematic state.
+A crowd trajectory is N agents sharing one uniform time axis (T steps of
+length dt starting at t0), held as whole-crowd arrays: per-agent properties
+(id, goal, comfort speed, radii) and a per-step kinematic state.
 Positions are the source of truth; velocities, speeds and headings are derived
 by finite differences so that positions-only datasets are first-class input.
 """
@@ -31,155 +31,74 @@ DEFAULT_PERSONAL_RADIUS = 0.5  # m
 _MIN_COMFORT_SPEED = 1e-3
 
 
-@dataclass
-class AgentStatics:
-    """Unchanging properties of one agent."""
+@dataclass(eq=False)
+class CrowdTrajectory:
+    """N agents over one shared time window, stored as whole-crowd arrays.
 
-    agent_id: int
-    body_radius: float = DEFAULT_BODY_RADIUS
-    personal_radius: float = DEFAULT_PERSONAL_RADIUS
-
-
-@dataclass
-class AgentIndividuals:
-    """Per-agent properties that are constant along the trajectory."""
-
-    goal_position: np.ndarray  # (2,), m
-    comfort_speed: float  # m/s
-
-
-@dataclass
-class AgentState:
-    """Kinematic state of one agent at one timestep."""
-
-    position: np.ndarray  # (2,), m
-    velocity: np.ndarray  # (2,), m/s
-    heading: float  # rad
-    speed: float  # m/s
-
-
-@dataclass
-class CharacterTrajectory:
-    """One character's states over the crowd's time axis.
-
-    Arrays are per-step and share the same length T; ``states`` materialises
-    the row-per-step view when needed.
+    Per-step arrays are indexed [agent, step]; per-agent arrays by agent.
     """
 
-    statics: AgentStatics
-    individuals: AgentIndividuals
-    positions: np.ndarray  # (T, 2)
-    velocities: np.ndarray  # (T, 2)
-    headings: np.ndarray  # (T,)
-    speeds: np.ndarray  # (T,)
-
-    @property
-    def n_steps(self) -> int:
-        return self.positions.shape[0]
-
-    def state(self, t: int) -> AgentState:
-        return AgentState(
-            position=self.positions[t],
-            velocity=self.velocities[t],
-            heading=float(self.headings[t]),
-            speed=float(self.speeds[t]),
-        )
-
-    @property
-    def states(self) -> list[AgentState]:
-        return [self.state(t) for t in range(self.n_steps)]
-
-
-@dataclass
-class CrowdTrajectory:
-    """All character trajectories of a crowd over one shared time window."""
-
-    characters: list[CharacterTrajectory]
+    positions: np.ndarray  # (N, T, 2), m
+    velocities: np.ndarray  # (N, T, 2), m/s
+    speeds: np.ndarray  # (N, T), m/s
+    headings: np.ndarray  # (N, T), rad
+    agent_ids: np.ndarray  # (N,)
+    goals: np.ndarray  # (N, 2), m
+    comfort_speeds: np.ndarray  # (N,), m/s
+    body_radii: np.ndarray  # (N,), m
+    personal_radii: np.ndarray  # (N,), m
     dt: float  # s
     t0: float = 0.0  # s
 
     @property
     def n_agents(self) -> int:
-        return len(self.characters)
+        return self.positions.shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self.characters[0].n_steps if self.characters else 0
+        return self.positions.shape[1]
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.n_steps) * self.dt
-
-    # Stacked (N, ...) views used by feature extraction.
-
-    def positions(self) -> np.ndarray:
-        return np.stack([c.positions for c in self.characters])
-
-    def velocities(self) -> np.ndarray:
-        return np.stack([c.velocities for c in self.characters])
-
-    def speeds(self) -> np.ndarray:
-        return np.stack([c.speeds for c in self.characters])
-
-    def headings(self) -> np.ndarray:
-        return np.stack([c.headings for c in self.characters])
-
-    def goals(self) -> np.ndarray:
-        return np.stack([c.individuals.goal_position for c in self.characters])
-
-    def comfort_speeds(self) -> np.ndarray:
-        return np.array([c.individuals.comfort_speed for c in self.characters])
-
-    def body_radii(self) -> np.ndarray:
-        return np.array([c.statics.body_radius for c in self.characters])
-
-    def personal_radii(self) -> np.ndarray:
-        return np.array([c.statics.personal_radius for c in self.characters])
 
     def window(self, start: int, stop: int) -> "CrowdTrajectory":
         """Restrict to timestep range [start, stop); kinematics kept as-is."""
         if not (0 <= start < stop <= self.n_steps) or stop - start < 2:
             raise ValueError(f"invalid window [{start}, {stop}) for T={self.n_steps}")
-        chars = [
-            replace(
-                c,
-                positions=c.positions[start:stop],
-                velocities=c.velocities[start:stop],
-                headings=c.headings[start:stop],
-                speeds=c.speeds[start:stop],
-            )
-            for c in self.characters
-        ]
-        return CrowdTrajectory(chars, dt=self.dt, t0=self.t0 + start * self.dt)
+        return replace(
+            self,
+            positions=self.positions[:, start:stop].copy(),
+            velocities=self.velocities[:, start:stop].copy(),
+            speeds=self.speeds[:, start:stop].copy(),
+            headings=self.headings[:, start:stop].copy(),
+            t0=self.t0 + start * self.dt,
+        )
 
 
-def _as_position_arrays(positions) -> tuple[list[int], list[np.ndarray]]:
-    """Accept {agent_id: (T,2)}, a sequence of (T,2), or an (N,T,2) array."""
+def _position_array(positions) -> tuple[np.ndarray, np.ndarray | None]:
+    """Accept {agent_id: (T,2)}, a sequence of (T,2), or an (N,T,2) array;
+    return an (N,T,2) C-contiguous float64 copy and the mapping's ids."""
+    ids = None
     if isinstance(positions, dict):
-        ids = list(positions.keys())
-        arrays = [np.asarray(positions[i], dtype=float) for i in ids]
-    else:
-        arrays = [np.asarray(p, dtype=float) for p in positions]
-        ids = list(range(len(arrays)))
-    return ids, arrays
+        ids = list(positions)
+        positions = [positions[i] for i in ids]
+    try:
+        P = np.array(positions, dtype=float, order="C")
+    except ValueError:
+        shapes = sorted({np.shape(p) for p in positions})
+        raise DataError(f"agents have differing position shapes: {shapes}") from None
+    if P.shape[0] == 0:
+        raise DataError("no agents in input")
+    if P.ndim != 3 or P.shape[2] != 2:
+        raise DataError(f"positions must be (T, 2) points per agent, got shape {P.shape}")
+    if P.shape[1] < 2:
+        raise DataError(f"need at least 2 timesteps per agent, got {P.shape[1]}")
+    return P, ids
 
 
-def _derive_arrays(pos: np.ndarray, dt: float, goal: np.ndarray):
-    """Finite-difference velocities plus carried-forward headings for one agent."""
-    T = pos.shape[0]
-    vel = np.empty_like(pos)
-    vel[:-1] = (pos[1:] - pos[:-1]) / dt  # forward difference
-    vel[-1] = (pos[-1] - pos[-2]) / dt  # backward difference at the end
-    speed = np.hypot(vel[:, 0], vel[:, 1])
-
-    raw = np.arctan2(vel[:, 1], vel[:, 0])
-    valid = speed > EPS_SPEED
-    # Initial fallback: face the goal; 0 if already there.
-    to_goal = goal - pos[0]
-    init = float(np.arctan2(to_goal[1], to_goal[0])) if np.hypot(*to_goal) > EPS_SPEED else 0.0
-    # Carry the last valid heading forward.
-    last_valid = np.maximum.accumulate(np.where(valid, np.arange(T), -1))
-    heading = np.where(last_valid >= 0, raw[np.maximum(last_valid, 0)], init)
-    return vel, heading, speed
+def _per_agent(values, default, shape) -> np.ndarray:
+    """Float copy of ``values`` (``default`` when None), broadcast to ``shape``."""
+    return np.broadcast_to(default if values is None else values, shape).astype(float)
 
 
 def derive_kinematics(
@@ -187,60 +106,65 @@ def derive_kinematics(
     dt: float,
     *,
     t0: float = 0.0,
-    statics: list[AgentStatics] | None = None,
-    individuals: list[AgentIndividuals] | None = None,
+    agent_ids=None,
+    goals=None,
+    comfort_speeds=None,
+    body_radii=None,
+    personal_radii=None,
 ) -> CrowdTrajectory:
     """Build a CrowdTrajectory from per-agent position sequences.
 
     ``positions`` may be a mapping agent_id -> (T, 2) points, a sequence of
-    (T, 2) arrays (ids 0..N-1), or an (N, T, 2) array.  When ``individuals``
-    is omitted the goal defaults to the final position and the comfort speed
-    to the agent's median observed speed.
+    (T, 2) arrays (ids 0..N-1), or an (N, T, 2) array; the crowd keeps its
+    own copy.  Velocities are forward differences (backward at the last
+    step); headings below EPS_SPEED carry the last valid heading forward, and
+    before any motion face the goal.  Omitted per-agent arrays default to:
+    goal = final position, comfort speed = median of the T-1 step speeds
+    (floored at 1e-3), default body and personal radii.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    ids, arrays = _as_position_arrays(positions)
-    if not arrays:
-        raise DataError("no agents in input")
+    P, keys = _position_array(positions)
+    N, T = P.shape[:2]
+    if agent_ids is None:
+        agent_ids = keys if keys is not None else np.arange(N)
+    goals = _per_agent(goals, P[:, -1], (N, 2))
 
-    lengths = {a.shape[0] for a in arrays}
-    if len(lengths) != 1:
-        raise DataError(f"agents have differing step counts: {sorted(lengths)}")
-    T = lengths.pop()
-    if T < 2:
-        raise DataError(f"need at least 2 timesteps per agent, got {T}")
-    for a in arrays:
-        if a.ndim != 2 or a.shape[1] != 2:
-            raise DataError(f"positions must be (T, 2) points, got shape {a.shape}")
+    step = np.diff(P, axis=1)
+    vel = np.empty_like(P)
+    vel[:, :-1] = step / dt
+    vel[:, -1] = vel[:, -2]
+    speed = np.hypot(vel[..., 0], vel[..., 1])
+    if comfort_speeds is None:
+        step_speed = np.linalg.norm(step, axis=2) / dt
+        comfort_speeds = np.maximum(np.median(step_speed, axis=1), _MIN_COMFORT_SPEED)
 
-    characters = []
-    for k, (agent_id, pos) in enumerate(zip(ids, arrays)):
-        st = statics[k] if statics is not None else AgentStatics(agent_id=agent_id)
-        if individuals is not None:
-            ind = individuals[k]
-        else:
-            ind = None  # filled after speeds are known
-        goal = ind.goal_position if ind is not None else pos[-1]
-        vel, heading, speed = _derive_arrays(pos, dt, np.asarray(goal, dtype=float))
-        if ind is None:
-            comfort = max(float(np.median(speed)), _MIN_COMFORT_SPEED)
-            ind = AgentIndividuals(goal_position=pos[-1].copy(), comfort_speed=comfort)
-        characters.append(
-            CharacterTrajectory(
-                statics=st,
-                individuals=ind,
-                positions=pos,
-                velocities=vel,
-                headings=heading,
-                speeds=speed,
-            )
-        )
-    return CrowdTrajectory(characters, dt=dt, t0=t0)
+    raw = np.arctan2(vel[..., 1], vel[..., 0])
+    to_goal = goals - P[:, 0]
+    facing = np.hypot(to_goal[:, 0], to_goal[:, 1]) > EPS_SPEED
+    init = np.where(facing, np.arctan2(to_goal[:, 1], to_goal[:, 0]), 0.0)
+    last_valid = np.maximum.accumulate(np.where(speed > EPS_SPEED, np.arange(T), -1), axis=1)
+    carried = np.take_along_axis(raw, np.maximum(last_valid, 0), axis=1)
+    heading = np.where(last_valid >= 0, carried, init[:, None])
+
+    return CrowdTrajectory(
+        positions=P,
+        velocities=vel,
+        speeds=speed,
+        headings=heading,
+        agent_ids=np.array(agent_ids),
+        goals=goals,
+        comfort_speeds=_per_agent(comfort_speeds, None, (N,)),
+        body_radii=_per_agent(body_radii, DEFAULT_BODY_RADIUS, (N,)),
+        personal_radii=_per_agent(personal_radii, DEFAULT_PERSONAL_RADIUS, (N,)),
+        dt=dt,
+        t0=t0,
+    )
 
 
 def resample(crowd: CrowdTrajectory, dt_out: float) -> CrowdTrajectory:
     """Linearly interpolate positions onto the grid t0, t0+dt_out, ... and
-    re-derive kinematics.  Statics and individuals are preserved."""
+    re-derive kinematics.  Per-agent properties are preserved."""
     if dt_out <= 0:
         raise ValueError(f"dt_out must be positive, got {dt_out}")
     T = crowd.n_steps
@@ -250,18 +174,25 @@ def resample(crowd: CrowdTrajectory, dt_out: float) -> CrowdTrajectory:
         raise DataError(f"resampling to dt={dt_out} leaves fewer than 2 steps")
     t_old = np.arange(T) * crowd.dt
     t_new = np.arange(n_out) * dt_out
-
-    new_positions = []
-    for c in crowd.characters:
-        x = np.interp(t_new, t_old, c.positions[:, 0])
-        y = np.interp(t_new, t_old, c.positions[:, 1])
-        new_positions.append(np.column_stack([x, y]))
+    # np.interp for every agent at once, with its arithmetic: the bracketing
+    # step j, the slope times the offset plus the left value, and the sample
+    # itself on an exact hit or at the end of the grid.
+    j = np.searchsorted(t_old, t_new, side="right") - 1
+    lo = np.minimum(j, T - 2)
+    P = crowd.positions
+    slope = (P[:, lo + 1] - P[:, lo]) / (t_old[lo + 1] - t_old[lo])[:, None]
+    out = slope * (t_new - t_old[lo])[:, None] + P[:, lo]
+    hit = (j == T - 1) | (t_new == t_old[j])
+    out[:, hit] = P[:, j[hit]]
     return derive_kinematics(
-        new_positions,
+        out,
         dt_out,
         t0=crowd.t0,
-        statics=[c.statics for c in crowd.characters],
-        individuals=[c.individuals for c in crowd.characters],
+        agent_ids=crowd.agent_ids,
+        goals=crowd.goals,
+        comfort_speeds=crowd.comfort_speeds,
+        body_radii=crowd.body_radii,
+        personal_radii=crowd.personal_radii,
     )
 
 
@@ -292,46 +223,47 @@ def validate(crowd: CrowdTrajectory) -> ValidationReport:
     add = report.violations.append
 
     if crowd.n_agents < 1:
-        add("crowd has no characters")
+        add("crowd has no agents")
         return report
     if crowd.dt <= 0:
         add(f"dt must be positive, got {crowd.dt}")
 
-    lengths = {c.n_steps for c in crowd.characters}
+    per_step = (crowd.positions, crowd.velocities, crowd.speeds, crowd.headings)
+    lengths = {a.shape[1] for a in per_step}
     if len(lengths) > 1:
         add(f"ragged state lists: step counts {sorted(lengths)}")
+        return report
     if 0 in lengths:
         add("character with empty state list")
 
-    seen: dict[int, int] = {}
-    for c in crowd.characters:
-        aid = c.statics.agent_id
-        if aid in seen:
-            add(f"duplicate agent_id {aid}")
-        seen[aid] = aid
+    ids = crowd.agent_ids
+    repeated = np.ones(len(ids), dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    for aid in ids[repeated]:
+        add(f"duplicate agent_id {aid}")
 
-    for c in crowd.characters:
-        aid = c.statics.agent_id
-        if c.statics.body_radius <= 0:
-            add(f"agent {aid}: body_radius must be positive, got {c.statics.body_radius}")
-        if c.statics.personal_radius < c.statics.body_radius:
-            add(
-                f"agent {aid}: personal_radius {c.statics.personal_radius} "
-                f"smaller than body_radius {c.statics.body_radius}"
-            )
-        if c.individuals.comfort_speed <= 0:
-            add(f"agent {aid}: comfort_speed must be positive, got {c.individuals.comfort_speed}")
-        if not np.all(np.isfinite(c.individuals.goal_position)):
-            add(f"agent {aid}: non-finite goal position")
+    def per_agent(bad, message):
+        for k in np.flatnonzero(bad):
+            add(f"agent {ids[k]}: {message(k)}")
 
-        bad = ~np.isfinite(c.positions).all(axis=1)
-        for t in np.flatnonzero(bad):
-            add(f"agent {aid}: non-finite position at timestep {t}")
-        bad_v = ~np.isfinite(c.velocities).all(axis=1)
-        for t in np.flatnonzero(bad_v):
-            add(f"agent {aid}: non-finite velocity at timestep {t}")
-        if c.positions.shape[0]:
-            mismatch = np.abs(np.hypot(c.velocities[:, 0], c.velocities[:, 1]) - c.speeds) > 1e-6
-            for t in np.flatnonzero(mismatch):
-                add(f"agent {aid}: speed differs from |velocity| at timestep {t}")
+    body, personal, comfort = crowd.body_radii, crowd.personal_radii, crowd.comfort_speeds
+    per_agent(~(body > 0), lambda k: f"body_radius must be positive, got {body[k]}")
+    per_agent(
+        personal < body,
+        lambda k: f"personal_radius {personal[k]} smaller than body_radius {body[k]}",
+    )
+    per_agent(~(comfort > 0), lambda k: f"comfort_speed must be positive, got {comfort[k]}")
+    per_agent(~np.isfinite(crowd.goals).all(axis=1), lambda k: "non-finite goal position")
+
+    def per_step_check(bad, message):
+        for k, t in np.argwhere(bad):
+            add(f"agent {ids[k]}: {message} at timestep {t}")
+
+    V = crowd.velocities
+    per_step_check(~np.isfinite(crowd.positions).all(axis=2), "non-finite position")
+    per_step_check(~np.isfinite(V).all(axis=2), "non-finite velocity")
+    per_step_check(
+        np.abs(np.hypot(V[..., 0], V[..., 1]) - crowd.speeds) > 1e-6,
+        "speed differs from |velocity|",
+    )
     return report

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .features import extract
 from .genetic import GaConfig, GaResult, ga_optimize
-from .quality import ReferenceStats, WeightVector, combine, cost_vector
+from .quality import ReferenceStats, WeightVector, score
 from .simulator import (
     TUNE_BOUNDS,
     Scenario,
@@ -67,8 +66,6 @@ def tune(
     config: TuneConfig,
     stats: ReferenceStats,
     weights: WeightVector,
-    *,
-    workers: int = 1,
 ) -> TuneResult:
     """Search simulator parameters maximizing the mean quality score.
 
@@ -76,7 +73,6 @@ def tune(
     (integration blow-ups) are assigned the worst fitness instead of aborting
     the search.
     """
-    feature_params = stats.feature_params()
     active = {"scenarios": list(config.scenarios)}
 
     def evaluate(genome: np.ndarray) -> float:
@@ -84,8 +80,7 @@ def tune(
         totals = []
         for scenario in active["scenarios"]:
             crowd = simulate(scenario, params, config.duration)
-            sample_map = extract(crowd, feature_params)
-            totals.append(combine(cost_vector(sample_map, stats), weights).total)
+            totals.append(score(crowd, stats, weights).total)
         value = 1.0 - float(np.mean(totals))
         return value if np.isfinite(value) else 1.0
 
@@ -115,7 +110,6 @@ def tune(
         mutation_decay=config.exploration_decay,
         initial=initial,
         on_generation=on_generation,
-        workers=workers,
     )
     history = [1.0 - f for f in result.history]
     return TuneResult(

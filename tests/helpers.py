@@ -4,21 +4,19 @@ Crowd fixtures are built from position arrays through derive_kinematics so the
 tests exercise the same ingestion path as CSV loading.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
-from crowdscore.trajectory import (
-    AgentIndividuals,
-    AgentStatics,
-    CrowdTrajectory,
-    derive_kinematics,
-)
+from crowdscore.simulator import Scenario, SocialForcesParams, simulate
+from crowdscore.trajectory import derive_kinematics
 
 DT = 0.1
 
 
-def crowd_from_positions(positions, dt=DT, statics=None, individuals=None):
-    positions = np.asarray(positions, dtype=float)
-    return derive_kinematics(positions, dt, statics=statics, individuals=individuals)
+def crowd_from_positions(positions, dt=DT, **per_agent):
+    """derive_kinematics on an array; ``per_agent`` are its keyword arrays."""
+    return derive_kinematics(np.asarray(positions, dtype=float), dt, **per_agent)
 
 
 def straight_crowd(speed=1.4, steps=11, n_agents=1, spacing=100.0, dt=DT):
@@ -29,17 +27,10 @@ def straight_crowd(speed=1.4, steps=11, n_agents=1, spacing=100.0, dt=DT):
     """
     t = np.arange(steps) * dt
     positions = np.zeros((n_agents, steps, 2))
-    individuals = []
-    for i in range(n_agents):
-        positions[i, :, 0] = speed * t
-        positions[i, :, 1] = i * spacing
-        individuals.append(
-            AgentIndividuals(
-                goal_position=np.array([speed * t[-1], i * spacing]),
-                comfort_speed=speed,
-            )
-        )
-    return crowd_from_positions(positions, dt, individuals=individuals)
+    positions[:, :, 0] = speed * t
+    positions[:, :, 1] = np.arange(n_agents)[:, None] * spacing
+    return crowd_from_positions(positions, dt, goals=positions[:, -1],
+                                comfort_speeds=speed)
 
 
 def linear_pair(p_a, v_a, p_b, v_b, steps=30, dt=DT, radius=0.3, personal=0.5):
@@ -47,9 +38,7 @@ def linear_pair(p_a, v_a, p_b, v_b, steps=30, dt=DT, radius=0.3, personal=0.5):
     t = np.arange(steps)[:, None] * dt
     pos = np.stack([np.asarray(p_a) + t * np.asarray(v_a),
                     np.asarray(p_b) + t * np.asarray(v_b)])
-    statics = [AgentStatics(agent_id=i, body_radius=radius, personal_radius=personal)
-               for i in range(2)]
-    return crowd_from_positions(pos, dt, statics=statics)
+    return crowd_from_positions(pos, dt, body_radii=radius, personal_radii=personal)
 
 
 def random_walk_crowd(seed, n_agents=4, steps=40, dt=DT, step_scale=0.12):
@@ -66,14 +55,21 @@ def rigid_transform(crowd, angle, shift):
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, -s], [s, c]])
     shift = np.asarray(shift, dtype=float)
-    positions = crowd.positions() @ rot.T + shift
-    individuals = [
-        AgentIndividuals(
-            goal_position=rot @ ch.individuals.goal_position + shift,
-            comfort_speed=ch.individuals.comfort_speed,
-        )
-        for ch in crowd.characters
-    ]
-    statics = [ch.statics for ch in crowd.characters]
-    return derive_kinematics(positions, crowd.dt, t0=crowd.t0,
-                             statics=statics, individuals=individuals)
+    return derive_kinematics(
+        crowd.positions @ rot.T + shift, crowd.dt, t0=crowd.t0,
+        agent_ids=crowd.agent_ids, goals=crowd.goals @ rot.T + shift,
+        comfort_speeds=crowd.comfort_speeds, body_radii=crowd.body_radii,
+        personal_radii=crowd.personal_radii)
+
+
+def colliding_crowd(n_agents=8, seed=4):
+    """Antipodal circle walkers without repulsion: they pile up in the middle,
+    so the pairwise features see contacts and overlaps."""
+    scenario = Scenario(kind="circle", agent_count=n_agents, radius=3.0, seed=seed)
+    return simulate(scenario, SocialForcesParams(repulsion_strength=0.0), duration=5.0)
+
+
+def crowd_arrays(crowd):
+    """Every array field of a crowd, by name."""
+    return {f.name: getattr(crowd, f.name) for f in fields(crowd)
+            if isinstance(getattr(crowd, f.name), np.ndarray)}

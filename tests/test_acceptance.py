@@ -217,7 +217,7 @@ def test_tuning_climbs_from_poor_start(acceptance_log, golden_stats,
                     plateau_generations=60, mutation_scale=0.15, seed=0),
         initial_params=drunk_walker,
     )
-    result = tune(config, golden_stats, table_weights, workers=2)
+    result = tune(config, golden_stats, table_weights)
     history = result.best_score_history
     gain = history[-1] - history[0]
     non_decreasing = all(b >= a for a, b in zip(history, history[1:]))

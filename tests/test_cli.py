@@ -182,7 +182,7 @@ def test_degrade_cli_scales_speeds(tmp_path, workspace):
                 "--out", str(out)]) == 0
     original = load_trajectory_csv(workspace["sample"])
     scaled = load_trajectory_csv(out)
-    assert np.allclose(scaled.speeds(), 2.0 * original.speeds(), atol=1e-9)
+    assert np.allclose(scaled.speeds, 2.0 * original.speeds, atol=1e-9)
 
 
 def test_degrade_cli_is_deterministic(tmp_path, workspace):

@@ -4,8 +4,9 @@ import pytest
 from crowdscore.csvio import load_trajectory_csv, save_trajectory_csv
 from crowdscore.errors import DataError
 from crowdscore.simulator import Scenario, simulate
+from crowdscore.trajectory import derive_kinematics
 
-from helpers import straight_crowd
+from helpers import crowd_arrays, straight_crowd
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -16,16 +17,32 @@ def test_round_trip_is_bit_exact(tmp_path):
 
     assert back.dt == crowd.dt  # exact, thanks to the canonical-dt snap
     assert back.t0 == crowd.t0
-    assert np.array_equal(back.positions(), crowd.positions())
-    assert np.array_equal(back.velocities(), crowd.velocities())
-    assert np.array_equal(back.goals(), crowd.goals())
-    assert np.array_equal(back.comfort_speeds(), crowd.comfort_speeds())
-    assert np.array_equal(back.body_radii(), crowd.body_radii())
+    assert np.array_equal(back.positions, crowd.positions)
+    assert np.array_equal(back.velocities, crowd.velocities)
+    assert np.array_equal(back.goals, crowd.goals)
+    assert np.array_equal(back.comfort_speeds, crowd.comfort_speeds)
+    assert np.array_equal(back.body_radii, crowd.body_radii)
 
     # saving the loaded crowd reproduces the file byte for byte
     path2 = tmp_path / "c2.csv"
     save_trajectory_csv(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_save_writes_agents_in_id_order_with_repr_floats(tmp_path):
+    crowd = derive_kinematics({5: [[0.1, 0.2], [0.3, 0.4]], 2: [[1 / 3, 0.0], [2 / 3, 0.0]]},
+                              0.1, t0=0.7, comfort_speeds=[1.25, 1.5], body_radii=[0.25, 0.2])
+    path = tmp_path / "c.csv"
+    save_trajectory_csv(crowd, path)
+
+    expected = ["agent_id,t,x,y,goal_x,goal_y,comfort_speed,radius"]
+    for i in (1, 0):  # agent 2 before agent 5
+        for k in range(crowd.n_steps):
+            values = (crowd.t0 + k * crowd.dt, *crowd.positions[i, k], *crowd.goals[i],
+                      crowd.comfort_speeds[i], crowd.body_radii[i])
+            expected.append(",".join([str(crowd.agent_ids[i])]
+                                     + [repr(float(v)) for v in values]))
+    assert path.read_text().splitlines() == expected
 
 
 def test_minimal_columns_get_derived_defaults(tmp_path):
@@ -36,11 +53,10 @@ def test_minimal_columns_get_derived_defaults(tmp_path):
     path.write_text("\n".join(lines) + "\n")
 
     crowd = load_trajectory_csv(path)
-    ch = crowd.characters[0]
-    assert ch.statics.agent_id == 7
-    assert ch.statics.body_radius == pytest.approx(0.3)
-    assert np.allclose(ch.individuals.goal_position, [0.6, 0.0])  # final position
-    assert ch.individuals.comfort_speed == pytest.approx(1.2)  # median step speed
+    assert crowd.agent_ids.tolist() == [7]
+    assert crowd.body_radii[0] == pytest.approx(0.3)
+    assert np.allclose(crowd.goals[0], [0.6, 0.0])  # final position
+    assert crowd.comfort_speeds[0] == pytest.approx(1.2)  # median step speed
 
 
 def test_radius_column_sets_body_and_personal(tmp_path):
@@ -50,8 +66,8 @@ def test_radius_column_sets_body_and_personal(tmp_path):
         lines.append(f"0,{k * 0.1},{k * 0.1},0.0,0.25")
     path.write_text("\n".join(lines) + "\n")
     crowd = load_trajectory_csv(path)
-    assert crowd.characters[0].statics.body_radius == pytest.approx(0.25)
-    assert crowd.characters[0].statics.personal_radius == pytest.approx(0.45)
+    assert crowd.body_radii[0] == pytest.approx(0.25)
+    assert crowd.personal_radii[0] == pytest.approx(0.45)
 
 
 def test_rows_may_arrive_unsorted(tmp_path):
@@ -66,7 +82,35 @@ def test_rows_may_arrive_unsorted(tmp_path):
 
     a = load_trajectory_csv(sorted_path)
     b = load_trajectory_csv(shuffled_path)
-    assert np.array_equal(a.positions(), b.positions())
+    assert np.array_equal(a.positions, b.positions)
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["x,y,agent_id,t", "t,agent_id,y,x",
+     "radius,goal_y,x,comfort_speed,t,goal_x,agent_id,y"],
+)
+def test_columns_are_read_by_name(tmp_path, header):
+    rng = np.random.default_rng(1)
+    values = {"agent_id": np.repeat([3, 1], 5), "t": np.tile(np.arange(5) * 0.1, 2),
+              "x": rng.normal(size=10), "y": rng.normal(size=10),
+              "goal_x": np.repeat([4.0, -4.0], 5), "goal_y": np.repeat([1.0, 2.0], 5),
+              "comfort_speed": np.repeat([1.1, 1.5], 5), "radius": np.repeat([0.2, 0.3], 5)}
+    names = header.split(",")
+    canonical = [c for c in values if c in names]
+
+    def write(path, columns):
+        rows = zip(*(values[c].tolist() for c in columns))
+        path.write_text("\n".join([",".join(columns)]
+                                   + [",".join(map(repr, r)) for r in rows]) + "\n")
+        return load_trajectory_csv(path)
+
+    shuffled = write(tmp_path / "shuffled.csv", names)
+    reference = write(tmp_path / "reference.csv", canonical)
+    assert shuffled.agent_ids.tolist() == [1, 3]
+    assert (shuffled.dt, shuffled.t0) == (reference.dt, reference.t0)
+    for name, value in crowd_arrays(reference).items():
+        assert np.array_equal(getattr(shuffled, name), value), name
 
 
 @pytest.mark.parametrize(
@@ -91,6 +135,15 @@ def test_rows_may_arrive_unsorted(tmp_path):
             "0,0,0,0,5,0,1.3,0.25\n0,0.1,0.1,0,5,0,1.3,-inf\n",
             "non-finite 'radius'",
         ),
+        (
+            "agent_id,t,x,y,goal_x,goal_y,comfort_speed,radius\n"
+            "0,0,0,0,5,0,1.3,-0.25\n0,0.1,0.1,0,5,0,1.3,-0.25\n",
+            "agent 0: body_radius must be positive, got -0.25",
+        ),
+        (
+            "agent_id,t,x,y,comfort_speed\n4,0,0,0,0\n4,0.1,0.1,0,0\n",
+            "agent 4: comfort_speed must be positive, got 0.0",
+        ),
     ],
 )
 def test_malformed_files_raise_data_error(tmp_path, content, fragment):
@@ -110,4 +163,4 @@ def test_noncanonical_dt_survives_round_trip(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     loaded = load_trajectory_csv(path)
     assert loaded.dt == pytest.approx(0.25)
-    assert loaded.characters[0].speeds[0] == pytest.approx(1.4)
+    assert loaded.speeds[0, 0] == pytest.approx(1.4)

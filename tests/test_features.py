@@ -16,7 +16,6 @@ from crowdscore.features import (
     merge_flat_samples,
 )
 from crowdscore.geometry import predict_pair, time_to_collision
-from crowdscore.trajectory import AgentStatics
 
 from helpers import (
     crowd_from_positions,
@@ -166,10 +165,7 @@ def test_goal_reach_and_length_ratio():
     # stops halfway to the goal
     pos = np.zeros((1, 11, 2))
     pos[0, :, 0] = np.minimum(np.arange(11) * 0.1, 0.5)
-    from crowdscore.trajectory import AgentIndividuals
-
-    ind = [AgentIndividuals(goal_position=np.array([1.0, 0.0]), comfort_speed=1.0)]
-    f = extract(crowd_from_positions(pos, individuals=ind))
+    f = extract(crowd_from_positions(pos, goals=[[1.0, 0.0]], comfort_speeds=1.0))
     assert f["GLR"].values[0] == pytest.approx(0.5)
 
     # detour doubles the path
@@ -205,7 +201,7 @@ def test_anticipation_records_ttc_at_maneuver_onset():
 
     # the stored value is the ttc at the maneuver step: the forward
     # difference puts the first rotated velocity at step 20
-    P, V = crowd.positions(), crowd.velocities()
+    P, V = crowd.positions, crowd.velocities
     expected = time_to_collision(P[0, 20], V[0, 20], 0.3, P[1, 20], V[1, 20], 0.3)
     assert ian[0, 0] == pytest.approx(expected)
 
@@ -301,13 +297,12 @@ def test_nonnegativity_and_collision_is_binary():
 def test_extract_rejects_single_step():
     from dataclasses import replace
 
-    from crowdscore.trajectory import CrowdTrajectory
-
-    ch = straight_crowd(steps=5).characters[0]
-    short_ch = replace(ch, positions=ch.positions[:1], velocities=ch.velocities[:1],
-                       headings=ch.headings[:1], speeds=ch.speeds[:1])
+    crowd = straight_crowd(steps=5)
+    short = replace(crowd, positions=crowd.positions[:, :1],
+                    velocities=crowd.velocities[:, :1],
+                    headings=crowd.headings[:, :1], speeds=crowd.speeds[:, :1])
     with pytest.raises(DataError):
-        extract(CrowdTrajectory([short_ch], dt=0.1, t0=0.0))
+        extract(short)
 
 
 def test_merge_flat_samples_concatenates():
@@ -348,7 +343,7 @@ def test_pairwise_minima_match_scalar_predictions():
     crowd = contact_crowd(seed=5)
     p = FeatureParams()
     f = extract(crowd, p)
-    P, V, r = crowd.positions(), crowd.velocities(), crowd.body_radii()
+    P, V, r = crowd.positions, crowd.velocities, crowd.body_radii
     N, T = crowd.n_agents, crowd.n_steps
     ttc = np.full((N, T), p.ttc_horizon)
     tca = np.full((N, T), p.ttc_horizon)

@@ -46,16 +46,6 @@ def test_same_seed_is_deterministic():
     assert res_c.history != res_a.history
 
 
-def test_workers_do_not_change_results():
-    cfg = GaConfig(population_size=20, max_generations=25, seed=5)
-    res_1 = ga_optimize(sphere, BOUNDS4, cfg, workers=1)
-    res_4 = ga_optimize(sphere, BOUNDS4, GaConfig(population_size=20,
-                                                  max_generations=25, seed=5),
-                        workers=4)
-    assert res_1.history == res_4.history
-    assert np.array_equal(res_1.best_genome, res_4.best_genome)
-
-
 def test_population_stays_inside_bounds():
     seen = []
 

@@ -27,7 +27,7 @@ from crowdscore.quality import (
 from crowdscore.features import FeatureSamples
 from crowdscore.simulator import parse_params
 
-from helpers import straight_crowd
+from helpers import colliding_crowd, crowd_arrays, straight_crowd
 
 
 def samples_of(values):
@@ -214,6 +214,23 @@ def test_score_window_selects_timesteps(golden_crowds, golden_stats):
     assert 0.0 <= windowed.total <= 1.0
     with pytest.raises(DataError):
         score(crowd, golden_stats, window=(5.0, 5.05))
+
+
+def test_score_is_invariant_to_agent_order(golden_stats, table_weights):
+    from dataclasses import replace
+
+    rng = np.random.default_rng(7)
+    crowd = colliding_crowd()
+    radii = rng.uniform(0.2, 0.35, crowd.n_agents)
+    crowd = replace(crowd, body_radii=radii, personal_radii=radii + 0.2)
+    assert extract(crowd)["COL"].values.any()
+
+    perm = rng.permutation(crowd.n_agents)
+    permuted = replace(crowd, **{name: value[perm]
+                                 for name, value in crowd_arrays(crowd).items()})
+    assert not np.array_equal(permuted.agent_ids, crowd.agent_ids)
+    expected = score(crowd, golden_stats, table_weights).total
+    assert abs(score(permuted, golden_stats, table_weights).total - expected) <= 1e-12
 
 
 def test_score_matches_csv_round_trip(tmp_path, golden_crowds, golden_stats):

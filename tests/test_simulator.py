@@ -199,8 +199,8 @@ def test_goal_hold_latches():
 def test_simulated_walker_arrives_and_holds():
     crowd = simulate(Scenario(kind="circle", agent_count=1, radius=1.0, seed=3),
                      duration=5.0)
-    P = crowd.positions()[0]
-    goal = crowd.goals()[0]
+    P = crowd.positions[0]
+    goal = crowd.goals[0]
     assert np.linalg.norm(P[-1] - goal) < GOAL_RADIUS + 0.05
     assert np.all(P[-5:] == P[-1])
 
@@ -220,10 +220,10 @@ def test_simulate_is_deterministic_even_with_noise():
     params = SocialForcesParams(noise_amplitude=0.5)
     a = simulate(sc, params, duration=4.0)
     b = simulate(sc, params, duration=4.0)
-    assert np.array_equal(a.positions(), b.positions())
+    assert np.array_equal(a.positions, b.positions)
     c = simulate(Scenario(kind="circle", agent_count=6, radius=4.0, seed=12),
                  params, duration=4.0)
-    assert not np.array_equal(a.positions(), c.positions())
+    assert not np.array_equal(a.positions, c.positions)
 
 
 def test_simulate_rejects_cap_below_comfort():
@@ -236,11 +236,11 @@ def test_simulate_records_setup_in_trajectory():
     sc = Scenario(kind="circle", agent_count=5, radius=4.0, seed=7)
     crowd = simulate(sc, duration=3.0)
     setup = make_scenario(sc)
-    assert np.array_equal(crowd.goals(), setup.goals)
-    assert np.array_equal(crowd.comfort_speeds(), setup.comfort_speeds)
-    assert [c.statics.agent_id for c in crowd.characters] == list(range(5))
-    P = crowd.positions()
-    assert np.allclose(crowd.velocities()[:, 0], (P[:, 1] - P[:, 0]) / crowd.dt)
+    assert np.array_equal(crowd.goals, setup.goals)
+    assert np.array_equal(crowd.comfort_speeds, setup.comfort_speeds)
+    assert crowd.agent_ids.tolist() == list(range(5))
+    P = crowd.positions
+    assert np.allclose(crowd.velocities[:, 0], (P[:, 1] - P[:, 0]) / crowd.dt)
 
 
 def test_repulsion_forces_pairwise():

@@ -39,21 +39,19 @@ def test_degrade_preserves_crowd_frame(mode):
     assert out.n_steps == crowd.n_steps
     assert out.dt == crowd.dt
     assert out.t0 == crowd.t0
-    assert np.allclose(out.positions()[:, 0], crowd.positions()[:, 0])
-    assert np.array_equal(out.goals(), crowd.goals())
-    assert np.array_equal(out.comfort_speeds(), crowd.comfort_speeds())
-    assert np.array_equal(out.body_radii(), crowd.body_radii())
-    assert [c.statics.agent_id for c in out.characters] == [
-        c.statics.agent_id for c in crowd.characters
-    ]
+    assert np.allclose(out.positions[:, 0], crowd.positions[:, 0])
+    assert np.array_equal(out.goals, crowd.goals)
+    assert np.array_equal(out.comfort_speeds, crowd.comfort_speeds)
+    assert np.array_equal(out.body_radii, crowd.body_radii)
+    assert np.array_equal(out.agent_ids, crowd.agent_ids)
 
 
 def test_no_avoidance_walks_straight_at_comfort():
     crowd = random_walk_crowd(seed=4, n_agents=3, steps=30)
     out = degrade(crowd, "no-avoidance")
-    P = out.positions()
+    P = out.positions
     start = P[:, 0]
-    goals = out.goals()
+    goals = out.goals
     # every position sits on the start-goal segment
     for a in range(out.n_agents):
         seg = goals[a] - start[a]
@@ -64,8 +62,8 @@ def test_no_avoidance_walks_straight_at_comfort():
         along = rel @ seg / max(seg_len, 1e-9)
         assert np.all(along >= -1e-9)
         assert np.all(along <= seg_len + 1e-9)
-    speeds = out.speeds()
-    assert np.all(speeds <= out.comfort_speeds()[:, None] + 1e-9)
+    speeds = out.speeds
+    assert np.all(speeds <= out.comfort_speeds[:, None] + 1e-9)
 
 
 def test_no_avoidance_causes_contacts_in_circle_crossings(golden_crowds):
@@ -78,14 +76,14 @@ def test_no_avoidance_causes_contacts_in_circle_crossings(golden_crowds):
 def test_jitter_preserves_speed_profile():
     crowd = random_walk_crowd(seed=8, n_agents=4, steps=35)
     out = degrade(crowd, "jitter", seed=1)
-    assert not np.allclose(out.positions(), crowd.positions())
-    assert np.allclose(out.speeds(), crowd.speeds(), atol=1e-10)
+    assert not np.allclose(out.positions, crowd.positions)
+    assert np.allclose(out.speeds, crowd.speeds, atol=1e-10)
 
 
 def test_jitter_zero_amplitude_is_identity():
     crowd = random_walk_crowd(seed=8)
     out = degrade(crowd, "jitter", seed=1, amplitude=0.0)
-    assert np.allclose(out.positions(), crowd.positions())
+    assert np.allclose(out.positions, crowd.positions)
 
 
 def test_degrade_same_seed_is_deterministic():
@@ -93,27 +91,27 @@ def test_degrade_same_seed_is_deterministic():
     a = degrade(crowd, "jitter", seed=9)
     b = degrade(crowd, "jitter", seed=9)
     c = degrade(crowd, "jitter", seed=10)
-    assert np.array_equal(a.positions(), b.positions())
-    assert not np.array_equal(a.positions(), c.positions())
+    assert np.array_equal(a.positions, b.positions)
+    assert not np.array_equal(a.positions, c.positions)
 
 
 def test_speed_scale_multiplies_speeds():
     crowd = straight_crowd(speed=1.0, steps=11, n_agents=2)
     out = degrade(crowd, "speed-scale", factor=3.0)
-    assert np.allclose(out.speeds(), 3.0, atol=1e-9)
-    assert np.allclose(out.positions()[:, 0], crowd.positions()[:, 0])
+    assert np.allclose(out.speeds, 3.0, atol=1e-9)
+    assert np.allclose(out.positions[:, 0], crowd.positions[:, 0])
 
 
 def test_freeze_stops_agents_mid_walk():
     crowd = random_walk_crowd(seed=6, n_agents=6, steps=40)
     out = degrade(crowd, "freeze", seed=0, fraction=1.0)
-    P = out.positions()
+    P = out.positions
     # stop times land in the middle half of the run
-    assert np.allclose(P[:, :10], crowd.positions()[:, :10])
+    assert np.allclose(P[:, :10], crowd.positions[:, :10])
     assert np.all(P[:, 30:] == P[:, 30:31])
     # an untouched degrade keeps everyone moving
     out0 = degrade(crowd, "freeze", seed=0, fraction=0.0)
-    assert np.allclose(out0.positions(), crowd.positions())
+    assert np.allclose(out0.positions, crowd.positions)
 
 
 def test_degrade_rejects_unknown_mode_and_params():

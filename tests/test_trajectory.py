@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from crowdscore.errors import DataError
+from crowdscore.features import extract
+from crowdscore.quality import fit_reference_from_crowds, score
+from crowdscore.training import DEGRADE_MODES, degrade
 from crowdscore.trajectory import (
-    AgentIndividuals,
-    AgentStatics,
     CANONICAL_DT,
     derive_kinematics,
     resample,
@@ -14,18 +15,24 @@ from crowdscore.trajectory import (
     validate,
 )
 
-from helpers import crowd_from_positions, straight_crowd
+from helpers import (
+    colliding_crowd,
+    crowd_arrays,
+    crowd_from_positions,
+    random_walk_crowd,
+    straight_crowd,
+)
 
 
 def test_velocities_are_finite_differences():
     rng = np.random.default_rng(3)
     pos = rng.normal(size=(3, 25, 2))
     crowd = crowd_from_positions(pos, dt=0.1)
-    vel = crowd.velocities()
+    vel = crowd.velocities
     assert np.array_equal(vel[:, :-1], (pos[:, 1:] - pos[:, :-1]) / 0.1)
     # last step reuses the backward difference
     assert np.array_equal(vel[:, -1], (pos[:, -1] - pos[:, -2]) / 0.1)
-    assert np.allclose(crowd.speeds(), np.linalg.norm(vel, axis=2))
+    assert np.allclose(crowd.speeds, np.linalg.norm(vel, axis=2))
 
 
 def test_circle_walker_speed_is_chord_length_over_dt():
@@ -33,7 +40,7 @@ def test_circle_walker_speed_is_chord_length_over_dt():
     pos = np.stack([np.cos(0.1 * k), np.sin(0.1 * k)], axis=1)[None]
     crowd = crowd_from_positions(pos, dt=0.1)
     expected = 2.0 * math.sin(0.05) / 0.1  # chord of a 0.1 rad arc
-    assert np.allclose(crowd.speeds(), expected, atol=1e-12)
+    assert np.allclose(crowd.speeds, expected, atol=1e-12)
 
 
 def test_heading_carried_through_standstill():
@@ -43,15 +50,14 @@ def test_heading_carried_through_standstill():
     pos[0, 4:9, 0] = 0.6
     pos[0, 9:, 0] = [0.8, 1.0, 1.2]
     crowd = crowd_from_positions(pos, dt=0.1)
-    h = crowd.headings()[0]
+    h = crowd.headings[0]
     assert np.allclose(h, 0.0)  # stalls inherit the last moving heading
 
     # stationary from the start: face the goal until motion begins
     pos2 = np.zeros((1, 8, 2))
     pos2[0, 5:, 1] = [0.3, 0.6, 0.9]
-    ind = [AgentIndividuals(goal_position=np.array([-3.0, 0.0]), comfort_speed=1.0)]
-    crowd2 = crowd_from_positions(pos2, dt=0.1, individuals=ind)
-    h2 = crowd2.headings()[0]
+    crowd2 = crowd_from_positions(pos2, dt=0.1, goals=[[-3.0, 0.0]], comfort_speeds=1.0)
+    h2 = crowd2.headings[0]
     assert h2[0] == pytest.approx(math.pi)  # toward the goal at -x
     assert h2[-1] == pytest.approx(math.pi / 2)
 
@@ -60,9 +66,8 @@ def test_defaults_goal_final_position_comfort_median_speed():
     pos = np.zeros((1, 6, 2))
     pos[0, :, 0] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
     crowd = crowd_from_positions(pos, dt=0.1)
-    ch = crowd.characters[0]
-    assert np.array_equal(ch.individuals.goal_position, pos[0, -1])
-    assert ch.individuals.comfort_speed == pytest.approx(1.0)
+    assert np.array_equal(crowd.goals[0], pos[0, -1])
+    assert crowd.comfort_speeds[0] == pytest.approx(1.0)
 
 
 def test_derive_kinematics_input_errors():
@@ -83,7 +88,7 @@ def test_window_slices_states_and_shifts_t0():
     win = crowd.window(5, 15)
     assert win.n_steps == 10
     assert win.t0 == pytest.approx(crowd.t0 + 0.5)
-    assert np.array_equal(win.positions(), crowd.positions()[:, 5:15])
+    assert np.array_equal(win.positions, crowd.positions[:, 5:15])
     with pytest.raises(ValueError):
         crowd.window(8, 9)  # below the 2-step minimum
     with pytest.raises(ValueError):
@@ -96,8 +101,23 @@ def test_resample_halves_the_grid_exactly_on_linear_motion():
     assert out.n_steps == 11
     assert out.dt == pytest.approx(0.2)
     # linear motion interpolates exactly
-    assert np.allclose(out.positions()[0, :, 0], np.arange(11) * 0.2)
-    assert out.characters[0].individuals.comfort_speed == pytest.approx(1.0)
+    assert np.allclose(out.positions[0, :, 0], np.arange(11) * 0.2)
+    assert out.comfort_speeds[0] == pytest.approx(1.0)
+
+
+# (0.04, 0.1, 16) ends on an old sample that the interpolation formula misses
+# by an ulp, so np.interp's exact-hit rule decides the last step.
+@pytest.mark.parametrize("dt_in,dt_out,steps",
+                         [(0.05, 0.1, 23), (0.1, 0.03, 23), (0.07, 0.1, 23), (0.04, 0.1, 16)])
+def test_resample_matches_np_interp_per_agent(dt_in, dt_out, steps):
+    crowd = random_walk_crowd(5, n_agents=3, steps=steps, dt=dt_in)
+    out = resample(crowd, dt_out)
+    t_old = np.arange(crowd.n_steps) * dt_in
+    t_new = np.arange(out.n_steps) * dt_out
+    for i in range(crowd.n_agents):
+        for axis in (0, 1):
+            expected = np.interp(t_new, t_old, crowd.positions[i, :, axis])
+            assert np.array_equal(out.positions[i, :, axis], expected)
 
 
 def test_to_canonical_is_identity_on_canonical_grid():
@@ -107,7 +127,7 @@ def test_to_canonical_is_identity_on_canonical_grid():
     fine = resample(crowd, 0.05)
     back = to_canonical(fine)
     assert back.dt == pytest.approx(CANONICAL_DT)
-    assert np.allclose(back.positions(), crowd.positions())
+    assert np.allclose(back.positions, crowd.positions)
 
 
 def test_validate_reports_violations():
@@ -115,21 +135,51 @@ def test_validate_reports_violations():
     assert validate(crowd).ok
 
     bad = crowd_from_positions(np.zeros((2, 8, 2)) * np.array([1.0]), dt=0.1)
-    bad.characters[0].positions[3, 0] = np.nan
+    bad.positions[0, 3, 0] = np.nan
     report = validate(bad)
     assert not report.ok
     assert any("non-finite position at timestep 3" in v for v in report.violations)
 
     dup = crowd_from_positions(np.zeros((2, 8, 2)), dt=0.1)
-    dup.characters[1].statics = AgentStatics(agent_id=0)
+    dup.agent_ids[1] = 0
     assert any("duplicate agent_id" in v for v in validate(dup).violations)
 
     shrunk = crowd_from_positions(np.zeros((1, 8, 2)), dt=0.1)
-    shrunk.characters[0].statics = AgentStatics(
-        agent_id=0, body_radius=0.4, personal_radius=0.2
-    )
+    shrunk.body_radii[0], shrunk.personal_radii[0] = 0.4, 0.2
     assert any("personal_radius" in v for v in validate(shrunk).violations)
 
     forged = straight_crowd(steps=8)
-    forged.characters[0].speeds[2] += 0.5
+    forged.speeds[0, 2] += 0.5
     assert any("differs from |velocity|" in v for v in validate(forged).violations)
+
+
+def test_operations_leave_the_input_crowd_unchanged():
+    crowd = colliding_crowd()
+    before = {name: value.copy() for name, value in crowd_arrays(crowd).items()}
+    assert len(before) == 9
+
+    extract(crowd)
+    score(crowd, fit_reference_from_crowds([crowd]))
+    for mode in DEGRADE_MODES:
+        degrade(crowd, mode, seed=1)
+    resample(crowd, 0.05)
+    crowd.window(2, 10).positions[:] = 99.0
+
+    for name, value in crowd_arrays(crowd).items():
+        assert np.array_equal(value, before[name]), name
+
+
+def test_crowd_owns_its_arrays():
+    history = np.random.default_rng(2).normal(size=(10, 3, 2))
+    goals = np.zeros((3, 2))
+    comfort = np.ones(3)
+    crowd = derive_kinematics(history.transpose(1, 0, 2), 0.1, goals=goals,
+                              comfort_speeds=comfort)
+    assert crowd.positions.flags.c_contiguous and crowd.positions.dtype == np.float64
+    before = {name: value.copy() for name, value in crowd_arrays(crowd).items()}
+
+    history[:] = 0.0
+    goals[:] = 5.0
+    comfort[:] = 9.0
+    for name, value in crowd_arrays(crowd).items():
+        assert np.array_equal(value, before[name]), name

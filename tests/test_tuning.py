@@ -122,18 +122,6 @@ def test_initial_params_seed_the_first_generation():
     assert res.best_score_history[0] == pytest.approx(expected, abs=1e-12)
 
 
-def test_tune_workers_do_not_change_results():
-    weights = only_weight("AWS", 0.5)
-    res_1 = tune(tiny_config(ga=GaConfig(population_size=4, max_generations=2,
-                                         seed=3, plateau_generations=30)),
-                 unit_stats(), weights, workers=1)
-    res_2 = tune(tiny_config(ga=GaConfig(population_size=4, max_generations=2,
-                                         seed=3, plateau_generations=30)),
-                 unit_stats(), weights, workers=2)
-    assert res_1.best_score_history == res_2.best_score_history
-    assert res_1.p_opt == res_2.p_opt
-
-
 def test_generic_mode_resamples_scenarios_deterministically():
     weights = only_weight("AWS", 0.5)
 
