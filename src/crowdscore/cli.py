@@ -62,8 +62,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sp.add_argument(
         "--threads", type=_positive_int, default=1,
-        help="accepted for compatibility, at least 1; fitness evaluation is serial, "
-        "so it changes neither results nor speed",
+        help="accepted for compatibility, at least 1; each GA generation is evaluated "
+        "as one batch in one thread, so it changes neither results nor speed",
     )
     sp.add_argument(
         "--manifest", default=None, help="manifest path (default: <output>.manifest.txt)"

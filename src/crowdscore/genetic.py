@@ -81,9 +81,25 @@ def _tournament(rng: np.random.Generator, fits: np.ndarray, size: int) -> int:
     return int(picks[np.argmin(fits[picks])])
 
 
-def _evaluate(fitness, population: np.ndarray) -> np.ndarray:
-    arr = np.asarray([fitness(row) for row in population], dtype=float)
-    return np.where(np.isfinite(arr), arr, np.inf)
+def _evaluate(fitness, population: np.ndarray, memo: dict) -> tuple[np.ndarray, dict]:
+    """Fitness of every row, and the memo to pass on to the next generation.
+
+    ``memo`` maps row bytes to fitness; ``fitness`` gets only the distinct rows
+    absent from it.  The returned memo holds exactly this population's rows,
+    so it never outgrows one generation.
+    """
+    keys = [row.tobytes() for row in population]
+    fresh: dict = {}  # row bytes -> index of the first row with them
+    for i, key in enumerate(keys):
+        if key not in memo:
+            fresh.setdefault(key, i)
+    if fresh:
+        values = np.asarray(fitness(population[list(fresh.values())]), dtype=float)
+        if values.shape != (len(fresh),):
+            raise ValueError(f"fitness must return shape ({len(fresh)},), got {values.shape}")
+        memo = memo | dict(zip(fresh, np.where(np.isfinite(values), values, np.inf)))
+    memo = {key: memo[key] for key in keys}
+    return np.array([memo[key] for key in keys]), memo
 
 
 def ga_optimize(
@@ -97,11 +113,15 @@ def ga_optimize(
 ) -> GaResult:
     """Minimize ``fitness`` over the box given by ``bounds``.
 
-    ``initial`` seeds one genome (or a (k, genes) block) into the first
-    population.  ``on_generation(gen)`` runs before each generation is
-    evaluated; the tuner uses it to resample scenarios.  ``mutation_decay``
-    geometrically shrinks the mutation scale each generation.  Genomes are
-    evaluated one after another in population order.
+    ``fitness`` takes a (k, genes) block of genomes and returns their k
+    fitness values; non-finite values count as ``inf``.  Each generation it
+    receives only the distinct rows that the previous generation did not
+    already score (elites and unmutated copies of parents are not re-sent).
+    ``on_generation(gen)`` runs before each generation is evaluated and marks
+    a new fitness landscape (the tuner resamples scenarios in it), so after it
+    every distinct row is scored afresh.  ``initial`` seeds one genome (or a
+    (k, genes) block) into the first population.  ``mutation_decay``
+    geometrically shrinks the mutation scale each generation.
     """
     cfg = config if config is not None else GaConfig()
     cfg.validate()
@@ -129,10 +149,12 @@ def ga_optimize(
     history: list[float] = []
     stop_reason = "max-generations"
 
+    memo: dict = {}
     for gen in range(cfg.max_generations):
         if on_generation is not None:
             on_generation(gen)
-        fits = _evaluate(fitness, population)
+            memo = {}  # a new fitness landscape
+        fits, memo = _evaluate(fitness, population, memo)
         order = np.argsort(fits, kind="stable")
         if fits[order[0]] < best_fit:
             best_fit = float(fits[order[0]])

@@ -10,10 +10,12 @@ flows, and random scatter.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import features
 from .errors import ConfigError, DataError
 from .keyvalue import format_keyvalue, parse_float, parse_keyvalue
 from .trajectory import CANONICAL_DT, DEFAULT_BODY_RADIUS, CrowdTrajectory, derive_kinematics
@@ -37,16 +39,18 @@ class SocialForcesParams:
     noise_amplitude: float = 0.0  # m/s^2
 
     def __post_init__(self) -> None:
-        if self.relaxation_time <= 0:
+        # Each field is a float, or an array with one value per genome of a
+        # population (see stack_params); every value must pass.
+        if np.any(self.relaxation_time <= 0):
             raise ConfigError(f"relaxation_time must be > 0, got {self.relaxation_time}")
         # 0 is allowed: repulsion-free runs are the no-avoidance baseline.
-        if self.repulsion_strength < 0:
+        if np.any(self.repulsion_strength < 0):
             raise ConfigError(f"repulsion_strength must be >= 0, got {self.repulsion_strength}")
-        if self.repulsion_range <= 0:
+        if np.any(self.repulsion_range <= 0):
             raise ConfigError(f"repulsion_range must be > 0, got {self.repulsion_range}")
-        if self.max_speed <= 0:
+        if np.any(self.max_speed <= 0):
             raise ConfigError(f"max_speed must be > 0, got {self.max_speed}")
-        if self.noise_amplitude < 0:
+        if np.any(self.noise_amplitude < 0):
             raise ConfigError(f"noise_amplitude must be >= 0, got {self.noise_amplitude}")
 
 
@@ -77,6 +81,19 @@ def genome_to_params(genome) -> SocialForcesParams:
     if values.shape != (len(PARAM_NAMES),):
         raise ConfigError(f"expected {len(PARAM_NAMES)} parameters, got shape {values.shape}")
     return SocialForcesParams(**{n: float(v) for n, v in zip(PARAM_NAMES, values)})
+
+
+def stack_params(population) -> SocialForcesParams:
+    """The P parameter sets of a population as one set of (P, 1, 1) arrays.
+
+    That shape broadcasts each genome's value over its crowd's agent axes.
+    """
+    return SocialForcesParams(
+        **{
+            n: np.array([getattr(p, n) for p in population], dtype=float).reshape(-1, 1, 1)
+            for n in PARAM_NAMES
+        }
+    )
 
 
 SCENARIO_KINDS = ("circle", "crossing", "random")
@@ -208,34 +225,49 @@ def _sample_separated(
 
 @dataclass
 class SimState:
-    """Mutable per-step simulation state; static fields ride along."""
+    """Mutable per-step simulation state; static fields ride along.
 
-    positions: np.ndarray  # (N, 2)
-    velocities: np.ndarray  # (N, 2)
+    One crowd has (N, 2) positions and velocities.  A population of P crowds
+    of the same agents adds a leading axis, (P, N, 2), and shares the statics.
+    """
+
+    positions: np.ndarray  # (N, 2) or (P, N, 2)
+    velocities: np.ndarray  # like positions
     goals: np.ndarray  # (N, 2)
     comfort_speeds: np.ndarray  # (N,)
     body_radii: np.ndarray  # (N,)
-    reached: np.ndarray = field(default=None)  # (N,) bool, latched goal arrival
+    reached: np.ndarray = field(default=None)  # (N,) or (P, N) bool, latched goal arrival
 
     def __post_init__(self) -> None:
         if self.reached is None:
-            self.reached = np.zeros(self.positions.shape[0], dtype=bool)
+            self.reached = np.zeros(self.positions.shape[:-1], dtype=bool)
 
 
 def repulsion_forces(
     positions: np.ndarray, body_radii: np.ndarray, params: SocialForcesParams
 ) -> np.ndarray:
-    """Summed pairwise repulsion accelerations, (N, 2)."""
-    n = positions.shape[0]
-    if n < 2 or params.repulsion_strength == 0.0:
+    """Summed pairwise repulsion accelerations, shaped like ``positions``.
+
+    ``positions`` is one crowd (N, 2) with float parameters, or a population
+    (P, N, 2) with the parameters of ``stack_params``.
+    """
+    n = positions.shape[-2]
+    strength = params.repulsion_strength
+    active = np.count_nonzero(strength)  # cheaper than any()/all() on tiny arrays
+    if n < 2 or active == 0:
         return np.zeros_like(positions)
-    dp = positions[:, None, :] - positions[None, :, :]  # points from j to i
-    dist = np.linalg.norm(dp, axis=2)
-    np.fill_diagonal(dist, np.inf)
+    dp = positions[..., :, None, :] - positions[..., None, :, :]  # points from j to i
+    dist = np.linalg.norm(dp, axis=-1)
+    diagonal = np.arange(n)
+    dist[..., diagonal, diagonal] = np.inf
     r_sum = body_radii[:, None] + body_radii[None, :]
-    magnitude = params.repulsion_strength * np.exp((r_sum - dist) / params.repulsion_range)
-    direction = dp / np.maximum(dist, 1e-9)[:, :, None]
-    return np.sum(magnitude[:, :, None] * direction, axis=1)
+    magnitude = strength * np.exp((r_sum - dist) / params.repulsion_range)
+    direction = dp / np.maximum(dist, 1e-9)[..., None]
+    forces = np.sum(magnitude[..., None] * direction, axis=-2)
+    if active == np.size(strength):
+        return forces
+    # Repulsion-free genomes get exact zeros, as if their term were skipped.
+    return np.where(strength > 0.0, forces, 0.0)
 
 
 def step(
@@ -244,29 +276,36 @@ def step(
     dt: float,
     rng: np.random.Generator | None = None,
 ) -> SimState:
-    """One explicit-Euler step of the social-forces model."""
+    """One explicit-Euler step of the social-forces model.
+
+    Steps one crowd, or a population of crowds with the parameters of
+    ``stack_params``.
+    """
     if dt <= 0:
         raise ConfigError(f"dt must be > 0, got {dt}")
     p, v = state.positions, state.velocities
     to_goal = state.goals - p
-    dist_goal = np.linalg.norm(to_goal, axis=1)
+    dist_goal = np.linalg.norm(to_goal, axis=-1)
     reached = state.reached | (dist_goal < GOAL_RADIUS)
 
     goal_dir = np.where(
-        dist_goal[:, None] > 1e-9, to_goal / np.maximum(dist_goal, 1e-9)[:, None], 0.0
+        dist_goal[..., None] > 1e-9, to_goal / np.maximum(dist_goal, 1e-9)[..., None], 0.0
     )
     acc = (state.comfort_speeds[:, None] * goal_dir - v) / params.relaxation_time
     acc += repulsion_forces(p, state.body_radii, params)
-    if params.noise_amplitude > 0.0:
+    amplitude = params.noise_amplitude
+    if np.count_nonzero(amplitude):
         if rng is None:
             rng = np.random.default_rng(0)
-        acc += rng.normal(0.0, params.noise_amplitude, size=p.shape)
+        # normal(0, a) draws a * standard_normal, so one draw serves every genome.
+        noise = rng.standard_normal(size=p.shape[-2:])
+        np.add(acc, amplitude * noise, out=acc, where=amplitude > 0.0)
 
     v_next = v + acc * dt
-    speed = np.linalg.norm(v_next, axis=1)
+    speed = np.linalg.norm(v_next, axis=-1, keepdims=True)
     over = speed > params.max_speed
-    if np.any(over):
-        v_next[over] *= (params.max_speed / speed[over])[:, None]
+    if np.count_nonzero(over):
+        v_next *= np.divide(params.max_speed, speed, out=np.ones_like(speed), where=over)
     p_next = p + v * dt
 
     v_next[reached] = 0.0
@@ -293,6 +332,23 @@ def simulate(
     """
     if params is None:
         params = SocialForcesParams()
+    return next(simulate_population(scenario, [params], duration, dt))
+
+
+def simulate_population(
+    scenario: Scenario,
+    population,
+    duration: float = 20.0,
+    dt: float = CANONICAL_DT,
+) -> Iterator[CrowdTrajectory]:
+    """Run one scenario under each parameter set of ``population``.
+
+    Yields the trajectories one at a time, in order; each equals
+    ``simulate(scenario, params, duration, dt)`` bit for bit.  The sets are
+    stepped together in chunks of at most ``features._PAIR_BUDGET`` agent
+    pairs.
+    """
+    population = list(population)
     if duration <= 0 or dt <= 0:
         raise ConfigError(f"duration and dt must be > 0, got {duration}, {dt}")
     n_steps = math.ceil(duration / dt)
@@ -303,32 +359,40 @@ def simulate(
 
     setup = make_scenario(scenario)
     max_comfort = float(np.max(setup.comfort_speeds))
-    if params.max_speed < max_comfort:
-        raise ConfigError(
-            f"max_speed {params.max_speed} below the largest comfort speed {max_comfort:.3f}"
+    for params in population:
+        if params.max_speed < max_comfort:
+            raise ConfigError(
+                f"max_speed {params.max_speed} below the largest comfort speed {max_comfort:.3f}"
+            )
+
+    n = scenario.agent_count
+    chunk = max(1, features._PAIR_BUDGET // (n * n))
+    for start in range(0, len(population), chunk):
+        members = population[start : start + chunk]
+        batch = stack_params(members)
+        count = len(members)
+        # Every chunk restarts the scenario's noise stream, as a separate run would.
+        noise_rng = np.random.default_rng([scenario.seed, 1])
+        state = SimState(
+            positions=np.repeat(setup.positions[None], count, axis=0),
+            velocities=np.zeros((count,) + setup.positions.shape),
+            goals=setup.goals,
+            comfort_speeds=setup.comfort_speeds,
+            body_radii=setup.body_radii,
         )
-
-    noise_rng = np.random.default_rng([scenario.seed, 1]) if params.noise_amplitude > 0 else None
-    state = SimState(
-        positions=setup.positions.copy(),
-        velocities=np.zeros_like(setup.positions),
-        goals=setup.goals,
-        comfort_speeds=setup.comfort_speeds,
-        body_radii=setup.body_radii,
-    )
-    history = np.empty((n_steps,) + setup.positions.shape)
-    history[0] = state.positions
-    for t in range(1, n_steps):
-        state = step(state, params, dt, noise_rng)
-        history[t] = state.positions
-
-    return derive_kinematics(
-        history.transpose(1, 0, 2),
-        dt,
-        goals=setup.goals,
-        comfort_speeds=setup.comfort_speeds,
-        body_radii=setup.body_radii,
-    )
+        history = np.empty((n_steps,) + state.positions.shape)
+        history[0] = state.positions
+        for t in range(1, n_steps):
+            state = step(state, batch, dt, noise_rng)
+            history[t] = state.positions
+        for k in range(count):
+            yield derive_kinematics(
+                history[:, k].transpose(1, 0, 2),
+                dt,
+                goals=setup.goals,
+                comfort_speeds=setup.comfort_speeds,
+                body_radii=setup.body_radii,
+            )
 
 
 def parse_params(text: str, source: str = "<params>") -> SocialForcesParams:

@@ -207,15 +207,14 @@ def example_cost_matrix(
 
 
 def training_fitness(costs: np.ndarray, targets: np.ndarray):
-    """Mean |target - score| as a function of a raw weight genome."""
+    """Mean |target - score| of each raw weight genome in a (k, 21) block."""
 
-    def fitness(genome: np.ndarray) -> float:
-        w = np.asarray(genome, dtype=float)
-        total = w.sum()
-        if total > 1.0:
-            w = w / total
-        scores = 1.0 - costs @ w
-        return float(np.mean(np.abs(targets - scores)))
+    def fitness(population: np.ndarray) -> np.ndarray:
+        w = np.asarray(population, dtype=float)
+        # Rows summing past 1 are normalized; the rest are divided by exactly 1.
+        w = w / np.maximum(w.sum(axis=1, keepdims=True), 1.0)
+        scores = 1.0 - w @ costs.T
+        return np.mean(np.abs(targets - scores), axis=1)
 
     return fitness
 

@@ -22,7 +22,7 @@ from .simulator import (
     SocialForcesParams,
     genome_to_params,
     params_to_genome,
-    simulate,
+    simulate_population,
 )
 
 TUNE_MODES = ("single", "generic")
@@ -69,20 +69,21 @@ def tune(
 ) -> TuneResult:
     """Search simulator parameters maximizing the mean quality score.
 
-    All agents share one parameter set.  Genomes producing non-finite scores
-    (integration blow-ups) are assigned the worst fitness instead of aborting
-    the search.
+    All agents share one parameter set.  The genomes of a generation are
+    simulated together, scenario by scenario, and their crowds are scored one
+    at a time.  Genomes producing non-finite scores (integration blow-ups) are
+    assigned the worst fitness instead of aborting the search.
     """
     active = {"scenarios": list(config.scenarios)}
 
-    def evaluate(genome: np.ndarray) -> float:
-        params = genome_to_params(genome)
-        totals = []
-        for scenario in active["scenarios"]:
-            crowd = simulate(scenario, params, config.duration)
-            totals.append(score(crowd, stats, weights).total)
-        value = 1.0 - float(np.mean(totals))
-        return value if np.isfinite(value) else 1.0
+    def evaluate(population: np.ndarray) -> np.ndarray:
+        params = [genome_to_params(genome) for genome in population]
+        totals = np.empty((len(params), len(active["scenarios"])))
+        for j, scenario in enumerate(active["scenarios"]):
+            for i, crowd in enumerate(simulate_population(scenario, params, config.duration)):
+                totals[i, j] = score(crowd, stats, weights).total
+        values = 1.0 - np.mean(totals, axis=1)
+        return np.where(np.isfinite(values), values, 1.0)
 
     on_generation = None
     if config.mode == "generic":

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from crowdscore import features
 from crowdscore.errors import ConfigError, DataError
 from crowdscore.simulator import (
     COMFORT_RANGE,
@@ -22,6 +23,8 @@ from crowdscore.simulator import (
     repulsion_forces,
     save_params,
     simulate,
+    simulate_population,
+    stack_params,
     step,
 )
 
@@ -275,3 +278,72 @@ def test_params_file_round_trip(tmp_path):
         parse_params("gravity = 9.8\n")
     with pytest.raises(DataError, match="not a number"):
         parse_params("max_speed = fast\n")
+
+
+MIXED_POPULATION = [
+    SocialForcesParams(relaxation_time=0.5, repulsion_strength=2.1,
+                       repulsion_range=0.35, max_speed=2.5, noise_amplitude=0.0),
+    SocialForcesParams(relaxation_time=0.8, repulsion_strength=0.0,
+                       repulsion_range=0.2, max_speed=3.0, noise_amplitude=0.7),
+    SocialForcesParams(relaxation_time=0.3, repulsion_strength=5.0,
+                       repulsion_range=0.6, max_speed=2.2, noise_amplitude=1.2),
+    # relaxation shorter than dt overshoots comfort speed into the cap
+    SocialForcesParams(relaxation_time=0.04, repulsion_strength=6.0,
+                       repulsion_range=0.9, max_speed=2.0, noise_amplitude=0.0),
+    SocialForcesParams(relaxation_time=1.7, repulsion_strength=0.0,
+                       repulsion_range=0.05, max_speed=4.0, noise_amplitude=0.0),
+]
+
+
+@pytest.mark.parametrize("pairs_per_chunk", [None, 1, 2])
+def test_population_matches_per_genome_simulate(monkeypatch, pairs_per_chunk):
+    sc = Scenario(kind="circle", agent_count=8, radius=2.5, seed=3)
+    separate = [simulate(sc, p, duration=4.0) for p in MIXED_POPULATION]
+    if pairs_per_chunk is not None:
+        # budgets below P * N^2 split the population into chunks of 1 and 2 genomes
+        monkeypatch.setattr(features, "_PAIR_BUDGET", pairs_per_chunk * 64)
+    together = list(simulate_population(sc, MIXED_POPULATION, duration=4.0))
+    assert len(together) == len(MIXED_POPULATION)
+    for one, batched in zip(separate, together):
+        for name in ("positions", "velocities", "speeds", "headings", "goals",
+                     "comfort_speeds", "body_radii"):
+            assert np.array_equal(getattr(one, name), getattr(batched, name)), name
+    capped = separate[3]
+    assert capped.speeds.max() == pytest.approx(2.0)
+
+
+def test_population_step_matches_per_genome_steps():
+    sc = Scenario(kind="random", agent_count=6, area=(4.0, 4.0), seed=2)
+    setup = make_scenario(sc)
+    rng = np.random.default_rng(8)
+    velocities = rng.normal(0.0, 1.0, size=(len(MIXED_POPULATION), 6, 2))
+    batch = SimState(
+        positions=np.repeat(setup.positions[None], len(MIXED_POPULATION), axis=0),
+        velocities=velocities,
+        goals=setup.goals,
+        comfort_speeds=setup.comfort_speeds,
+        body_radii=setup.body_radii,
+    )
+    out = step(batch, stack_params(MIXED_POPULATION), 0.1, np.random.default_rng(1))
+    for k, params in enumerate(MIXED_POPULATION):
+        one = SimState(positions=setup.positions.copy(), velocities=velocities[k].copy(),
+                       goals=setup.goals, comfort_speeds=setup.comfort_speeds,
+                       body_radii=setup.body_radii)
+        expected = step(one, params, 0.1, np.random.default_rng(1))
+        assert np.array_equal(out.positions[k], expected.positions)
+        assert np.array_equal(out.velocities[k], expected.velocities)
+        assert np.array_equal(out.reached[k], expected.reached)
+        assert np.array_equal(
+            repulsion_forces(batch.positions, setup.body_radii,
+                             stack_params(MIXED_POPULATION))[k],
+            repulsion_forces(setup.positions, setup.body_radii, params),
+        )
+
+
+def test_population_rejects_cap_below_comfort():
+    slow = SocialForcesParams(max_speed=0.5)
+    with pytest.raises(ConfigError, match="below the largest comfort speed"):
+        list(simulate_population(Scenario(kind="circle", agent_count=8, radius=4.0),
+                                 [SocialForcesParams(), slow], duration=3.0))
+    with pytest.raises(ConfigError, match="noise_amplitude"):
+        SocialForcesParams(noise_amplitude=np.array([0.0, -1.0]))

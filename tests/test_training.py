@@ -188,18 +188,41 @@ def test_training_fitness_zero_weights_scores_golden_perfectly():
     costs = rng.uniform(0.0, 1.0, size=(4, 21))
     targets = np.ones(4)
     fitness = training_fitness(costs, targets)
-    assert fitness(np.zeros(21)) == 0.0
+    assert fitness(np.zeros((1, 21)))[0] == 0.0
 
 
 def test_training_fitness_normalizes_oversized_weights():
     costs = np.ones((1, 21))
     fitness = training_fitness(costs, np.array([1.0]))
     # weights summing past 1 are rescaled, so all-ones zeroes the score
-    assert fitness(np.ones(21)) == pytest.approx(1.0)
-    assert fitness(np.full(21, 0.5)) == pytest.approx(1.0)
-    lone = np.zeros(21)
-    lone[3] = 0.2
-    assert fitness(lone) == pytest.approx(0.2)
+    assert fitness(np.ones((1, 21)))[0] == pytest.approx(1.0)
+    assert fitness(np.full((1, 21), 0.5))[0] == pytest.approx(1.0)
+    lone = np.zeros((1, 21))
+    lone[0, 3] = 0.2
+    assert fitness(lone)[0] == pytest.approx(0.2)
+
+
+def test_batched_training_fitness_matches_per_genome_formula():
+    rng = np.random.default_rng(4)
+    costs = rng.uniform(0.0, 1.0, size=(12, 21))
+    targets = np.r_[np.ones(4), np.zeros(6), 0.3, 0.7]
+    weights = rng.uniform(0.0, 1.0, size=(40, 21))
+    weights[:10] *= rng.uniform(0.0, 0.09, size=(10, 1))  # sums below 1
+    weights[10] = 0.0
+    weights[11] = 1.0 / 21.0
+    sums = weights.sum(axis=1)
+    assert np.any(sums > 1.0) and np.any(sums < 1.0)
+
+    def per_genome(w):
+        total = w.sum()
+        if total > 1.0:
+            w = w / total
+        return float(np.mean(np.abs(targets - (1.0 - costs @ w))))
+
+    batched = training_fitness(costs, targets)(weights)
+    assert batched.shape == (40,)
+    expected = np.array([per_genome(w) for w in weights])
+    assert np.max(np.abs(batched - expected)) <= 1e-15
 
 
 def planted_training_examples(planted="COL", n=3):
@@ -242,7 +265,7 @@ def test_train_weights_keeps_initial_in_first_generation():
     costs, targets = example_cost_matrix(examples, stats)
     start = np.zeros(21)
     start[FEATURE_CODES.index("AWS")] = 1.0
-    start_fit = training_fitness(costs, targets)(start)
+    start_fit = training_fitness(costs, targets)(start[None])[0]
     cfg = GaConfig(population_size=16, max_generations=3, seed=0,
                    plateau_generations=30)
     _, result = train_weights(examples, stats, cfg, initial=start)
