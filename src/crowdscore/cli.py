@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .csvio import load_trajectory_csv, save_trajectory_csv
 from .errors import ConfigError, DataError
-from .features import FEATURE_CODES, extract
+from .features import FD_BIN_WIDTH, FEATURE_CODES, extract
 from .genetic import GaConfig
 from .keyvalue import format_keyvalue
 from .quality import (
@@ -130,7 +130,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("fit-reference", help="fit reference stats from golden CSVs")
     sp.add_argument("--golden", required=True, help="directory of golden trajectory CSVs")
     sp.add_argument("--out", required=True, help="output stats file")
-    sp.add_argument("--bin-width", type=float, default=0.5,
+    sp.add_argument("--bin-width", type=float, default=FD_BIN_WIDTH,
                     help="fundamental-diagram density bin width")
     _add_common(sp)
     sp.set_defaults(func=_cmd_fit_reference)
@@ -284,7 +284,7 @@ def _cmd_train_weights(args) -> None:
             "(training on golden data alone collapses to all-zero weights)"
         )
 
-    examples = build_training_set(golden, degraded, stats.feature_params())
+    examples = build_training_set(golden, degraded, stats.fd_curve)
     initial = load_weights(args.initial_weights) if args.initial_weights else None
     weights, result = train_weights(
         examples, stats, _ga_config(args), initial=initial
@@ -322,10 +322,8 @@ def _cmd_score(args) -> None:
 
 def _cmd_features(args) -> None:
     crowd = to_canonical(load_trajectory_csv(args.trajectory))
-    params = None
-    if args.stats:
-        params = load_reference_stats(args.stats).feature_params()
-    sample_map = extract(crowd, params)
+    curve = load_reference_stats(args.stats).fd_curve if args.stats else None
+    sample_map = extract(crowd, curve)
 
     out = args.out or f"{args.trajectory}.features.csv"
     times = crowd.times()

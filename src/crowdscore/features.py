@@ -10,7 +10,7 @@ horizon so that every feature emits a fixed-size sample set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,18 @@ from .trajectory import EPS_SPEED, CrowdTrajectory
 # Neighbour pairs (t, i, j) the pairwise pass holds at once: about 2 MB per
 # float64 array, so extract's memory does not grow with the recording length.
 _PAIR_BUDGET = 1 << 18
+
+# Constants of the feature definitions.
+INTERACTION_HORIZON = 30.0  # m, neighbours beyond this are ignored
+IST_TAU = 2.0  # s, decay constant of interaction strength
+FLICKER_WINDOW = 10  # steps (1 s at canonical dt)
+FLICKER_HEADING_THRESHOLD = 0.15  # rad per step
+FLICKER_SPEED_THRESHOLD = 0.1  # m/s per step
+LOCAL_DENSITY_RADIUS = 2.0  # m
+AREA_MARGIN = 1.0  # m, inflation of the crowd extent for EDN
+MANEUVER_TURN_RATE = 0.3  # rad/s, avoidance-manoeuvre onset
+MANEUVER_ACCEL = 0.5  # m/s^2
+FD_BIN_WIDTH = 0.5  # persons/m^2, density bins of the fundamental diagram
 
 # Canonical listing order; every per-feature loop and every serialized
 # breakdown follows it so reductions are reproducible.
@@ -61,24 +73,6 @@ GRANULARITY = {
     )
     for code in FEATURE_CODES
 }
-
-
-@dataclass
-class FeatureParams:
-    """Tunable constants of the feature definitions."""
-
-    interaction_horizon: float = 30.0  # m, neighbours beyond this are ignored
-    ttc_horizon: float = TTC_HORIZON  # s
-    ist_tau: float = 2.0  # s, decay constant of interaction strength
-    flicker_window: int = 10  # steps (1 s at canonical dt)
-    flicker_heading_threshold: float = 0.15  # rad per step
-    flicker_speed_threshold: float = 0.1  # m/s per step
-    local_density_radius: float = 2.0  # m
-    area_margin: float = 1.0  # m, inflation of the crowd extent for EDN
-    maneuver_turn_rate: float = 0.3  # rad/s, avoidance-manoeuvre onset
-    maneuver_accel: float = 0.5  # m/s^2
-    fd_curve: "FundamentalDiagramCurve | None" = None
-    fd_bin_width: float = 0.5  # persons/m^2, used when fitting a curve
 
 
 @dataclass
@@ -148,13 +142,15 @@ class FundamentalDiagramCurve:
         )
 
 
-def fundamental_diagram_curve(reference, bin_width: float = 0.5) -> FundamentalDiagramCurve:
+def fundamental_diagram_curve(
+    reference, bin_width: float = FD_BIN_WIDTH
+) -> FundamentalDiagramCurve:
     """Fit the piecewise-constant curve from (density, speed) pairs."""
     pairs = np.asarray(list(reference), dtype=float)
     if pairs.size == 0:
         raise ValueError("reference list of (density, speed) pairs is empty")
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
     bins = np.floor(pairs[:, 0] / bin_width).astype(int)
     centers = []
     means = []
@@ -162,6 +158,11 @@ def fundamental_diagram_curve(reference, bin_width: float = 0.5) -> FundamentalD
         centers.append((b + 0.5) * bin_width)
         means.append(float(np.mean(pairs[bins == b, 1])))
     return FundamentalDiagramCurve(densities=np.array(centers), speeds=np.array(means))
+
+
+def fd_gap(speeds: np.ndarray, ldn: np.ndarray, curve: FundamentalDiagramCurve) -> np.ndarray:
+    """FDG samples: per step, the crowd's mean speed gap to the curve."""
+    return np.mean(speeds - curve.query(ldn), axis=0)
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
@@ -256,15 +257,16 @@ def _anticipation(
     return out
 
 
-def extract(crowd: CrowdTrajectory, params: FeatureParams | None = None) -> dict[str, FeatureSamples]:
+def extract(
+    crowd: CrowdTrajectory, curve: FundamentalDiagramCurve | None = None
+) -> dict[str, FeatureSamples]:
     """Measure all 21 feature value sets on one crowd trajectory.
 
     Pairwise features only consider neighbours within the interaction
-    horizon; a single-agent crowd emits neutral samples for them.  When no
-    fundamental-diagram curve is supplied, FDG is measured against a curve
-    fitted from this crowd's own density/speed pairs.
+    horizon; a single-agent crowd emits neutral samples for them.  FDG is
+    measured against ``curve``, or, when it is None, against a curve fitted
+    from this crowd's own density/speed pairs.
     """
-    p = params if params is not None else FeatureParams()
     N, T = crowd.n_agents, crowd.n_steps
     if T < 2:
         raise DataError(f"need at least 2 timesteps to extract features, got {T}")
@@ -299,8 +301,8 @@ def extract(crowd: CrowdTrajectory, params: FeatureParams | None = None) -> dict
 
     dspeed = np.zeros((N, T))
     dspeed[:, 1:] = S[:, 1:] - S[:, :-1]
-    fdr = _rolling_fraction(_alternation_flags(dhead, p.flicker_heading_threshold), p.flicker_window)
-    fsp = _rolling_fraction(_alternation_flags(dspeed, p.flicker_speed_threshold), p.flicker_window)
+    fdr = _rolling_fraction(_alternation_flags(dhead, FLICKER_HEADING_THRESHOLD), FLICKER_WINDOW)
+    fsp = _rolling_fraction(_alternation_flags(dspeed, FLICKER_SPEED_THRESHOLD), FLICKER_WINDOW)
 
     # --- per agent ---
     d_init = goal_dist[:, 0]
@@ -311,88 +313,76 @@ def extract(crowd: CrowdTrajectory, params: FeatureParams | None = None) -> dict
     length_ratio = path_len / np.maximum(straight, 1e-6)
 
     # --- pairwise, per agent and step ---
-    cap = p.ttc_horizon
+    cap = TTC_HORIZON
+    # Coordinate-major (2, T, N) copies: each chunk's relative vectors
+    # then have contiguous x and y planes, which the kernels read faster.
+    PC = np.ascontiguousarray(P.transpose(2, 1, 0))
+    VC = np.ascontiguousarray(V.transpose(2, 1, 0))
+    eye = np.eye(N, dtype=bool)
+    body_sum = rb[:, None] + rb[None, :]
+    personal_sum = rp[:, None] + rp[None, :]
+
+    # Per (t, i) reductions over the neighbours j, filled chunk by chunk.
+    nn = np.empty((T, N))
+    near = np.empty((T, N), dtype=np.intp)
+    touching = np.empty((T, N), dtype=bool)
+    overlap = np.empty((T, N))
+    ttc_t = np.empty((T, N))
+    has = np.empty((T, N), dtype=bool)
+    tca_sel = np.empty((T, N))
+    dca_sel = np.empty((T, N))
+
+    chunk = max(1, _PAIR_BUDGET // (N * N))
+    for t0 in range(0, T, chunk):
+        ts = slice(t0, t0 + chunk)
+        # [t, i, j] = p_j - p_i, as (chunk, N, N, 2) views of the planes
+        dp = np.moveaxis(PC[:, ts, None, :] - PC[:, ts, :, None], 0, -1)
+        dv = np.moveaxis(VC[:, ts, None, :] - VC[:, ts, :, None], 0, -1)
+        dx, dy = dp[..., 0], dp[..., 1]
+        dist = np.sqrt(dx * dx + dy * dy)
+        dist[:, eye] = np.inf
+
+        nn[ts] = dist.min(axis=2)
+        neighbor = dist <= INTERACTION_HORIZON
+        near[ts] = (dist <= LOCAL_DENSITY_RADIUS).sum(axis=2)
+        touching[ts] = (dist < body_sum).any(axis=2)
+        overlap[ts] = np.maximum(0.0, personal_sum - dist).max(axis=2)
+
+        ttc_pair = time_to_collision_arrays(dp, dv, body_sum, cap)
+        ttc_t[ts] = np.where(neighbor, ttc_pair, cap).min(axis=2)
+
+        tca_pair, dca_pair = closest_approach_arrays(dp, dv)
+        cand = neighbor & (tca_pair < cap)
+        j_star = np.where(cand, dca_pair, np.inf).argmin(axis=2)[:, :, None]
+        has[ts] = cand.any(axis=2)
+        tca_sel[ts] = np.take_along_axis(tca_pair, j_star, axis=2)[:, :, 0]
+        dca_sel[ts] = np.take_along_axis(dca_pair, j_star, axis=2)[:, :, 0]
+
+    dta = np.minimum(nn, INTERACTION_HORIZON).T
+    ldn = near.T / (math.pi * LOCAL_DENSITY_RADIUS**2)
+    contact = touching.T
+    col = contact.astype(float)
+    ovp = overlap.T
+    ttc = ttc_t.T
+    tca = np.where(has, tca_sel, cap).T
+    dca = np.where(has.T, dca_sel.T, dta)
+
     if N > 1:
-        # Coordinate-major (2, T, N) copies: each chunk's relative vectors
-        # then have contiguous x and y planes, which the kernels read faster.
-        PC = np.ascontiguousarray(P.transpose(2, 1, 0))
-        VC = np.ascontiguousarray(V.transpose(2, 1, 0))
-        eye = np.eye(N, dtype=bool)
-        body_sum = rb[:, None] + rb[None, :]
-        personal_sum = rp[:, None] + rp[None, :]
-
-        # Per (t, i) reductions over the neighbours j, filled chunk by chunk.
-        nn = np.empty((T, N))
-        near = np.empty((T, N), dtype=np.intp)
-        touching = np.empty((T, N), dtype=bool)
-        overlap = np.empty((T, N))
-        ttc_t = np.empty((T, N))
-        has = np.empty((T, N), dtype=bool)
-        tca_sel = np.empty((T, N))
-        dca_sel = np.empty((T, N))
-
-        chunk = max(1, _PAIR_BUDGET // (N * N))
-        for t0 in range(0, T, chunk):
-            ts = slice(t0, t0 + chunk)
-            # [t, i, j] = p_j - p_i, as (chunk, N, N, 2) views of the planes
-            dp = np.moveaxis(PC[:, ts, None, :] - PC[:, ts, :, None], 0, -1)
-            dv = np.moveaxis(VC[:, ts, None, :] - VC[:, ts, :, None], 0, -1)
-            dx, dy = dp[..., 0], dp[..., 1]
-            dist = np.sqrt(dx * dx + dy * dy)
-            dist[:, eye] = np.inf
-
-            nn[ts] = dist.min(axis=2)
-            neighbor = dist <= p.interaction_horizon
-            near[ts] = (dist <= p.local_density_radius).sum(axis=2)
-            touching[ts] = (dist < body_sum).any(axis=2)
-            overlap[ts] = np.maximum(0.0, personal_sum - dist).max(axis=2)
-
-            ttc_pair = time_to_collision_arrays(dp, dv, body_sum, cap)
-            ttc_t[ts] = np.where(neighbor, ttc_pair, cap).min(axis=2)
-
-            tca_pair, dca_pair = closest_approach_arrays(dp, dv)
-            cand = neighbor & (tca_pair < cap)
-            j_star = np.where(cand, dca_pair, np.inf).argmin(axis=2)[:, :, None]
-            has[ts] = cand.any(axis=2)
-            tca_sel[ts] = np.take_along_axis(tca_pair, j_star, axis=2)[:, :, 0]
-            dca_sel[ts] = np.take_along_axis(dca_pair, j_star, axis=2)[:, :, 0]
-
-        dta = np.minimum(nn, p.interaction_horizon).T
-        ldn = near.T / (math.pi * p.local_density_radius**2)
-        contact = touching.T
-        col = contact.astype(float)
-        ovp = overlap.T
-        ttc = ttc_t.T
-        tca = np.where(has, tca_sel, cap).T
-        dca = np.where(has.T, dca_sel.T, dta)
-
-        lam = np.array([N / _inflated_area(P[:, t], p.area_margin) for t in range(T)])
+        lam = np.array([N / _inflated_area(P[:, t], AREA_MARGIN) for t in range(T)])
         edn = (nn * 2.0 * np.sqrt(lam)[:, None]).T
     else:
-        horizon = p.interaction_horizon
-        dta = np.full((N, T), horizon)
-        ldn = np.zeros((N, T))
-        col = np.zeros((N, T))
-        contact = np.zeros((N, T), dtype=bool)
-        ovp = np.zeros((N, T))
-        ttc = np.full((N, T), cap)
-        tca = np.full((N, T), cap)
-        dca = np.full((N, T), horizon)
-        edn = np.ones((N, T))  # neutral: ideal uniform-scatter ratio
+        edn = np.ones((N, T))  # no neighbour: the ideal uniform-scatter ratio
 
-    ist = np.where(ttc < cap, np.exp(-ttc / p.ist_tau), 0.0)
+    ist = np.where(ttc < cap, np.exp(-ttc / IST_TAU), 0.0)
 
-    maneuver = (avl > p.maneuver_turn_rate) | (np.abs(dspeed) / dt > p.maneuver_accel)
+    maneuver = (avl > MANEUVER_TURN_RATE) | (np.abs(dspeed) / dt > MANEUVER_ACCEL)
     maneuver[:, 0] = False
     ian = _anticipation(ttc, maneuver, contact, cap)
 
     # --- global, per step ---
-    curve = p.fd_curve
     if curve is None:
-        curve = fundamental_diagram_curve(
-            np.column_stack([ldn.ravel(), aws.ravel()]), p.fd_bin_width
-        )
-    fdg = np.mean(S - curve.query(ldn), axis=0)
+        curve = fundamental_diagram_curve(np.column_stack([ldn.ravel(), aws.ravel()]))
+    fdg = fd_gap(S, ldn, curve)
 
     mean_speed = S.mean(axis=0)
     spread = S.std(axis=0)
@@ -422,12 +412,6 @@ def extract(crowd: CrowdTrajectory, params: FeatureParams | None = None) -> dict
         "VAR": var,
     }
     return {code: FeatureSamples(code=code, values=values[code]) for code in FEATURE_CODES}
-
-
-def with_curve(params: FeatureParams | None, curve: FundamentalDiagramCurve) -> FeatureParams:
-    """Copy of the params with the reference fundamental-diagram curve set."""
-    base = params if params is not None else FeatureParams()
-    return replace(base, fd_curve=curve)
 
 
 def merge_flat_samples(maps: list[dict[str, FeatureSamples]]) -> dict[str, np.ndarray]:

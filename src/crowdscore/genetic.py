@@ -8,6 +8,7 @@ even when the fitness landscape is resampled between generations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class GaConfig:
             raise ConfigError(f"crossover_rate must be in [0,1], got {self.crossover_rate}")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ConfigError(f"mutation_rate must be in [0,1], got {self.mutation_rate}")
-        if self.mutation_scale < 0.0:
-            raise ConfigError(f"mutation_scale must be >= 0, got {self.mutation_scale}")
+        if not 0.0 <= self.mutation_scale < math.inf:
+            raise ConfigError(f"mutation_scale must be finite and >= 0, got {self.mutation_scale}")
         if not 0 <= self.elitism_count < self.population_size:
             raise ConfigError(
                 f"elitism_count must be in [0, population_size), got {self.elitism_count}"
@@ -50,8 +51,10 @@ class GaConfig:
             raise ConfigError(
                 f"plateau_generations must be >= 1, got {self.plateau_generations}"
             )
-        if self.plateau_epsilon < 0.0:
-            raise ConfigError(f"plateau_epsilon must be >= 0, got {self.plateau_epsilon}")
+        if not 0.0 <= self.plateau_epsilon < math.inf:
+            raise ConfigError(
+                f"plateau_epsilon must be finite and >= 0, got {self.plateau_epsilon}"
+            )
         if self.tournament_size < 1:
             raise ConfigError(f"tournament_size must be >= 1, got {self.tournament_size}")
 

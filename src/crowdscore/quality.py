@@ -14,14 +14,14 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import (
+    FD_BIN_WIDTH,
     FEATURE_CODES,
-    FeatureParams,
     FeatureSamples,
     FundamentalDiagramCurve,
     extract,
+    fd_gap,
     fundamental_diagram_curve,
     merge_flat_samples,
-    with_curve,
 )
 from .keyvalue import format_keyvalue, parse_float, parse_keyvalue
 from .trajectory import CrowdTrajectory, to_canonical
@@ -50,12 +50,6 @@ class ReferenceStats:
         if code not in self.mu or code not in self.sigma:
             raise ConfigError(f"reference stats missing feature {code}")
         return self.mu[code], self.sigma[code]
-
-    def feature_params(self, base: FeatureParams | None = None) -> FeatureParams:
-        """Extraction parameters carrying this reference's diagram curve."""
-        if self.fd_curve is None:
-            return base if base is not None else FeatureParams()
-        return with_curve(base, self.fd_curve)
 
 
 @dataclass
@@ -103,7 +97,7 @@ def fit_reference(
     samples,
     *,
     fd_curve: FundamentalDiagramCurve | None = None,
-    fd_bin_width: float = 0.5,
+    fd_bin_width: float = FD_BIN_WIDTH,
 ) -> ReferenceStats:
     """Fit per-feature (mu, sigma) from golden-data samples.
 
@@ -140,32 +134,24 @@ def fit_reference(
     return ReferenceStats(mu=mu, sigma=sigma, sample_count=count, fd_curve=curve)
 
 
-def fit_reference_from_crowds(
-    crowds,
-    params: FeatureParams | None = None,
-    *,
-    fd_bin_width: float = 0.5,
-) -> ReferenceStats:
+def fit_reference_from_crowds(crowds, *, fd_bin_width: float = FD_BIN_WIDTH) -> ReferenceStats:
     """Fit reference statistics directly from golden crowd trajectories.
 
-    Two passes: the fundamental diagram is fitted from the pooled (LDN, AWS)
-    pairs of all crowds, then features are re-extracted against that shared
-    curve so the FDG statistics describe deviations from it.
+    The fundamental diagram is fitted from the pooled (LDN, AWS) pairs of all
+    crowds, and each crowd's FDG samples are then measured against that
+    shared curve, so the FDG statistics describe deviations from it.
     """
     crowds = list(crowds)
     if not crowds:
         raise DataError("no golden crowd trajectories provided")
-    first_pass = [extract(c, params) for c in crowds]
-    pairs = np.concatenate(
-        [
-            np.column_stack([m["LDN"].flat(), m["AWS"].flat()])
-            for m in first_pass
-        ]
-    )
+    maps = [extract(c) for c in crowds]
+    merged = merge_flat_samples(maps)
+    pairs = np.column_stack([merged["LDN"], merged["AWS"]])
     curve = fundamental_diagram_curve(pairs, fd_bin_width)
-    curve_params = with_curve(params, curve)
-    merged = merge_flat_samples([extract(c, curve_params) for c in crowds])
-    return fit_reference(merged, fd_curve=curve, fd_bin_width=fd_bin_width)
+    merged["FDG"] = np.concatenate(
+        [fd_gap(m["AWS"].values, m["LDN"].values, curve) for m in maps]
+    )
+    return fit_reference(merged, fd_curve=curve)
 
 
 def cost(samples: FeatureSamples, stats: ReferenceStats) -> float:
@@ -209,7 +195,6 @@ def score(
     stats: ReferenceStats,
     weights: WeightVector | None = None,
     *,
-    params: FeatureParams | None = None,
     window: tuple[float, float] | None = None,
 ) -> QualityScore:
     """Quality score of a crowd trajectory against fitted reference stats.
@@ -230,7 +215,7 @@ def score(
                 f"scoring window [{start_s}, {stop_s}) s covers fewer than 2 steps"
             )
         crowd = crowd.window(lo, hi)
-    sample_map = extract(crowd, stats.feature_params(params))
+    sample_map = extract(crowd, stats.fd_curve)
     return combine(cost_vector(sample_map, stats), weights)
 
 

@@ -116,12 +116,14 @@ class Scenario:
             raise ConfigError(f"unknown scenario kind {self.kind!r}, expected {SCENARIO_KINDS}")
         if self.agent_count < 1:
             raise ConfigError(f"agent_count must be >= 1, got {self.agent_count}")
-        if self.radius <= 0:
-            raise ConfigError(f"radius must be > 0, got {self.radius}")
-        if len(self.area) != 2 or self.area[0] <= 0 or self.area[1] <= 0:
-            raise ConfigError(f"area must be two positive extents, got {self.area}")
-        if self.density_target is not None and self.density_target <= 0:
-            raise ConfigError(f"density_target must be > 0, got {self.density_target}")
+        if not 0 < self.radius < math.inf:
+            raise ConfigError(f"radius must be finite and > 0, got {self.radius}")
+        if len(self.area) != 2 or not all(0 < a < math.inf for a in self.area):
+            raise ConfigError(f"area must be two finite positive extents, got {self.area}")
+        if not math.isfinite(self.angle_deg):
+            raise ConfigError(f"angle_deg must be finite, got {self.angle_deg}")
+        if self.density_target is not None and not 0 < self.density_target < math.inf:
+            raise ConfigError(f"density_target must be finite and > 0, got {self.density_target}")
 
 
 @dataclass
@@ -349,8 +351,8 @@ def simulate_population(
     pairs.
     """
     population = list(population)
-    if duration <= 0 or dt <= 0:
-        raise ConfigError(f"duration and dt must be > 0, got {duration}, {dt}")
+    if not (0 < duration < math.inf and 0 < dt < math.inf):
+        raise ConfigError(f"duration and dt must be finite and > 0, got {duration}, {dt}")
     n_steps = math.ceil(duration / dt)
     if n_steps < 2:
         raise ConfigError(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import FEATURE_CODES, FeatureParams, FeatureSamples, extract
+from .features import FEATURE_CODES, FeatureSamples, FundamentalDiagramCurve, extract
 from .genetic import GaConfig, GaResult, ga_optimize
 from .quality import ReferenceStats, WeightVector, cost_vector
 from .trajectory import CrowdTrajectory, derive_kinematics
@@ -123,12 +123,13 @@ def _reject_params(mode, params, allowed):
 def build_training_set(
     golden,
     degraded,
-    params: FeatureParams | None = None,
+    curve: FundamentalDiagramCurve | None = None,
 ) -> list[TrainingExample]:
     """Extract features once per crowd and attach targets.
 
     ``golden`` is a list of crowds (target 1); ``degraded`` is a list of
-    crowds or (crowd, target) pairs (default target 0).
+    crowds or (crowd, target) pairs (default target 0).  ``curve`` is the
+    reference fundamental diagram FDG is measured against (see ``extract``).
     """
     golden = list(golden)
     if not golden:
@@ -136,7 +137,7 @@ def build_training_set(
     examples = []
     for i, crowd in enumerate(golden):
         examples.append(
-            TrainingExample(features=extract(crowd, params), target=1.0, label=f"golden-{i}")
+            TrainingExample(features=extract(crowd, curve), target=1.0, label=f"golden-{i}")
         )
     for i, item in enumerate(degraded):
         if isinstance(item, tuple):
@@ -145,7 +146,7 @@ def build_training_set(
             crowd, target = item, 0.0
         examples.append(
             TrainingExample(
-                features=extract(crowd, params), target=float(target), label=f"degraded-{i}"
+                features=extract(crowd, curve), target=float(target), label=f"degraded-{i}"
             )
         )
     return examples

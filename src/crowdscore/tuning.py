@@ -9,6 +9,7 @@ shrinking exploration rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,8 +50,8 @@ class TuneConfig:
             raise ConfigError(
                 f"exploration_decay must be in (0,1], got {self.exploration_decay}"
             )
-        if self.duration <= 0:
-            raise ConfigError(f"duration must be > 0, got {self.duration}")
+        if not 0 < self.duration < math.inf:
+            raise ConfigError(f"duration must be finite and > 0, got {self.duration}")
 
 
 @dataclass

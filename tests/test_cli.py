@@ -71,6 +71,22 @@ def test_non_finite_trajectory_exits_2(tmp_path, workspace, capsys):
     assert "S_QF" not in captured.out
 
 
+def test_non_finite_simulate_radius_exits_3(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert run(["simulate", "--kind", "circle", "--agents", "4", "--radius", "nan",
+                "--duration", "2.0", "--out", str(out)]) == 3
+    assert "radius must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_bin_width_exits_2(tmp_path, workspace, capsys):
+    out = tmp_path / "stats.txt"
+    assert run(["fit-reference", "--golden", str(workspace["golden"]),
+                "--bin-width", "nan", "--out", str(out)]) == 2
+    assert "bin_width must be positive and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_writes_trajectory_and_manifest(tmp_path, workspace):
     out = tmp_path / "sim.csv"
     assert run(["simulate", "--kind", "circle", "--agents", "4",

@@ -8,14 +8,14 @@ from crowdscore.errors import DataError
 from crowdscore.features import (
     FEATURE_CODES,
     GRANULARITY,
-    FeatureParams,
+    INTERACTION_HORIZON,
     FeatureSamples,
     FundamentalDiagramCurve,
     extract,
     fundamental_diagram_curve,
     merge_flat_samples,
 )
-from crowdscore.geometry import predict_pair, time_to_collision
+from crowdscore.geometry import TTC_HORIZON, predict_pair, time_to_collision
 
 from helpers import (
     crowd_from_positions,
@@ -269,7 +269,7 @@ def test_fundamental_diagram_curve_rejects_non_finite(text):
 def test_reference_curve_changes_fdg():
     crowd = straight_crowd(speed=1.0, steps=10)
     slow = FundamentalDiagramCurve(densities=np.array([0.25]), speeds=np.array([1.4]))
-    f = extract(crowd, FeatureParams(fd_curve=slow))
+    f = extract(crowd, curve=slow)
     assert np.allclose(f["FDG"].values, 1.0 - 1.4)
 
 
@@ -341,28 +341,27 @@ def test_pairwise_chunking_is_exact(monkeypatch):
 
 def test_pairwise_minima_match_scalar_predictions():
     crowd = contact_crowd(seed=5)
-    p = FeatureParams()
-    f = extract(crowd, p)
+    f = extract(crowd)
     P, V, r = crowd.positions, crowd.velocities, crowd.body_radii
     N, T = crowd.n_agents, crowd.n_steps
-    ttc = np.full((N, T), p.ttc_horizon)
-    tca = np.full((N, T), p.ttc_horizon)
+    ttc = np.full((N, T), TTC_HORIZON)
+    tca = np.full((N, T), TTC_HORIZON)
     dca = np.empty((N, T))
     for t in range(T):
         for i in range(N):
             gaps = {j: np.linalg.norm(P[j, t] - P[i, t]) for j in range(N) if j != i}
-            dca[i, t] = min(min(gaps.values()), p.interaction_horizon)  # nothing ahead
+            dca[i, t] = min(min(gaps.values()), INTERACTION_HORIZON)  # nothing ahead
             best = math.inf
             for j, gap in gaps.items():
-                if gap > p.interaction_horizon:
+                if gap > INTERACTION_HORIZON:
                     continue
                 pred = predict_pair(P[i, t], V[i, t], r[i], P[j, t], V[j, t], r[j],
-                                    p.ttc_horizon)
+                                    TTC_HORIZON)
                 ttc[i, t] = min(ttc[i, t], pred.ttc)
-                if pred.tca < p.ttc_horizon and pred.dca < best:
+                if pred.tca < TTC_HORIZON and pred.dca < best:
                     best = pred.dca
                     tca[i, t], dca[i, t] = pred.tca, pred.dca
-    assert np.any(ttc < p.ttc_horizon) and np.any(tca < p.ttc_horizon)
+    assert np.any(ttc < TTC_HORIZON) and np.any(tca < TTC_HORIZON)
     for code, expected in (("TTC", ttc), ("TCA", tca), ("DCA", dca)):
         np.testing.assert_allclose(f[code].values, expected, rtol=1e-12, atol=1e-12,
                                    err_msg=code)

@@ -168,6 +168,13 @@ def test_config_validation_errors():
         GaConfig(plateau_generations=0)
     with pytest.raises(ConfigError):
         GaConfig(tournament_size=0)
+    for name in ("mutation_scale", "plateau_epsilon"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                GaConfig(**{name: bad})
+    for name in ("crossover_rate", "mutation_rate"):
+        with pytest.raises(ConfigError):
+            GaConfig(**{name: float("nan")})
 
 
 def test_bad_bounds_and_decay_errors():

@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from crowdscore import quality
 from crowdscore.errors import ConfigError, DataError
-from crowdscore.features import FEATURE_CODES, FundamentalDiagramCurve, extract
+from crowdscore.features import (
+    FD_BIN_WIDTH,
+    FEATURE_CODES,
+    FundamentalDiagramCurve,
+    extract,
+    fundamental_diagram_curve,
+    merge_flat_samples,
+)
 from crowdscore.quality import (
     SIGMA_FLOOR,
     ReferenceStats,
@@ -191,6 +199,37 @@ def test_radar_is_cost_complement_in_order():
     entries = radar(combine(costs, w))
     assert [c for c, _ in entries] == list(FEATURE_CODES)
     assert np.allclose([v for _, v in entries], 1.0 - costs)
+
+
+@pytest.mark.parametrize("bin_width", [FD_BIN_WIDTH, 0.3])
+def test_one_pass_fit_matches_two_pass_fit(monkeypatch, golden_crowds, bin_width):
+    # crowds of different lengths, so a mix-up of per-crowd FDG samples shows
+    crowds = [golden_crowds[0], golden_crowds[1].window(10, 80), golden_crowds[2].window(25, 90)]
+
+    # two passes: fit the curve on self-fitted extractions, then re-extract
+    first = [extract(c) for c in crowds]
+    pairs = np.concatenate(
+        [np.column_stack([m["LDN"].flat(), m["AWS"].flat()]) for m in first]
+    )
+    curve = fundamental_diagram_curve(pairs, bin_width)
+    expected = fit_reference(merge_flat_samples([extract(c, curve) for c in crowds]),
+                             fd_curve=curve)
+
+    calls = []
+
+    def counting_extract(crowd, *args, **kwargs):
+        calls.append(crowd)
+        return extract(crowd, *args, **kwargs)
+
+    monkeypatch.setattr(quality, "extract", counting_extract)
+    got = fit_reference_from_crowds(crowds, fd_bin_width=bin_width)
+    assert len(calls) == len(crowds)
+    assert all(a is b for a, b in zip(calls, crowds))
+    assert got.mu == expected.mu
+    assert got.sigma == expected.sigma
+    assert got.sample_count == expected.sample_count
+    assert np.array_equal(got.fd_curve.densities, expected.fd_curve.densities)
+    assert np.array_equal(got.fd_curve.speeds, expected.fd_curve.speeds)
 
 
 # --- end-to-end scoring ---

@@ -65,6 +65,19 @@ def test_scenario_validation():
         Scenario(kind="random", agent_count=4, area=(0.0, 5.0))
     with pytest.raises(ConfigError):
         Scenario(kind="circle", agent_count=4, density_target=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        dict(kind="circle", radius=nan),
+        dict(kind="circle", radius=inf),
+        dict(kind="random", area=(5.0, nan)),
+        dict(kind="random", area=(inf, 5.0)),
+        dict(kind="crossing", angle_deg=nan),
+        dict(kind="crossing", angle_deg=-inf),
+        dict(kind="circle", density_target=nan),
+        dict(kind="circle", density_target=inf),
+    ):
+        with pytest.raises(ConfigError, match="finite"):
+            Scenario(agent_count=4, **bad)
 
 
 def test_circle_spawns_on_rim_with_antipodal_goals():
@@ -216,6 +229,10 @@ def test_step_count_is_ceiling_of_duration():
         simulate(Scenario(kind="circle", agent_count=2, radius=4.0), duration=0.1)
     with pytest.raises(ConfigError):
         simulate(Scenario(kind="circle", agent_count=2, radius=4.0), duration=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(duration=nan), dict(duration=inf), dict(dt=nan), dict(dt=inf)):
+        with pytest.raises(ConfigError, match="finite"):
+            simulate(Scenario(kind="circle", agent_count=2, radius=4.0), **bad)
 
 
 def test_simulate_is_deterministic_even_with_noise():

@@ -71,6 +71,9 @@ def test_tune_config_validation():
         tiny_config(exploration_decay=0.0)
     with pytest.raises(ConfigError, match="duration"):
         tiny_config(duration=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="duration must be finite"):
+            tiny_config(duration=bad)
 
 
 def test_zero_weights_score_one_and_stop_immediately():
