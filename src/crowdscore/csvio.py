@@ -8,6 +8,9 @@ Header ``agent_id,t,x,y[,goal_x,goal_y,comfort_speed,radius]``, rows sorted by
 from __future__ import annotations
 
 import csv
+import io
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,39 @@ OPTIONAL_COLUMNS = ("goal_x", "goal_y", "comfort_speed", "radius")
 # The single radius column maps to the body disc; the personal disc keeps the
 # default 0.2 m standoff on top of it.
 _PERSONAL_STANDOFF = 0.2
+
+
+# A body that only holds numbers, commas and single newlines.
+_NUMERIC_BODY = re.compile(r"[0-9eE+\-.,\n]*")
+
+
+def _parse_numeric_body(body: str, n_columns: int, id_col: int):
+    """(int64 ids, float table of every column) parsed as arrays, or None.
+
+    Declines, leaving the file to the row loop, unless the body is made only
+    of number characters, commas and newlines, has no blank line, and every
+    row parses with exactly ``n_columns`` fields.  The ids are parsed on
+    their own, as integers: a float parse would round those above 2**53.
+    """
+    body = body.replace("\r\n", "\n")
+    if (not body.strip("\n") or body.startswith("\n") or "\n\n" in body
+            or not _NUMERIC_BODY.fullmatch(body)):
+        return None
+    read = dict(delimiter=",", comments=None)
+    try:
+        table = np.loadtxt(io.StringIO(body), ndmin=2, **read)
+        if table.shape[1] != n_columns:
+            return None
+        with warnings.catch_warnings():
+            # numpy releases with loadtxt's deprecated int-via-float fallback
+            # read an id of 1.5, 1e3 or 2**63 as a float and cast it, with
+            # only a warning.  As an error, numpy raises it as the ValueError
+            # of any unparsable field, and the row loop rejects the id.
+            warnings.simplefilter("error", DeprecationWarning)
+            ids = np.loadtxt(io.StringIO(body), dtype=np.int64, usecols=id_col, ndmin=1, **read)
+    except ValueError:
+        return None
+    return ids, table
 
 
 def load_trajectory_csv(path) -> CrowdTrajectory:
@@ -45,13 +81,20 @@ def load_trajectory_csv(path) -> CrowdTrajectory:
             raise DataError(f"{path}: unknown columns {unknown}")
         if ("goal_x" in header) != ("goal_y" in header):
             raise DataError(f"{path}: goal_x and goal_y must appear together")
-        id_col = header.index("agent_id")
-        # Float table columns: t first, then the rest in file order.
-        names = ["t"] + [h for h in header if h not in ("agent_id", "t")]
-        value_cols = [header.index(h) for h in names]
+        body = fh.read()
+    id_col = header.index("agent_id")
+    # Float table columns: t first, then the rest in file order.
+    names = ["t"] + [h for h in header if h not in ("agent_id", "t")]
+    value_cols = [header.index(h) for h in names]
 
+    parsed = _parse_numeric_body(body, len(header), id_col)
+    if parsed is not None:
+        ids, table = parsed[0], parsed[1][:, value_cols]
+    else:
+        # The row loop is the reference parser and the only one that
+        # reports what is wrong, and where.
         ids, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
@@ -61,16 +104,16 @@ def load_trajectory_csv(path) -> CrowdTrajectory:
                 rows.append([float(row[i]) for i in value_cols])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not rows:
+            raise DataError(f"{path}: no data rows")
+        table = np.array(rows)
 
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    table = np.array(rows)
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         k, c = bad[0]
         raise DataError(f"{path}: non-finite {names[c]!r} for agent {ids[k]}")
-    ids = np.array(ids)
-    if ids.dtype == object:
+    ids = np.asarray(ids)
+    if ids.dtype != np.int64:  # numpy widens ids past int64 to float or object
         raise DataError(f"{path}: agent_id outside the 64-bit integer range")
     order = np.lexsort((table[:, 0], ids))
     ids, table = ids[order], table[order]

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .geometry import TTC_HORIZON, closest_approach_arrays, time_to_collision_arrays
+from .geometry import TTC_HORIZON, pairwise_arrays
 from .trajectory import EPS_SPEED, CrowdTrajectory
 
-# Neighbour pairs (t, i, j) the pairwise pass holds at once: about 2 MB per
-# float64 array, so extract's memory does not grow with the recording length.
-_PAIR_BUDGET = 1 << 18
+# Neighbour pairs (t, i, j) the pairwise pass holds at once: 0.5 MB per
+# float64 array, so a chunk's planes stay near the L2 cache and extract's
+# memory does not grow with the recording length.
+_PAIR_BUDGET = 1 << 16
 
 # Constants of the feature definitions.
 INTERACTION_HORIZON = 30.0  # m, neighbours beyond this are ignored
@@ -314,11 +315,10 @@ def extract(
 
     # --- pairwise, per agent and step ---
     cap = TTC_HORIZON
-    # Coordinate-major (2, T, N) copies: each chunk's relative vectors
-    # then have contiguous x and y planes, which the kernels read faster.
-    PC = np.ascontiguousarray(P.transpose(2, 1, 0))
-    VC = np.ascontiguousarray(V.transpose(2, 1, 0))
-    eye = np.eye(N, dtype=bool)
+    # Coordinate-major (T, N) copies: each chunk's relative planes are then
+    # built contiguous, straight from them.
+    X, Y = np.ascontiguousarray(P[:, :, 0].T), np.ascontiguousarray(P[:, :, 1].T)
+    VX, VY = np.ascontiguousarray(V[:, :, 0].T), np.ascontiguousarray(V[:, :, 1].T)
     body_sum = rb[:, None] + rb[None, :]
     personal_sum = rp[:, None] + rp[None, :]
 
@@ -335,25 +335,25 @@ def extract(
     chunk = max(1, _PAIR_BUDGET // (N * N))
     for t0 in range(0, T, chunk):
         ts = slice(t0, t0 + chunk)
-        # [t, i, j] = p_j - p_i, as (chunk, N, N, 2) views of the planes
-        dp = np.moveaxis(PC[:, ts, None, :] - PC[:, ts, :, None], 0, -1)
-        dv = np.moveaxis(VC[:, ts, None, :] - VC[:, ts, :, None], 0, -1)
-        dx, dy = dp[..., 0], dp[..., 1]
-        dist = np.sqrt(dx * dx + dy * dy)
-        dist[:, eye] = np.inf
+        # [t, i, j] = p_j - p_i and v_j - v_i
+        dx = X[ts, None, :] - X[ts, :, None]
+        dy = Y[ts, None, :] - Y[ts, :, None]
+        ux = VX[ts, None, :] - VX[ts, :, None]
+        uy = VY[ts, None, :] - VY[ts, :, None]
+        dist, ttc_pair, tca_pair, dca_pair = pairwise_arrays(dx, dy, ux, uy, body_sum, cap)
+        del dx, dy, ux, uy
+        dist.reshape(len(dist), N * N)[:, :: N + 1] = np.inf  # no self-pairs
 
         nn[ts] = dist.min(axis=2)
         neighbor = dist <= INTERACTION_HORIZON
         near[ts] = (dist <= LOCAL_DENSITY_RADIUS).sum(axis=2)
         touching[ts] = (dist < body_sum).any(axis=2)
-        overlap[ts] = np.maximum(0.0, personal_sum - dist).max(axis=2)
+        np.maximum((personal_sum - dist).max(axis=2), 0.0, out=overlap[ts])
+        np.minimum.reduce(ttc_pair, axis=2, out=ttc_t[ts], where=neighbor, initial=cap)
 
-        ttc_pair = time_to_collision_arrays(dp, dv, body_sum, cap)
-        ttc_t[ts] = np.where(neighbor, ttc_pair, cap).min(axis=2)
-
-        tca_pair, dca_pair = closest_approach_arrays(dp, dv)
         cand = neighbor & (tca_pair < cap)
-        j_star = np.where(cand, dca_pair, np.inf).argmin(axis=2)[:, :, None]
+        dca_pair[~cand] = np.inf
+        j_star = dca_pair.argmin(axis=2)[:, :, None]
         has[ts] = cand.any(axis=2)
         tca_sel[ts] = np.take_along_axis(tca_pair, j_star, axis=2)[:, :, 0]
         dca_sel[ts] = np.take_along_axis(dca_pair, j_star, axis=2)[:, :, 0]

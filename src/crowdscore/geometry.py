@@ -1,10 +1,10 @@
 """Pairwise interaction geometry under linear extrapolation.
 
-Both agents are assumed to keep their current velocity.  All functions
-broadcast over leading dimensions, so the same code serves the scalar API and
-the (chunk, N, N) tensors used during feature extraction.  The array kernels
-work on the x and y components separately: a reduction over a size-2 axis
-costs more than the arithmetic it does.
+Both agents are assumed to keep their current velocity.  One kernel,
+``pairwise_arrays``, serves both the scalar API and the (chunk, N, N) planes
+used during feature extraction.  It works on the x and y components
+separately (a reduction over a size-2 axis costs more than the arithmetic it
+does) and in place, so a chunk holds few temporaries.
 """
 
 from __future__ import annotations
@@ -29,66 +29,74 @@ class PairPrediction:
     ttc: float  # time to collision, s (TTC_HORIZON when none predicted)
 
 
-def closest_approach_arrays(dp: np.ndarray, dv: np.ndarray):
-    """tca and dca for relative position/velocity arrays of shape (..., 2)."""
-    dx, dy = dp[..., 0], dp[..., 1]
-    ux, uy = dv[..., 0], dv[..., 1]
-    dv2 = ux * ux + uy * uy
-    dot = dx * ux + dy * uy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tca = np.where(dv2 > EPS_SPEED**2, -dot / np.where(dv2 > 0, dv2, 1.0), 0.0)
-    tca = np.maximum(tca, 0.0)
-    cx = dx + tca * ux
-    cy = dy + tca * uy
-    dca = np.sqrt(cx * cx + cy * cy)
-    return tca, dca
+def pairwise_arrays(dx, dy, ux, uy, radius_sum, horizon: float = TTC_HORIZON):
+    """(dist, ttc, tca, dca) from relative position and velocity planes.
 
+    ``dx, dy`` are the components of p_b - p_a and ``ux, uy`` those of
+    v_b - v_a, as float arrays of one shape (at least 1-D); ``radius_sum``
+    broadcasts to that shape.  |dp|^2, |dv|^2 and dp.dv are formed once: the
+    contact quadratic a t^2 + b t + c = 0 has a = |dv|^2, b = 2 dp.dv and
+    c = |dp|^2 - radius_sum^2.
 
-def time_to_collision_arrays(
-    dp: np.ndarray,
-    dv: np.ndarray,
-    radius_sum: np.ndarray,
-    horizon: float = TTC_HORIZON,
-) -> np.ndarray:
-    """Smallest t >= 0 with |dp + t dv| = radius_sum, capped at the horizon.
-
-    Overlapping discs give 0; diverging pairs and misses give the horizon.
+    dist is the current distance.  tca >= 0 is the time to closest approach
+    and dca the distance then (tca 0 without relative motion).  ttc is the
+    smallest t >= 0 with |dp + t dv| = radius_sum, capped at the horizon:
+    overlapping discs give 0, diverging pairs and misses the horizon.
     """
-    dx, dy = dp[..., 0], dp[..., 1]
-    ux, uy = dv[..., 0], dv[..., 1]
-    a = ux * ux + uy * uy
-    b = 2.0 * (dx * ux + dy * uy)
-    c = dx * dx + dy * dy - np.asarray(radius_sum) ** 2
+    dv2 = ux * ux
+    dv2 += uy * uy
+    ndot = dx * ux
+    ndot += dy * uy
+    np.negative(ndot, out=ndot)  # -dp.dv, so -b = 2 * ndot exactly
+    dist = dx * dx
+    dist += dy * dy
+    moving = dv2 > EPS_SPEED**2
 
-    disc = b * b - 4.0 * a * c
-    moving = a > EPS_SPEED**2
-    safe_a = np.where(moving, a, 1.0)
-    root = np.sqrt(np.maximum(disc, 0.0))
-    t_hit = (-b - root) / (2.0 * safe_a)
+    tca = np.divide(ndot, dv2, out=np.zeros_like(dv2), where=moving)
+    np.maximum(tca, 0.0, out=tca)
+    dca = tca * ux
+    dca += dx
+    dca *= dca
+    cy = tca * uy
+    cy += dy
+    cy *= cy
+    dca += cy
+    np.sqrt(dca, out=dca)
 
-    ttc = np.full(np.broadcast(a, c).shape, float(horizon))
-    hit = moving & (disc >= 0.0) & (t_hit >= 0.0)
-    ttc = np.where(hit, np.minimum(t_hit, horizon), ttc)
-    ttc = np.where(c <= 0.0, 0.0, ttc)  # already overlapping
-    return ttc
+    c = dist - np.square(radius_sum)
+    np.sqrt(dist, out=dist)
+    neg_b = np.multiply(ndot, 2.0, out=ndot)
+    disc = np.multiply(dv2, 4.0, out=cy)
+    disc *= c
+    np.subtract(neg_b * neg_b, disc, out=disc)
+    hit = disc >= 0.0
+    hit &= moving
+    root = np.maximum(disc, 0.0, out=disc)
+    np.sqrt(root, out=root)
+    t_hit = np.subtract(neg_b, root, out=neg_b)
+    dv2 *= 2.0
+    np.divide(t_hit, dv2, out=t_hit, where=moving)
+    hit &= t_hit >= 0.0
+    np.minimum(t_hit, horizon, out=t_hit)
+    ttc = np.where(hit, t_hit, float(horizon))
+    ttc[c <= 0.0] = 0.0  # already overlapping
+    return dist, ttc, tca, dca
 
 
 def closest_approach(p_a, v_a, p_b, v_b) -> tuple[float, float]:
     """(tca, dca) for a single pair of point agents."""
-    dp = np.asarray(p_b, dtype=float) - np.asarray(p_a, dtype=float)
-    dv = np.asarray(v_b, dtype=float) - np.asarray(v_a, dtype=float)
-    tca, dca = closest_approach_arrays(dp, dv)
-    return float(tca), float(dca)
+    pred = predict_pair(p_a, v_a, 0.0, p_b, v_b, 0.0)
+    return pred.tca, pred.dca
 
 
 def time_to_collision(p_a, v_a, r_a, p_b, v_b, r_b, horizon: float = TTC_HORIZON) -> float:
     """Time until the two body discs first touch, capped at the horizon."""
-    dp = np.asarray(p_b, dtype=float) - np.asarray(p_a, dtype=float)
-    dv = np.asarray(v_b, dtype=float) - np.asarray(v_a, dtype=float)
-    return float(time_to_collision_arrays(dp, dv, float(r_a) + float(r_b), horizon))
+    return predict_pair(p_a, v_a, r_a, p_b, v_b, r_b, horizon).ttc
 
 
 def predict_pair(p_a, v_a, r_a, p_b, v_b, r_b, horizon: float = TTC_HORIZON) -> PairPrediction:
-    tca, dca = closest_approach(p_a, v_a, p_b, v_b)
-    ttc = time_to_collision(p_a, v_a, r_a, p_b, v_b, r_b, horizon)
-    return PairPrediction(tca=tca, dca=dca, ttc=ttc)
+    # The pair as 1-element planes, so the kernel's in-place steps apply.
+    dp = (np.asarray(p_b, dtype=float) - np.asarray(p_a, dtype=float))[:, None]
+    dv = (np.asarray(v_b, dtype=float) - np.asarray(v_a, dtype=float))[:, None]
+    _, ttc, tca, dca = pairwise_arrays(dp[0], dp[1], dv[0], dv[1], float(r_a) + float(r_b), horizon)
+    return PairPrediction(tca=float(tca[0]), dca=float(dca[0]), ttc=float(ttc[0]))

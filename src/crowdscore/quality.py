@@ -8,6 +8,7 @@ weighted sum of costs, so it lives in [0, 1] when the weights sum to at most 1.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,6 +209,8 @@ def score(
     crowd = to_canonical(crowd)
     if window is not None:
         start_s, stop_s = window
+        if not (math.isfinite(start_s) and math.isfinite(stop_s)):
+            raise DataError(f"scoring window [{start_s}, {stop_s}) s has a non-finite bound")
         lo = max(0, int(np.ceil((start_s - crowd.t0) / crowd.dt - 1e-9)))
         hi = min(crowd.n_steps, int(np.ceil((stop_s - crowd.t0) / crowd.dt - 1e-9)))
         if hi - lo < 2:

@@ -7,6 +7,7 @@ targets and the quality score over the 21-dimensional weight box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,8 @@ def degrade(crowd: CrowdTrajectory, mode: str, seed: int = 0, **params) -> Crowd
     if mode == "jitter":
         amplitude = float(params.pop("amplitude", JITTER_AMPLITUDE))
         _reject_params(mode, params, ())
+        if not math.isfinite(amplitude):
+            raise ValueError(f"jitter amplitude must be finite, got {amplitude}")
         if amplitude == 0.0:
             return _rebuild(crowd, P.copy())
         steps = P[:, 1:, :] - P[:, :-1, :]
@@ -94,6 +97,8 @@ def degrade(crowd: CrowdTrajectory, mode: str, seed: int = 0, **params) -> Crowd
     if mode == "speed-scale":
         factor = float(params.pop("factor", SPEED_SCALE_FACTOR))
         _reject_params(mode, params, ())
+        if not math.isfinite(factor):
+            raise ValueError(f"speed-scale factor must be finite, got {factor}")
         start = P[:, :1, :]
         positions = start + factor * (P - start)
         return _rebuild(crowd, positions)

@@ -87,6 +87,29 @@ def test_non_finite_bin_width_exits_2(tmp_path, workspace, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("window", [("0", "inf"), ("nan", "5"), ("-1", "nan")])
+def test_non_finite_score_window_exits_2(tmp_path, workspace, capsys, window):
+    assert run(["score", "--trajectory", str(workspace["sample"]),
+                "--stats", str(workspace["stats"]), "--window", *window,
+                "--breakdown", str(tmp_path / "b.csv")]) == 2
+    captured = capsys.readouterr()
+    assert "data error: scoring window [" in captured.err
+    assert "non-finite bound" in captured.err
+    assert "S_QF" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode,flag,value", [("speed-scale", "--factor", "nan"),
+                                             ("speed-scale", "--factor", "inf"),
+                                             ("jitter", "--amplitude", "inf"),
+                                             ("jitter", "--amplitude", "nan")])
+def test_non_finite_degrade_parameter_exits_2(tmp_path, workspace, capsys, mode, flag, value):
+    assert run(["degrade", "--trajectory", str(workspace["sample"]), "--mode", mode,
+                flag, value, "--out", str(tmp_path / "bad.csv")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_writes_trajectory_and_manifest(tmp_path, workspace):
     out = tmp_path / "sim.csv"
     assert run(["simulate", "--kind", "circle", "--agents", "4",

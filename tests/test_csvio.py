@@ -1,6 +1,10 @@
+import io
+import warnings
+
 import numpy as np
 import pytest
 
+from crowdscore import csvio
 from crowdscore.csvio import load_trajectory_csv, save_trajectory_csv
 from crowdscore.errors import DataError
 from crowdscore.simulator import Scenario, simulate
@@ -164,3 +168,140 @@ def test_noncanonical_dt_survives_round_trip(tmp_path):
     loaded = load_trajectory_csv(path)
     assert loaded.dt == pytest.approx(0.25)
     assert loaded.speeds[0, 0] == pytest.approx(1.4)
+
+
+def load_outcome(path):
+    """Everything a load yields: the crowd bit for bit, or the error raised."""
+    try:
+        crowd = load_trajectory_csv(path)
+    except Exception as exc:  # compared across parsers, whatever it is
+        return type(exc).__name__, str(exc)
+    arrays = {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in crowd_arrays(crowd).items()}
+    return "ok", arrays, crowd.dt.hex(), crowd.t0.hex()
+
+
+def both_parsers(path, monkeypatch, deprecations="error"):
+    """(outcome with the array parser, outcome with the row loop alone, array parser used).
+
+    ``deprecations`` is the DeprecationWarning action during the loads:
+    the suite's "error", or the "default" a CLI run has.
+    """
+    used = []
+    array_parser = csvio._parse_numeric_body
+
+    def spy(*args):
+        result = array_parser(*args)
+        used.append(result is not None)
+        return result
+
+    with monkeypatch.context() as m, warnings.catch_warnings():
+        warnings.simplefilter(deprecations, DeprecationWarning)
+        m.setattr(csvio, "_parse_numeric_body", spy)
+        fast = load_outcome(path)
+        m.setattr(csvio, "_parse_numeric_body", lambda *args: None)
+        slow = load_outcome(path)
+    return fast, slow, any(used)
+
+
+DEPRECATIONS = pytest.mark.parametrize("deprecations", ["error", "default"])
+
+
+@DEPRECATIONS
+def test_array_parser_matches_row_loop_on_mutated_files(tmp_path, monkeypatch, deprecations):
+    crowd = simulate(Scenario(kind="random", agent_count=3, seed=4), duration=0.6)
+    base = tmp_path / "base.csv"
+    save_trajectory_csv(crowd, base)  # csv.writer: CRLF line ends
+    crlf = base.read_bytes()
+    assert b"\r\n" in crlf
+    rng = np.random.default_rng(2024)
+    alphabet = b"0123456789eE+-.,\n\r \t\"ax\xff"
+    counts = {"fast": 0, "ok": 0, "error": 0}
+    for k in range(400):
+        data = bytearray(crlf if k % 2 else crlf.replace(b"\r\n", b"\n"))
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(0, len(data)))
+            op = rng.integers(0, 3)
+            byte = alphabet[int(rng.integers(0, len(alphabet)))]
+            if op == 0:
+                data[at] = byte
+            elif op == 1:
+                data.insert(at, byte)
+            else:
+                del data[at]
+        path = tmp_path / f"m{k}.csv"
+        path.write_bytes(bytes(data))
+        fast, slow, used = both_parsers(path, monkeypatch, deprecations)
+        assert fast == slow, (k, bytes(data))
+        counts["fast"] += used
+        counts["ok" if fast[0] == "ok" else "error"] += 1
+    # the mutations exercise both parsers and both outcomes
+    assert min(counts.values()) >= 40, counts
+
+
+@pytest.mark.parametrize(
+    "content,expected",
+    [
+        # a fifth field on every row of a four-column file
+        ("agent_id,t,x,y\n0,0,0,0,9\n0,0.1,1,0,9\n", ":2: expected 4 fields, got 5"),
+        # 2**63 - 1 fits int64, 2**63 does not
+        ("agent_id,t,x,y\n9223372036854775807,0,0,0\n9223372036854775807,0.1,1,0\n"
+         "9223372036854775808,0,0,1\n9223372036854775808,0.1,1,1\n",
+         "agent_id outside the 64-bit integer range"),
+        ("agent_id,t,x,y\n9223372036854775807,0,0,0\n9223372036854775807,0.1,1,0\n", None),
+        # ids that only a float parse reads
+        ("agent_id,t,x,y\n1.0,0,0,0\n1.0,0.1,1,0\n", "invalid literal for int()"),
+        ("agent_id,t,x,y\n1.5,0,0,0\n1.5,0.1,1,0\n", "invalid literal for int()"),
+        ("agent_id,t,x,y\n1e3,0,0,0\n1e3,0.1,1,0\n", "invalid literal for int()"),
+        ("agent_id,t,x,y\n", "no data rows"),
+        ("agent_id,t,x,y\r\n", "no data rows"),
+        # no final newline, CRLF, hand-written decimals
+        ("agent_id,t,x,y\n0,0,.5,-0\n0,0.1,5.,+1e-3", None),
+        ("agent_id,t,x,y\r\n0,0,.5,-0\r\n0,0.1,5.,+1E-3\r\n", None),
+    ],
+)
+@DEPRECATIONS
+def test_array_parser_fixed_cases(tmp_path, monkeypatch, content, expected, deprecations):
+    path = tmp_path / "c.csv"
+    path.write_bytes(content.encode())
+    fast, slow, used = both_parsers(path, monkeypatch, deprecations)
+    assert fast == slow
+    if expected is None:
+        assert used and fast[0] == "ok"
+    else:
+        assert fast[0] == "DataError" and expected in fast[1]
+
+
+def legacy_loadtxt(real):
+    """np.loadtxt as numpy releases with the int-via-float fallback run it.
+
+    An integer field that does not parse as one is parsed as a float and
+    cast, with a DeprecationWarning; when that warning is an error, numpy
+    raises it as a ValueError about the field.
+    """
+
+    def loadtxt(fname, dtype=float, **kwargs):
+        if dtype is not np.int64:
+            return real(fname, dtype=dtype, **kwargs)
+        text = fname.read()
+        try:
+            return real(io.StringIO(text), dtype=dtype, **kwargs)
+        except ValueError:
+            values = real(io.StringIO(text), **kwargs)
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+        except DeprecationWarning as exc:
+            raise ValueError("could not convert string to int64") from exc
+        return values.astype(np.int64)
+
+    return loadtxt
+
+
+@DEPRECATIONS
+@pytest.mark.parametrize("agent_id", ["1.0", "1.5", "1e3", str(2**63)])
+def test_array_parser_refuses_int_via_float_ids(tmp_path, monkeypatch, deprecations, agent_id):
+    path = tmp_path / "c.csv"
+    path.write_text(f"agent_id,t,x,y\n{agent_id},0,0,0\n{agent_id},0.1,1,0\n")
+    monkeypatch.setattr(np, "loadtxt", legacy_loadtxt(np.loadtxt))
+    fast, slow, used = both_parsers(path, monkeypatch, deprecations)
+    assert fast == slow and fast[0] == "DataError" and not used

@@ -4,10 +4,9 @@ import pytest
 from crowdscore.geometry import (
     TTC_HORIZON,
     closest_approach,
-    closest_approach_arrays,
+    pairwise_arrays,
     predict_pair,
     time_to_collision,
-    time_to_collision_arrays,
 )
 
 
@@ -106,16 +105,27 @@ def test_matches_dense_time_stepping():
 
 def test_array_api_matches_scalar_api():
     rng = np.random.default_rng(5)
-    dp = rng.uniform(-6, 6, (4, 3, 3, 2))
-    dv = rng.uniform(-2, 2, (4, 3, 3, 2))
-    tca, dca = closest_approach_arrays(dp, dv)
-    ttc = time_to_collision_arrays(dp, dv, 0.6)
-    assert tca.shape == (4, 3, 3)
-    for i in range(4):
-        for j in range(3):
-            for k in range(3):
-                s_tca, s_dca = closest_approach_arrays(dp[i, j, k], dv[i, j, k])
-                assert tca[i, j, k] == pytest.approx(float(s_tca), abs=1e-12)
-                assert dca[i, j, k] == pytest.approx(float(s_dca), abs=1e-12)
-                s_ttc = time_to_collision_arrays(dp[i, j, k], dv[i, j, k], 0.6)
-                assert ttc[i, j, k] == pytest.approx(float(s_ttc), abs=1e-12)
+    dp = rng.uniform(-6, 6, (2, 4, 3, 3))
+    dv = rng.uniform(-2, 2, (2, 4, 3, 3))
+    # edge pairs in the last row: overlapping discs (c < 0), no relative
+    # motion, a grazing pair (disc == 0: contact at t = 4), a diverging pair
+    # and touching discs moving apart (c == 0)
+    edges = [((0.3, 0.2), (1.0, -0.5)), ((3.0, 4.0), (0.0, 0.0)),
+             ((4.0, 0.5), (-1.0, 0.0)), ((2.0, 0.0), (1.0, 0.0)),
+             ((0.5, 0.0), (1.0, 0.0))]
+    for k, (p, v) in enumerate(edges):
+        dp[:, 3, k % 3, k // 3] = p
+        dv[:, 3, k % 3, k // 3] = v
+    dist, ttc, tca, dca = pairwise_arrays(dp[0], dp[1], dv[0], dv[1], 0.5)
+    assert ttc.shape == tca.shape == dca.shape == dist.shape == (4, 3, 3)
+    for idx in np.ndindex(4, 3, 3):
+        p_b, v_b = dp[(slice(None),) + idx], dv[(slice(None),) + idx]
+        pred = predict_pair((0, 0), (0, 0), 0.25, p_b, v_b, 0.25)
+        assert (ttc[idx], tca[idx], dca[idx]) == (pred.ttc, pred.tca, pred.dca), idx
+        assert dist[idx] == np.sqrt(p_b[0] * p_b[0] + p_b[1] * p_b[1])
+    # the edge pairs, in order
+    cases = [(3, 0, 0), (3, 1, 0), (3, 2, 0), (3, 0, 1), (3, 1, 1)]
+    assert ttc[cases[0]] == ttc[cases[4]] == 0.0
+    assert (ttc[cases[1]], tca[cases[1]], dca[cases[1]]) == (TTC_HORIZON, 0.0, 5.0)
+    assert (ttc[cases[2]], tca[cases[2]], dca[cases[2]]) == (4.0, 4.0, 0.5)
+    assert (ttc[cases[3]], tca[cases[3]], dca[cases[3]]) == (TTC_HORIZON, 0.0, 2.0)
