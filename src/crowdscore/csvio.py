@@ -59,6 +59,21 @@ def _parse_numeric_body(body: str, n_columns: int, id_col: int):
     return ids, table
 
 
+def _not_utf8(path: Path) -> DataError:
+    """The error for a file that does not decode, naming the line at fault.
+
+    The text reader decodes in chunks, so its error's offset is not the
+    file's: decode the bytes again to find the first bad one.
+    """
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return DataError(f"{path}:{line}: not valid UTF-8 (byte 0x{raw[exc.start]:02x})")
+    return DataError(f"{path}: not valid UTF-8")
+
+
 def load_trajectory_csv(path) -> CrowdTrajectory:
     """Read a trajectory CSV into a CrowdTrajectory (kinematics derived).
 
@@ -66,22 +81,23 @@ def load_trajectory_csv(path) -> CrowdTrajectory:
     agent's first row; the built crowd must pass ``validate``.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for col in REQUIRED_COLUMNS:
-            if col not in header:
-                raise DataError(f"{path}: missing required column {col!r}")
-        unknown = [h for h in header if h not in REQUIRED_COLUMNS + OPTIONAL_COLUMNS]
-        if unknown:
-            raise DataError(f"{path}: unknown columns {unknown}")
-        if ("goal_x" in header) != ("goal_y" in header):
-            raise DataError(f"{path}: goal_x and goal_y must appear together")
-        body = fh.read()
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            body = fh.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    for col in REQUIRED_COLUMNS:
+        if col not in header:
+            raise DataError(f"{path}: missing required column {col!r}")
+    unknown = [h for h in header if h not in REQUIRED_COLUMNS + OPTIONAL_COLUMNS]
+    if unknown:
+        raise DataError(f"{path}: unknown columns {unknown}")
+    if ("goal_x" in header) != ("goal_y" in header):
+        raise DataError(f"{path}: goal_x and goal_y must appear together")
     id_col = header.index("agent_id")
     # Float table columns: t first, then the rest in file order.
     names = ["t"] + [h for h in header if h not in ("agent_id", "t")]

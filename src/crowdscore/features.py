@@ -187,46 +187,66 @@ def _alternation_flags(delta: np.ndarray, threshold: float) -> np.ndarray:
     return flags
 
 
-def _half_hull(pts) -> list[tuple[float, float]]:
-    """One monotone chain over sorted points, keeping only left turns."""
-    chain: list[tuple[float, float]] = []
-    for p in pts:
-        x, y = p
-        while len(chain) >= 2:
-            (ox, oy), (ax, ay) = chain[-2], chain[-1]
-            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
-                break
-            chain.pop()
-        chain.append(p)
-    return chain
+def _hull_area_perimeter(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Convex hull area and perimeter of each row's points (X[t], Y[t]).
 
-
-def _hull_area_perimeter(points: np.ndarray) -> tuple[float, float]:
-    """Convex hull area and perimeter; degenerate sets fall back to segments.
-
-    Andrew's monotone chain on plain Python floats: per-element numpy access
-    costs more than the whole hull for the few hundred points of a crowd.
+    Quickhull run on every row at once, so the number of numpy rounds is the
+    recursion depth, not the number of points.  Segments stay in CCW order
+    from each row's lexicographic-min point, the order of Andrew's monotone
+    chain; points with zero cross are dropped as the chain drops collinear
+    ones.  A single distinct point gives (0, 0), and a segment, collinear or
+    not, has area 0 and is counted on both sides in the perimeter.
     """
-    pts = sorted(set(map(tuple, points.tolist())))
-    if len(pts) == 1:
-        return 0.0, 0.0
-    if len(pts) == 2:
-        return 0.0, 2.0 * math.dist(pts[0], pts[1])
-    hull = _half_hull(pts)[:-1] + _half_hull(reversed(pts))[:-1]
-    if len(hull) < 3:  # collinear
-        return 0.0, 2.0 * math.dist(pts[0], pts[-1])
-    twice_area = 0.0
-    perimeter = 0.0
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
-        twice_area += x0 * y1 - x1 * y0
-        perimeter += math.hypot(x1 - x0, y1 - y0)
-    return 0.5 * abs(twice_area), perimeter
+    T, N = X.shape
+    xs, ys = X.ravel(), Y.ravel()
+    order = np.lexsort((Y, X)) + (np.arange(T) * N)[:, None]
+    first, last = order[:, 0], order[:, -1]
+    # Flat segment list, row by row: p -> q, hull interior on the left.
+    p = np.column_stack([first, last]).ravel()
+    q = np.column_stack([last, first]).ravel()
 
+    def right_of(c, a, b):
+        # Positive when point c lies right of a -> b, outside the hull.
+        return (xs[c] - xs[a]) * (ys[b] - ys[a]) - (ys[c] - ys[a]) * (xs[b] - xs[a])
 
-def _inflated_area(points: np.ndarray, margin: float) -> float:
-    # Minkowski sum of the hull with a disc of the margin radius.
-    area, perimeter = _hull_area_perimeter(points)
-    return area + perimeter * margin + math.pi * margin * margin
+    # Candidate points (cand) of each segment (seg): a row's points right of
+    # first -> last go to that segment, the rest to last -> first.
+    cand = np.arange(T * N)
+    upper = right_of(cand.reshape(T, N), first[:, None], last[:, None]) <= 0
+    seg = (2 * np.arange(T)[:, None] + upper).ravel()
+    while True:
+        right = right_of(cand, p[seg], q[seg])
+        keep = right > 0
+        seg, cand, right = seg[keep], cand[keep], right[keep]
+        if not cand.size:
+            break
+        # Each segment's farthest outside point, the lowest index on ties.
+        farthest = np.zeros(len(p))
+        np.maximum.at(farthest, seg, right)
+        tie = right == farthest[seg]
+        far = np.full(len(p), T * N)
+        np.minimum.at(far, seg[tie], cand[tie])
+        split = far < T * N
+        # p -> far -> q replaces p -> q.  A point right of p -> far moves to
+        # that segment, the rest to far -> q; the next round drops those
+        # inside the triangle p, far, q, far itself included (its cross is 0).
+        width = 1 + split
+        head = np.cumsum(width) - width
+        p, q = np.repeat(p, width), np.repeat(q, width)
+        q[head[split]] = far[split]
+        p[head[split] + 1] = far[split]
+        seg = head[seg] + (right_of(cand, p[head[seg]], far[seg]) <= 0)
+    # Row sums in hull order over zero-padded terms: cumsum adds sequentially
+    # (np.sum adds pairwise), so padding never changes a row's rounding.
+    row = p // N
+    counts = np.bincount(row, minlength=T)
+    col = np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cross = np.zeros((T, counts.max()))
+    edge = np.zeros((T, counts.max()))
+    cross[row, col] = xs[p] * ys[q] - xs[q] * ys[p]
+    edge[row, col] = np.hypot(xs[q] - xs[p], ys[q] - ys[p])
+    area = 0.5 * np.abs(np.cumsum(cross, axis=1)[:, -1])
+    return area, np.cumsum(edge, axis=1)[:, -1]
 
 
 def _anticipation(
@@ -242,19 +262,21 @@ def _anticipation(
     avoidance manoeuvre; 0 when it never reacts before contact or clearance.
     """
     N, T = ttc.shape
-    out = np.zeros((N, T))
     below = ttc < cap
-    for n in range(N):
-        for t0 in range(T):
-            if not below[n, t0] or (t0 > 0 and below[n, t0 - 1]):
-                continue
-            end = t0
-            while end < T and below[n, end] and not contact[n, end]:
-                end += 1
-            for s in range(t0, end):
-                if maneuver[n, s]:
-                    out[n, t0] = ttc[n, s]
-                    break
+    start = below.copy()
+    start[:, 1:] &= ~below[:, :-1]
+    steps = np.arange(T)
+
+    def next_index(flags):
+        # Per (agent, step) t: the first s >= t with flags[s], else T.
+        idx = np.where(flags, steps, T)
+        return np.minimum.accumulate(idx[:, ::-1], axis=1)[:, ::-1]
+
+    next_man = next_index(maneuver)
+    react = start & (next_man < next_index(~below | contact))
+    out = np.zeros((N, T))
+    n, t = np.nonzero(react)
+    out[n, t] = ttc[n, next_man[n, t]]
     return out
 
 
@@ -368,7 +390,9 @@ def extract(
     dca = np.where(has.T, dca_sel.T, dta)
 
     if N > 1:
-        lam = np.array([N / _inflated_area(P[:, t], AREA_MARGIN) for t in range(T)])
+        area, perimeter = _hull_area_perimeter(X, Y)
+        # Minkowski sum of the hull with a disc of the margin radius.
+        lam = N / (area + perimeter * AREA_MARGIN + math.pi * AREA_MARGIN * AREA_MARGIN)
         edn = (nn * 2.0 * np.sqrt(lam)[:, None]).T
     else:
         edn = np.ones((N, T))  # no neighbour: the ideal uniform-scatter ratio

@@ -40,6 +40,8 @@ class TrainingExample:
 
 def _rebuild(crowd: CrowdTrajectory, positions: np.ndarray) -> CrowdTrajectory:
     """New crowd with replaced positions; ids, goals, comfort and radii preserved."""
+    if not np.isfinite(positions).all():
+        raise ValueError("degraded positions are not finite: the damage overflows float64")
     return derive_kinematics(
         positions,
         crowd.dt,
@@ -100,7 +102,8 @@ def degrade(crowd: CrowdTrajectory, mode: str, seed: int = 0, **params) -> Crowd
         if not math.isfinite(factor):
             raise ValueError(f"speed-scale factor must be finite, got {factor}")
         start = P[:, :1, :]
-        positions = start + factor * (P - start)
+        with np.errstate(over="ignore"):  # an overflow is rejected by _rebuild
+            positions = start + factor * (P - start)
         return _rebuild(crowd, positions)
 
     if mode == "freeze":

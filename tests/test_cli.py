@@ -71,6 +71,16 @@ def test_non_finite_trajectory_exits_2(tmp_path, workspace, capsys):
     assert "S_QF" not in captured.out
 
 
+def test_non_utf8_trajectory_names_file_and_line(tmp_path, workspace, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"agent_id,t,x,y\n0,0,\xff,0\n")
+    assert run(["score", "--trajectory", str(bad), "--stats", str(workspace["stats"]),
+                "--breakdown", str(tmp_path / "b.csv")]) == 2
+    captured = capsys.readouterr()
+    assert f"data error: {bad}:2: not valid UTF-8" in captured.err
+    assert "S_QF" not in captured.out
+
+
 def test_non_finite_simulate_radius_exits_3(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     assert run(["simulate", "--kind", "circle", "--agents", "4", "--radius", "nan",
@@ -107,6 +117,14 @@ def test_non_finite_degrade_parameter_exits_2(tmp_path, workspace, capsys, mode,
     assert run(["degrade", "--trajectory", str(workspace["sample"]), "--mode", mode,
                 flag, value, "--out", str(tmp_path / "bad.csv")]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_degrade_overflow_exits_2(tmp_path, workspace, capsys):
+    # a finite factor whose scaled displacements overflow to inf
+    assert run(["degrade", "--trajectory", str(workspace["sample"]), "--mode",
+                "speed-scale", "--factor", "1e308", "--out", str(tmp_path / "bad.csv")]) == 2
+    assert "degraded positions are not finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

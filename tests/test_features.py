@@ -367,6 +367,13 @@ def test_pairwise_minima_match_scalar_predictions():
                                    err_msg=code)
 
 
+def hull_of(points):
+    """Area and perimeter of one point set, through the batched (T, N) call."""
+    pts = np.asarray(points, dtype=float)
+    area, perimeter = features._hull_area_perimeter(pts[None, :, 0], pts[None, :, 1])
+    return area[0], perimeter[0]
+
+
 @pytest.mark.parametrize(
     "points,area,perimeter",
     [
@@ -382,7 +389,7 @@ def test_pairwise_minima_match_scalar_predictions():
     ],
 )
 def test_hull_of_known_shapes(points, area, perimeter):
-    assert features._hull_area_perimeter(np.array(points, dtype=float)) == (area, perimeter)
+    assert hull_of(points) == (area, perimeter)
 
 
 def brute_force_hull(pts):
@@ -403,7 +410,132 @@ def brute_force_hull(pts):
 def test_hull_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(0.0, 3.0, size=(int(rng.integers(3, 40)), 2))
-    area, perimeter = features._hull_area_perimeter(pts)
+    area, perimeter = hull_of(pts)
     ref_area, ref_perimeter = brute_force_hull(pts)
     assert area == pytest.approx(ref_area, rel=1e-12)
     assert perimeter == pytest.approx(ref_perimeter, rel=1e-12)
+
+
+def _half_chain(pts):
+    chain = []
+    for p in pts:
+        x, y = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def monotone_chain_hull(points):
+    """Reference: Andrew's monotone chain on Python floats, one point set."""
+    pts = sorted(set(map(tuple, points.tolist())))
+    if len(pts) == 1:
+        return 0.0, 0.0
+    if len(pts) == 2:
+        return 0.0, 2.0 * math.dist(pts[0], pts[1])
+    hull = _half_chain(pts)[:-1] + _half_chain(reversed(pts))[:-1]
+    if len(hull) < 3:  # collinear
+        return 0.0, 2.0 * math.dist(pts[0], pts[-1])
+    twice_area = 0.0
+    perimeter = 0.0
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        twice_area += x0 * y1 - x1 * y0
+        perimeter += math.hypot(x1 - x0, y1 - y0)
+    return 0.5 * abs(twice_area), perimeter
+
+
+def point_family(rng, family, T, N):
+    """(T, N, 2) fuzz point sets of one family."""
+    if family == "gaussian":
+        return rng.normal(0.0, 3.0, (T, N, 2))
+    if family == "grid":  # rounded to 0.5, so duplicates and collinear runs
+        return np.round(rng.normal(0.0, 1.5, (T, N, 2)) * 2.0) / 2.0
+    if family == "near-line":
+        along = rng.uniform(-5.0, 5.0, (T, N, 1))
+        line = along * rng.normal(size=(T, 1, 2)) + rng.normal(size=(T, 1, 2))
+        return line + rng.normal(0.0, 1e-12, (T, N, 2))
+    if family == "ring":
+        theta = rng.uniform(0.0, 2.0 * np.pi, (T, N))
+        return 3.0 * np.stack([np.cos(theta), np.sin(theta)], axis=2) + rng.normal(size=(T, 1, 2))
+    if family == "identical":
+        return np.repeat(rng.normal(size=(T, 1, 2)), N, axis=1)
+    assert family == "two-point"
+    return rng.normal(size=(T, 2, 2))[:, rng.integers(0, 2, N)]
+
+
+@pytest.mark.parametrize(
+    "seed,family",
+    enumerate(["gaussian", "grid", "near-line", "ring", "identical", "two-point"]),
+)
+def test_batched_hull_matches_monotone_chain(seed, family):
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        T, N = int(rng.integers(1, 8)), int(rng.integers(1, 40))
+        pts = point_family(rng, family, T, N)
+        X, Y = np.ascontiguousarray(pts[..., 0]), np.ascontiguousarray(pts[..., 1])
+        area, perimeter = features._hull_area_perimeter(X, Y)
+        for t in range(T):
+            ref_area, ref_perimeter = monotone_chain_hull(pts[t])
+            span = np.ptp(pts[t], axis=0).max()
+            assert abs(area[t] - ref_area) <= 1e-12 * max(ref_area, span**2), (family, t)
+            assert perimeter[t] == pytest.approx(ref_perimeter, rel=1e-12, abs=0.0)
+            # a row's result does not depend on the other rows of the batch
+            row = features._hull_area_perimeter(X[t : t + 1], Y[t : t + 1])
+            assert (row[0][0], row[1][0]) == (area[t], perimeter[t])
+
+
+def anticipation_loop(ttc, maneuver, contact, cap):
+    """Reference: scan each run of ttc below cap until it clears or touches."""
+    N, T = ttc.shape
+    out = np.zeros((N, T))
+    below = ttc < cap
+    for n in range(N):
+        for t0 in range(T):
+            if not below[n, t0] or (t0 > 0 and below[n, t0 - 1]):
+                continue
+            end = t0
+            while end < T and below[n, end] and not contact[n, end]:
+                end += 1
+            for s in range(t0, end):
+                if maneuver[n, s]:
+                    out[n, t0] = ttc[n, s]
+                    break
+    return out
+
+
+def test_anticipation_matches_loop_on_random_masks():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        N, T = int(rng.integers(1, 6)), int(rng.integers(2, 40))
+        ttc = np.where(rng.random((N, T)) < rng.uniform(0.2, 0.9),
+                       rng.uniform(0.0, TTC_HORIZON, (N, T)), TTC_HORIZON)
+        maneuver = rng.random((N, T)) < rng.uniform(0.0, 0.5)
+        contact = rng.random((N, T)) < rng.uniform(0.0, 0.3)
+        got = features._anticipation(ttc, maneuver, contact, TTC_HORIZON)
+        assert np.array_equal(got, anticipation_loop(ttc, maneuver, contact, TTC_HORIZON))
+
+
+@pytest.mark.parametrize(
+    "below,maneuver,contact",
+    [
+        ("1100000", "0100000", "0000000"),  # run at t = 0
+        ("0000111", "0000001", "0000000"),  # run ends at T - 1
+        ("0011100", "0011100", "0010000"),  # contact on the run's first step
+        ("0011100", "0100000", "0000000"),  # manoeuvre just before the run
+        ("0111011", "0001010", "0000100"),  # second run after a clearance
+        ("0111100", "0000100", "0010000"),  # contact cuts the run before it reacts
+        ("11", "01", "00"),  # T = 2
+        ("01", "01", "01"),  # T = 2, contact at onset
+    ],
+)
+def test_anticipation_edge_cases(below, maneuver, contact):
+    def mask(text):
+        return np.array([[c == "1" for c in text]])
+
+    T = len(below)
+    ttc = np.where(mask(below), np.linspace(1.0, 2.0, T), TTC_HORIZON)
+    args = (ttc, mask(maneuver), mask(contact), TTC_HORIZON)
+    assert np.array_equal(features._anticipation(*args), anticipation_loop(*args))
