@@ -15,6 +15,8 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .csvio import load_trajectory_csv, save_trajectory_csv
 from .errors import ConfigError, DataError
@@ -367,7 +369,10 @@ def _cmd_degrade(args) -> None:
 
 def _cmd_simulate(args) -> None:
     params = load_params(args.params) if args.params else SocialForcesParams()
-    crowd = simulate(_scenario(args, args.seed), params, args.duration, args.dt)
+    with np.errstate(all="ignore"):  # a blow-up is rejected below
+        crowd = simulate(_scenario(args, args.seed), params, args.duration, args.dt)
+    if not np.isfinite(crowd.positions).all():
+        raise ConfigError("simulated positions are not finite: the integration overflowed")
     save_trajectory_csv(crowd, args.out)
     _write_manifest(args, args.out)
 

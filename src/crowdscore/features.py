@@ -152,6 +152,8 @@ def fundamental_diagram_curve(
         raise ValueError("reference list of (density, speed) pairs is empty")
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
+    if not np.all(pairs[:, 0] < 2.0**53 * bin_width):  # bin indices must be exact integers
+        raise ValueError(f"bin_width {bin_width} is too small: a density spans 2**53 or more bins")
     bins = np.floor(pairs[:, 0] / bin_width).astype(int)
     centers = []
     means = []

@@ -211,8 +211,11 @@ def score(
         start_s, stop_s = window
         if not (math.isfinite(start_s) and math.isfinite(stop_s)):
             raise DataError(f"scoring window [{start_s}, {stop_s}) s has a non-finite bound")
-        lo = max(0, int(np.ceil((start_s - crowd.t0) / crowd.dt - 1e-9)))
-        hi = min(crowd.n_steps, int(np.ceil((stop_s - crowd.t0) / crowd.dt - 1e-9)))
+        # Clamped in float: a huge bound would overflow the int conversion.
+        lo, hi = (
+            int(np.clip(np.ceil((s - crowd.t0) / crowd.dt - 1e-9), 0, crowd.n_steps))
+            for s in (start_s, stop_s)
+        )
         if hi - lo < 2:
             raise DataError(
                 f"scoring window [{start_s}, {stop_s}) s covers fewer than 2 steps"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +39,7 @@ class SocialForcesParams:
     noise_amplitude: float = 0.0  # m/s^2
 
     def __post_init__(self) -> None:
-        # Each field is a float, or an array with one value per genome of a
-        # population (see stack_params); every value must pass.
-        if np.any(self.relaxation_time <= 0):
-            raise ConfigError(f"relaxation_time must be > 0, got {self.relaxation_time}")
-        # 0 is allowed: repulsion-free runs are the no-avoidance baseline.
-        if np.any(self.repulsion_strength < 0):
-            raise ConfigError(f"repulsion_strength must be >= 0, got {self.repulsion_strength}")
-        if np.any(self.repulsion_range <= 0):
-            raise ConfigError(f"repulsion_range must be > 0, got {self.repulsion_range}")
-        if np.any(self.max_speed <= 0):
-            raise ConfigError(f"max_speed must be > 0, got {self.max_speed}")
-        if np.any(self.noise_amplitude < 0):
-            raise ConfigError(f"noise_amplitude must be >= 0, got {self.noise_amplitude}")
+        check_genomes(params_to_genome(self)[None])
 
 
 PARAM_NAMES = (
@@ -61,6 +49,9 @@ PARAM_NAMES = (
     "max_speed",
     "noise_amplitude",
 )
+
+# Parameters that may be 0: repulsion-free runs are the no-avoidance baseline.
+_ZERO_OK = np.isin(PARAM_NAMES, ("repulsion_strength", "noise_amplitude"))
 
 # Search box for the tuner, one (low, high) per parameter in PARAM_NAMES order.
 TUNE_BOUNDS = (
@@ -72,6 +63,18 @@ TUNE_BOUNDS = (
 )
 
 
+def check_genomes(genomes: np.ndarray) -> None:
+    """Raise ConfigError unless each row of the (P, 5) block is a valid parameter set."""
+    if genomes.ndim != 2 or genomes.shape[1] != len(PARAM_NAMES):
+        raise ConfigError(f"expected a (P, 5) parameter block, got shape {genomes.shape}")
+    ok = np.isfinite(genomes) & np.where(_ZERO_OK, genomes >= 0, genomes > 0)
+    if not ok.all():
+        row, col = np.argwhere(~ok)[0]
+        bound = ">=" if _ZERO_OK[col] else ">"
+        value = genomes[row, col]
+        raise ConfigError(f"{PARAM_NAMES[col]} must be finite and {bound} 0, got {value}")
+
+
 def params_to_genome(params: SocialForcesParams) -> np.ndarray:
     return np.array([getattr(params, name) for name in PARAM_NAMES])
 
@@ -81,19 +84,6 @@ def genome_to_params(genome) -> SocialForcesParams:
     if values.shape != (len(PARAM_NAMES),):
         raise ConfigError(f"expected {len(PARAM_NAMES)} parameters, got shape {values.shape}")
     return SocialForcesParams(**{n: float(v) for n, v in zip(PARAM_NAMES, values)})
-
-
-def stack_params(population) -> SocialForcesParams:
-    """The P parameter sets of a population as one set of (P, 1, 1) arrays.
-
-    That shape broadcasts each genome's value over its crowd's agent axes.
-    """
-    return SocialForcesParams(
-        **{
-            n: np.array([getattr(p, n) for p in population], dtype=float).reshape(-1, 1, 1)
-            for n in PARAM_NAMES
-        }
-    )
 
 
 SCENARIO_KINDS = ("circle", "crossing", "random")
@@ -159,7 +149,7 @@ def make_scenario(scenario: Scenario) -> CrowdSetup:
     if scenario.kind == "circle":
         radius = scenario.radius
         if scenario.density_target is not None:
-            radius = math.sqrt(n / (math.pi * scenario.density_target))
+            radius = _density_extent(n / (math.pi * scenario.density_target))
         angles = 2.0 * math.pi * np.arange(n) / n
         positions = radius * np.column_stack([np.cos(angles), np.sin(angles)])
         goals = -positions
@@ -188,7 +178,7 @@ def make_scenario(scenario: Scenario) -> CrowdSetup:
     else:  # random
         extent = scenario.area
         if scenario.density_target is not None:
-            side = math.sqrt(n / scenario.density_target)
+            side = _density_extent(n / scenario.density_target)
             extent = (side, side)
         half = np.array(extent) / 2.0
         positions = _sample_separated(rng, n, half, radii)
@@ -198,6 +188,13 @@ def make_scenario(scenario: Scenario) -> CrowdSetup:
     return CrowdSetup(
         positions=positions, goals=goals, comfort_speeds=comfort, body_radii=radii
     )
+
+
+def _density_extent(area: float) -> float:
+    """Square root of a density-derived area, which must be finite."""
+    if area == math.inf:
+        raise ConfigError(f"density target too low: the spawn area overflows to {area}")
+    return math.sqrt(area)
 
 
 def _sample_separated(
@@ -225,101 +222,66 @@ def _sample_separated(
     return np.array(points)
 
 
-@dataclass
-class SimState:
-    """Mutable per-step simulation state; static fields ride along.
-
-    One crowd has (N, 2) positions and velocities.  A population of P crowds
-    of the same agents adds a leading axis, (P, N, 2), and shares the statics.
-    """
-
-    positions: np.ndarray  # (N, 2) or (P, N, 2)
-    velocities: np.ndarray  # like positions
-    goals: np.ndarray  # (N, 2)
-    comfort_speeds: np.ndarray  # (N,)
-    body_radii: np.ndarray  # (N,)
-    reached: np.ndarray = field(default=None)  # (N,) or (P, N) bool, latched goal arrival
-
-    def __post_init__(self) -> None:
-        if self.reached is None:
-            self.reached = np.zeros(self.positions.shape[:-1], dtype=bool)
-
-
 def repulsion_forces(
-    positions: np.ndarray, body_radii: np.ndarray, params: SocialForcesParams
+    p: np.ndarray, radii: np.ndarray, strength: np.ndarray, reach: np.ndarray
 ) -> np.ndarray:
-    """Summed pairwise repulsion accelerations, shaped like ``positions``.
+    """Summed pairwise repulsion accelerations of P crowds, shaped like ``p`` (P, N, 2).
 
-    ``positions`` is one crowd (N, 2) with float parameters, or a population
-    (P, N, 2) with the parameters of ``stack_params``.
+    ``strength`` and ``reach`` are the (P, 1, 1) repulsion_strength and range.
     """
-    n = positions.shape[-2]
-    strength = params.repulsion_strength
+    n = p.shape[1]
     active = np.count_nonzero(strength)  # cheaper than any()/all() on tiny arrays
     if n < 2 or active == 0:
-        return np.zeros_like(positions)
-    dp = positions[..., :, None, :] - positions[..., None, :, :]  # points from j to i
+        return np.zeros_like(p)
+    dp = p[:, :, None, :] - p[:, None, :, :]  # points from j to i
     dist = np.linalg.norm(dp, axis=-1)
     diagonal = np.arange(n)
-    dist[..., diagonal, diagonal] = np.inf
-    r_sum = body_radii[:, None] + body_radii[None, :]
-    magnitude = strength * np.exp((r_sum - dist) / params.repulsion_range)
+    dist[:, diagonal, diagonal] = np.inf
+    r_sum = radii[:, None] + radii[None, :]
+    magnitude = strength * np.exp((r_sum - dist) / reach)
     direction = dp / np.maximum(dist, 1e-9)[..., None]
     forces = np.sum(magnitude[..., None] * direction, axis=-2)
-    if active == np.size(strength):
+    if active == strength.size:
         return forces
-    # Repulsion-free genomes get exact zeros, as if their term were skipped.
+    # Repulsion-free crowds get exact zeros, as if their term were skipped.
     return np.where(strength > 0.0, forces, 0.0)
 
 
 def step(
-    state: SimState,
-    params: SocialForcesParams,
-    dt: float,
-    rng: np.random.Generator | None = None,
-) -> SimState:
-    """One explicit-Euler step of the social-forces model.
+    p: np.ndarray, v: np.ndarray, reached: np.ndarray, setup: CrowdSetup,
+    coeffs: tuple[np.ndarray, ...], dt: float, rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One explicit-Euler step of the social-forces model for P crowds.
 
-    Steps one crowd, or a population of crowds with the parameters of
-    ``stack_params``.
+    ``p`` and ``v`` are (P, N, 2) positions and velocities, ``reached`` the
+    (P, N) latched goal arrivals; ``coeffs`` holds one (P, 1, 1) array per
+    parameter in PARAM_NAMES order.  Returns the next ``(p, v, reached)``.
     """
-    if dt <= 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    p, v = state.positions, state.velocities
-    to_goal = state.goals - p
+    relaxation, strength, reach, max_speed, amplitude = coeffs
+    to_goal = setup.goals - p
     dist_goal = np.linalg.norm(to_goal, axis=-1)
-    reached = state.reached | (dist_goal < GOAL_RADIUS)
+    reached = reached | (dist_goal < GOAL_RADIUS)
 
     goal_dir = np.where(
         dist_goal[..., None] > 1e-9, to_goal / np.maximum(dist_goal, 1e-9)[..., None], 0.0
     )
-    acc = (state.comfort_speeds[:, None] * goal_dir - v) / params.relaxation_time
-    acc += repulsion_forces(p, state.body_radii, params)
-    amplitude = params.noise_amplitude
+    acc = (setup.comfort_speeds[:, None] * goal_dir - v) / relaxation
+    acc += repulsion_forces(p, setup.body_radii, strength, reach)
     if np.count_nonzero(amplitude):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        # normal(0, a) draws a * standard_normal, so one draw serves every genome.
-        noise = rng.standard_normal(size=p.shape[-2:])
+        # normal(0, a) draws a * standard_normal, so one draw serves every crowd.
+        noise = rng.standard_normal(size=p.shape[1:])
         np.add(acc, amplitude * noise, out=acc, where=amplitude > 0.0)
 
     v_next = v + acc * dt
     speed = np.linalg.norm(v_next, axis=-1, keepdims=True)
-    over = speed > params.max_speed
+    over = speed > max_speed
     if np.count_nonzero(over):
-        v_next *= np.divide(params.max_speed, speed, out=np.ones_like(speed), where=over)
+        v_next *= np.divide(max_speed, speed, out=np.ones_like(speed), where=over)
     p_next = p + v * dt
 
     v_next[reached] = 0.0
     p_next[reached] = p[reached]
-    return SimState(
-        positions=p_next,
-        velocities=v_next,
-        goals=state.goals,
-        comfort_speeds=state.comfort_speeds,
-        body_radii=state.body_radii,
-        reached=reached,
-    )
+    return p_next, v_next, reached
 
 
 def simulate(
@@ -334,26 +296,32 @@ def simulate(
     """
     if params is None:
         params = SocialForcesParams()
-    return next(simulate_population(scenario, [params], duration, dt))
+    return next(simulate_population(scenario, params_to_genome(params)[None], duration, dt))
 
 
 def simulate_population(
     scenario: Scenario,
-    population,
+    genomes,
     duration: float = 20.0,
     dt: float = CANONICAL_DT,
 ) -> Iterator[CrowdTrajectory]:
-    """Run one scenario under each parameter set of ``population``.
+    """Run one scenario under each row of the (P, 5) parameter block ``genomes``.
 
-    Yields the trajectories one at a time, in order; each equals
-    ``simulate(scenario, params, duration, dt)`` bit for bit.  The sets are
-    stepped together in chunks of at most ``features._PAIR_BUDGET`` agent
-    pairs.
+    Each row is a ``params_to_genome`` parameter set.  Yields the trajectories
+    one at a time, in order; each equals ``simulate`` of its row bit for bit.
+    The rows are stepped together in chunks of at most ``features._PAIR_BUDGET``
+    agent pairs.
     """
-    population = list(population)
+    genomes = np.asarray(genomes, dtype=float)
+    check_genomes(genomes)
     if not (0 < duration < math.inf and 0 < dt < math.inf):
         raise ConfigError(f"duration and dt must be finite and > 0, got {duration}, {dt}")
-    n_steps = math.ceil(duration / dt)
+    steps = duration / dt
+    if steps == math.inf:
+        raise ConfigError(
+            f"duration {duration} s at dt {dt} s yields {steps} steps; need a finite count"
+        )
+    n_steps = math.ceil(steps)
     if n_steps < 2:
         raise ConfigError(
             f"duration {duration} s at dt {dt} s yields {n_steps} step(s); need at least 2"
@@ -361,32 +329,26 @@ def simulate_population(
 
     setup = make_scenario(scenario)
     max_comfort = float(np.max(setup.comfort_speeds))
-    for params in population:
-        if params.max_speed < max_comfort:
-            raise ConfigError(
-                f"max_speed {params.max_speed} below the largest comfort speed {max_comfort:.3f}"
-            )
+    slowest = genomes[:, PARAM_NAMES.index("max_speed")].min(initial=math.inf)
+    if slowest < max_comfort:
+        raise ConfigError(f"max_speed {slowest} below the largest comfort speed {max_comfort:.3f}")
 
     n = scenario.agent_count
     chunk = max(1, features._PAIR_BUDGET // (n * n))
-    for start in range(0, len(population), chunk):
-        members = population[start : start + chunk]
-        batch = stack_params(members)
-        count = len(members)
+    for start in range(0, len(genomes), chunk):
+        block = genomes[start : start + chunk]
+        count = len(block)
+        coeffs = tuple(np.ascontiguousarray(block.T).reshape(len(PARAM_NAMES), count, 1, 1))
         # Every chunk restarts the scenario's noise stream, as a separate run would.
         noise_rng = np.random.default_rng([scenario.seed, 1])
-        state = SimState(
-            positions=np.repeat(setup.positions[None], count, axis=0),
-            velocities=np.zeros((count,) + setup.positions.shape),
-            goals=setup.goals,
-            comfort_speeds=setup.comfort_speeds,
-            body_radii=setup.body_radii,
-        )
-        history = np.empty((n_steps,) + state.positions.shape)
-        history[0] = state.positions
+        p = np.repeat(setup.positions[None], count, axis=0)
+        v = np.zeros_like(p)
+        reached = np.zeros((count, n), dtype=bool)
+        history = np.empty((n_steps,) + p.shape)
+        history[0] = p
         for t in range(1, n_steps):
-            state = step(state, batch, dt, noise_rng)
-            history[t] = state.positions
+            p, v, reached = step(p, v, reached, setup, coeffs, dt, noise_rng)
+            history[t] = p
         for k in range(count):
             yield derive_kinematics(
                 history[:, k].transpose(1, 0, 2),

@@ -78,10 +78,9 @@ def tune(
     active = {"scenarios": list(config.scenarios)}
 
     def evaluate(population: np.ndarray) -> np.ndarray:
-        params = [genome_to_params(genome) for genome in population]
-        totals = np.empty((len(params), len(active["scenarios"])))
+        totals = np.empty((len(population), len(active["scenarios"])))
         for j, scenario in enumerate(active["scenarios"]):
-            for i, crowd in enumerate(simulate_population(scenario, params, config.duration)):
+            for i, crowd in enumerate(simulate_population(scenario, population, config.duration)):
                 totals[i, j] = score(crowd, stats, weights).total
         values = 1.0 - np.mean(totals, axis=1)
         return np.where(np.isfinite(values), values, 1.0)

@@ -128,6 +128,37 @@ def test_degrade_overflow_exits_2(tmp_path, workspace, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (["simulate", "--agents", "3", "--duration", "1e308", "--dt", "1e-300"], 3,
+     "yields inf steps"),
+    (["tune", "--agents", "3", "--duration", "1e308", "--population", "4",
+      "--generations", "1", "--elitism", "1"], 3, "yields inf steps"),
+    (["score", "--window", "1e308", "1e308"], 2, "covers fewer than 2 steps"),
+    (["simulate", "--agents", "3", "--duration", "1", "--radius", "1e308"], 3,
+     "simulated positions are not finite"),
+    (["simulate", "--kind", "crossing", "--agents", "3", "--duration", "1", "--radius", "1e308"],
+     3, "simulated positions are not finite"),
+    (["simulate", "--kind", "random", "--agents", "3", "--duration", "1", "--density", "1e-308"],
+     3, "spawn area overflows"),
+    (["fit-reference", "--bin-width", "1e-308"], 2, "bin_width 1e-308 is too small"),
+], ids=["simulate-steps", "tune-steps", "score-window", "circle-radius", "crossing-radius",
+        "random-density", "bin-width"])
+def test_overflowing_values_exit_cleanly(tmp_path, workspace, capsys, argv, code, message):
+    # each run's inputs come from the workspace; every output path is in tmp_path
+    inputs = {"score": ["--trajectory", str(workspace["sample"]), "--stats",
+                        str(workspace["stats"]), "--breakdown", str(tmp_path / "b.csv")],
+              "tune": ["--stats", str(workspace["stats"]), "--out", str(tmp_path / "p.txt")],
+              "fit-reference": ["--golden", str(workspace["golden"]),
+                                "--out", str(tmp_path / "stats.txt")],
+              "simulate": ["--out", str(tmp_path / "sim.csv")]}
+    assert run(argv + inputs[argv[0]]) == code
+    err = capsys.readouterr().err
+    kind = "data error: " if code == 2 else "configuration error: "
+    assert kind in err and message in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_writes_trajectory_and_manifest(tmp_path, workspace):
     out = tmp_path / "sim.csv"
     assert run(["simulate", "--kind", "circle", "--agents", "4",

@@ -11,8 +11,8 @@ from crowdscore.simulator import (
     COMFORT_RANGE,
     GOAL_RADIUS,
     PARAM_NAMES,
+    CrowdSetup,
     Scenario,
-    SimState,
     SocialForcesParams,
     format_params,
     genome_to_params,
@@ -24,7 +24,6 @@ from crowdscore.simulator import (
     save_params,
     simulate,
     simulate_population,
-    stack_params,
     step,
 )
 
@@ -41,6 +40,17 @@ def test_params_validation():
         SocialForcesParams(max_speed=0.0)
     with pytest.raises(ConfigError):
         SocialForcesParams(noise_amplitude=-0.2)
+
+
+@pytest.mark.parametrize("name", PARAM_NAMES)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_params_are_rejected(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        SocialForcesParams(**{name: value})
+    block = np.array([params_to_genome(SocialForcesParams())] * 2)
+    block[1, PARAM_NAMES.index(name)] = value
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        next(simulate_population(Scenario(kind="circle", agent_count=4), block, duration=2.0))
 
 
 def test_genome_round_trip():
@@ -147,69 +157,86 @@ def test_comfort_speeds_are_clamped():
     assert abs(float(np.mean(setup.comfort_speeds)) - 1.4) < 0.05
 
 
+def coefficients(block):
+    """The (P, 1, 1) coefficient arrays simulate_population builds for a (P, 5) block."""
+    return tuple(np.ascontiguousarray(block.T).reshape(len(PARAM_NAMES), len(block), 1, 1))
+
+
+def at_rest(setup):
+    """(p, v, reached, setup) of one crowd standing on its spawn points."""
+    n = len(setup.positions)
+    return setup.positions[None].copy(), np.zeros((1, n, 2)), np.zeros((1, n), bool), setup
+
+
 def one_agent_state(position, goal, comfort=1.3):
-    return SimState(
+    return at_rest(CrowdSetup(
         positions=np.array([position], dtype=float),
-        velocities=np.zeros((1, 2)),
         goals=np.array([goal], dtype=float),
         comfort_speeds=np.array([comfort]),
         body_radii=np.array([0.25]),
-    )
+    ))
+
+
+def run_steps(state, params, count, dt=0.1):
+    """Step one crowd ``count`` times, yielding its (N, 2) p, v and (N,) reached."""
+    p, v, reached, setup = state
+    coeffs = coefficients(params_to_genome(params)[None])
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        p, v, reached = step(p, v, reached, setup, coeffs, dt, rng)
+        yield p[0], v[0], reached[0]
 
 
 def test_first_step_accelerates_from_rest():
     state = one_agent_state([0.0, 0.0], [10.0, 0.0], comfort=1.3)
     params = SocialForcesParams(relaxation_time=0.5)
-    out = step(state, params, 0.1)
+    p, v, _ = next(run_steps(state, params, 1))
     # position lags by one step under explicit Euler; velocity picks up first
-    assert np.array_equal(out.positions, state.positions)
-    assert out.velocities[0, 0] == pytest.approx(1.3 / 0.5 * 0.1)
-    assert out.velocities[0, 1] == 0.0
+    assert np.array_equal(p, state[0][0])
+    assert v[0, 0] == pytest.approx(1.3 / 0.5 * 0.1)
+    assert v[0, 1] == 0.0
 
 
 def test_cruise_at_comfort_speed_is_an_equilibrium():
     state = one_agent_state([0.0, 0.0], [100.0, 0.0], comfort=1.3)
-    state.velocities[0] = [1.3, 0.0]
+    state[1][0, 0] = [1.3, 0.0]
     params = SocialForcesParams(relaxation_time=0.5)
-    out = step(state, params, 0.1)
-    assert np.allclose(out.velocities, [[1.3, 0.0]])
-    assert np.allclose(out.positions, [[0.13, 0.0]])
+    p, v, _ = next(run_steps(state, params, 1))
+    assert np.allclose(v, [[1.3, 0.0]])
+    assert np.allclose(p, [[0.13, 0.0]])
 
 
 def test_head_on_pair_stays_mirror_symmetric_and_separated():
     params = SocialForcesParams(relaxation_time=0.5, repulsion_strength=8.0,
                                 repulsion_range=0.8)
-    state = SimState(
+    state = at_rest(CrowdSetup(
         positions=np.array([[4.0, 0.0], [-4.0, 0.0]]),
-        velocities=np.zeros((2, 2)),
         goals=np.array([[-4.0, 0.0], [4.0, 0.0]]),
         comfort_speeds=np.array([1.3, 1.3]),
         body_radii=np.array([0.25, 0.25]),
-    )
+    ))
     min_gap = np.inf
-    for _ in range(200):
-        state = step(state, params, 0.1)
-        assert np.allclose(state.positions[0], -state.positions[1], atol=1e-12)
-        min_gap = min(min_gap, float(np.linalg.norm(state.positions[0] - state.positions[1])))
+    for p, _, _ in run_steps(state, params, 200):
+        assert np.allclose(p[0], -p[1], atol=1e-12)
+        min_gap = min(min_gap, float(np.linalg.norm(p[0] - p[1])))
     assert min_gap > 0.5  # strong repulsion keeps the discs apart
 
 
 def test_speed_cap_limits_velocity():
     state = one_agent_state([0.0, 0.0], [50.0, 0.0], comfort=2.0)
     params = SocialForcesParams(relaxation_time=0.1, max_speed=1.0)
-    for _ in range(30):
-        state = step(state, params, 0.1)
-        assert np.linalg.norm(state.velocities[0]) <= 1.0 + 1e-12
-    assert np.linalg.norm(state.velocities[0]) == pytest.approx(1.0)
+    for _, v, _ in run_steps(state, params, 30):
+        assert np.linalg.norm(v[0]) <= 1.0 + 1e-12
+    assert np.linalg.norm(v[0]) == pytest.approx(1.0)
 
 
 def test_goal_hold_latches():
     state = one_agent_state([0.0, 0.0], [0.2, 0.0])  # already inside goal radius
     assert 0.2 < GOAL_RADIUS
-    out = step(state, SocialForcesParams(), 0.1)
-    assert np.array_equal(out.positions, state.positions)
-    assert np.all(out.velocities == 0.0)
-    assert out.reached[0]
+    p, v, reached = next(run_steps(state, SocialForcesParams(), 1))
+    assert np.array_equal(p, state[0][0])
+    assert np.all(v == 0.0)
+    assert reached[0]
 
 
 def test_simulated_walker_arrives_and_holds():
@@ -266,19 +293,19 @@ def test_simulate_records_setup_in_trajectory():
 def test_repulsion_forces_pairwise():
     A, B = 2.0, 0.4
     params = SocialForcesParams(repulsion_strength=A, repulsion_range=B)
+    _, strength, reach, _, _ = coefficients(params_to_genome(params)[None])
     gap = 1.0
-    positions = np.array([[0.0, 0.0], [gap + 0.5, 0.0]])
+    positions = np.array([[[0.0, 0.0], [gap + 0.5, 0.0]]])
     radii = np.array([0.25, 0.25])
-    forces = repulsion_forces(positions, radii, params)
+    forces = repulsion_forces(positions, radii, strength, reach)[0]
     expected = A * math.exp(-gap / B)
     assert forces[0, 0] == pytest.approx(-expected)
     assert forces[1, 0] == pytest.approx(expected)
     assert np.allclose(forces[:, 1], 0.0)
     assert np.allclose(forces[0], -forces[1])
     # zero strength or a single agent produce no force
-    off = SocialForcesParams(repulsion_strength=0.0)
-    assert np.all(repulsion_forces(positions, radii, off) == 0.0)
-    assert np.all(repulsion_forces(positions[:1], radii[:1], params) == 0.0)
+    assert np.all(repulsion_forces(positions, radii, 0.0 * strength, reach) == 0.0)
+    assert np.all(repulsion_forces(positions[:, :1], radii[:1], strength, reach) == 0.0)
 
 
 def test_params_file_round_trip(tmp_path):
@@ -297,25 +324,21 @@ def test_params_file_round_trip(tmp_path):
         parse_params("max_speed = fast\n")
 
 
-MIXED_POPULATION = [
-    SocialForcesParams(relaxation_time=0.5, repulsion_strength=2.1,
-                       repulsion_range=0.35, max_speed=2.5, noise_amplitude=0.0),
-    SocialForcesParams(relaxation_time=0.8, repulsion_strength=0.0,
-                       repulsion_range=0.2, max_speed=3.0, noise_amplitude=0.7),
-    SocialForcesParams(relaxation_time=0.3, repulsion_strength=5.0,
-                       repulsion_range=0.6, max_speed=2.2, noise_amplitude=1.2),
+MIXED_POPULATION = np.array([
+    # relaxation_time, repulsion_strength, repulsion_range, max_speed, noise_amplitude
+    [0.5, 2.1, 0.35, 2.5, 0.0],
+    [0.8, 0.0, 0.2, 3.0, 0.7],
+    [0.3, 5.0, 0.6, 2.2, 1.2],
     # relaxation shorter than dt overshoots comfort speed into the cap
-    SocialForcesParams(relaxation_time=0.04, repulsion_strength=6.0,
-                       repulsion_range=0.9, max_speed=2.0, noise_amplitude=0.0),
-    SocialForcesParams(relaxation_time=1.7, repulsion_strength=0.0,
-                       repulsion_range=0.05, max_speed=4.0, noise_amplitude=0.0),
-]
+    [0.04, 6.0, 0.9, 2.0, 0.0],
+    [1.7, 0.0, 0.05, 4.0, 0.0],
+])
 
 
 @pytest.mark.parametrize("pairs_per_chunk", [None, 1, 2])
 def test_population_matches_per_genome_simulate(monkeypatch, pairs_per_chunk):
     sc = Scenario(kind="circle", agent_count=8, radius=2.5, seed=3)
-    separate = [simulate(sc, p, duration=4.0) for p in MIXED_POPULATION]
+    separate = [simulate(sc, genome_to_params(g), duration=4.0) for g in MIXED_POPULATION]
     if pairs_per_chunk is not None:
         # budgets below P * N^2 split the population into chunks of 1 and 2 genomes
         monkeypatch.setattr(features, "_PAIR_BUDGET", pairs_per_chunk * 64)
@@ -333,34 +356,32 @@ def test_population_step_matches_per_genome_steps():
     sc = Scenario(kind="random", agent_count=6, area=(4.0, 4.0), seed=2)
     setup = make_scenario(sc)
     rng = np.random.default_rng(8)
-    velocities = rng.normal(0.0, 1.0, size=(len(MIXED_POPULATION), 6, 2))
-    batch = SimState(
-        positions=np.repeat(setup.positions[None], len(MIXED_POPULATION), axis=0),
-        velocities=velocities,
-        goals=setup.goals,
-        comfort_speeds=setup.comfort_speeds,
-        body_radii=setup.body_radii,
-    )
-    out = step(batch, stack_params(MIXED_POPULATION), 0.1, np.random.default_rng(1))
-    for k, params in enumerate(MIXED_POPULATION):
-        one = SimState(positions=setup.positions.copy(), velocities=velocities[k].copy(),
-                       goals=setup.goals, comfort_speeds=setup.comfort_speeds,
-                       body_radii=setup.body_radii)
-        expected = step(one, params, 0.1, np.random.default_rng(1))
-        assert np.array_equal(out.positions[k], expected.positions)
-        assert np.array_equal(out.velocities[k], expected.velocities)
-        assert np.array_equal(out.reached[k], expected.reached)
-        assert np.array_equal(
-            repulsion_forces(batch.positions, setup.body_radii,
-                             stack_params(MIXED_POPULATION))[k],
-            repulsion_forces(setup.positions, setup.body_radii, params),
-        )
+    P = len(MIXED_POPULATION)
+    p = np.repeat(setup.positions[None], P, axis=0)
+    v = rng.normal(0.0, 1.0, size=(P, 6, 2))
+    reached = np.zeros((P, 6), bool)
+    coeffs = coefficients(MIXED_POPULATION)
+    out = step(p, v, reached, setup, coeffs, 0.1, np.random.default_rng(1))
+    forces = repulsion_forces(p, setup.body_radii, coeffs[1], coeffs[2])
+    for k in range(P):
+        one = coefficients(MIXED_POPULATION[k:k + 1])
+        expected = step(p[k:k + 1].copy(), v[k:k + 1].copy(), reached[k:k + 1], setup, one,
+                        0.1, np.random.default_rng(1))
+        for batched, single in zip(out, expected):
+            assert np.array_equal(batched[k:k + 1], single)
+        assert np.array_equal(forces[k:k + 1],
+                              repulsion_forces(p[k:k + 1], setup.body_radii, one[1], one[2]))
 
 
 def test_population_rejects_cap_below_comfort():
-    slow = SocialForcesParams(max_speed=0.5)
-    with pytest.raises(ConfigError, match="below the largest comfort speed"):
-        list(simulate_population(Scenario(kind="circle", agent_count=8, radius=4.0),
-                                 [SocialForcesParams(), slow], duration=3.0))
-    with pytest.raises(ConfigError, match="noise_amplitude"):
-        SocialForcesParams(noise_amplitude=np.array([0.0, -1.0]))
+    sc = Scenario(kind="circle", agent_count=8, radius=4.0)
+    slow = MIXED_POPULATION[:2].copy()
+    slow[1, PARAM_NAMES.index("max_speed")] = 0.5
+    with pytest.raises(ConfigError, match="max_speed 0.5 below the largest comfort speed"):
+        list(simulate_population(sc, slow, duration=3.0))
+    noisy = MIXED_POPULATION[:2].copy()
+    noisy[1, PARAM_NAMES.index("noise_amplitude")] = -1.0
+    with pytest.raises(ConfigError, match="noise_amplitude must be finite and >= 0, got -1.0"):
+        list(simulate_population(sc, noisy, duration=3.0))
+    with pytest.raises(ConfigError, match="parameter block"):
+        list(simulate_population(sc, MIXED_POPULATION[:, :4], duration=3.0))
