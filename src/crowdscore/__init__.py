@@ -9,7 +9,7 @@ maximizing the score.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, CrowdScoreError, DataError
-from .features import FEATURE_CODES, FeatureSamples, extract
+from .features import FEATURE_CODES, extract
 from .genetic import GaConfig, GaResult, ga_optimize
 from .quality import (
     QualityScore,
@@ -45,7 +45,6 @@ __all__ = [
     "CrowdScoreError",
     "DataError",
     "FEATURE_CODES",
-    "FeatureSamples",
     "extract",
     "GaConfig",
     "GaResult",

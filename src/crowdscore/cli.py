@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .csvio import load_trajectory_csv, save_trajectory_csv
 from .errors import ConfigError, DataError
-from .features import FD_BIN_WIDTH, FEATURE_CODES, extract
+from .features import FD_BIN_WIDTH, FEATURE_CODES, GRANULARITY, extract
 from .genetic import GaConfig
 from .keyvalue import format_keyvalue
 from .quality import (
@@ -41,7 +41,7 @@ from .simulator import (
     simulate,
 )
 from .training import DEGRADE_MODES, build_training_set, degrade, train_weights
-from .trajectory import to_canonical
+from .trajectory import CANONICAL_DT, to_canonical
 from .tuning import TUNE_MODES, TuneConfig, quartile, tune
 
 
@@ -249,6 +249,15 @@ def _write_history_csv(path, column: str, values) -> None:
             writer.writerow([gen, repr(float(value))])
 
 
+def _simulate_finite(scenario: Scenario, params: SocialForcesParams, duration: float, dt: float):
+    """``simulate``, with a ConfigError when the integration overflows."""
+    with np.errstate(all="ignore"):  # a blow-up is rejected below
+        crowd = simulate(scenario, params, duration, dt)
+    if not np.isfinite(crowd.positions).all():
+        raise ConfigError("simulated positions are not finite: the integration overflowed")
+    return crowd
+
+
 def _load_crowd_dir(directory, what: str):
     files = sorted(Path(directory).glob("*.csv"))
     if not files:
@@ -334,19 +343,17 @@ def _cmd_features(args) -> None:
         writer = csv.writer(fh)
         writer.writerow(["feature", "agent_id", "t", "value"])
         for code in FEATURE_CODES:
-            samples = sample_map[code]
-            if samples.granularity == "per-agent-time":
+            values = sample_map[code]
+            if GRANULARITY[code] == "per-agent-time":
                 for i, aid in enumerate(ids):
                     for k, t in enumerate(times):
-                        writer.writerow(
-                            [code, aid, repr(float(t)), repr(float(samples.values[i, k]))]
-                        )
-            elif samples.granularity == "per-agent":
+                        writer.writerow([code, aid, repr(float(t)), repr(float(values[i, k]))])
+            elif GRANULARITY[code] == "per-agent":
                 for i, aid in enumerate(ids):
-                    writer.writerow([code, aid, "", repr(float(samples.values[i]))])
+                    writer.writerow([code, aid, "", repr(float(values[i]))])
             else:
                 for k, t in enumerate(times):
-                    writer.writerow([code, "", repr(float(t)), repr(float(samples.values[k]))])
+                    writer.writerow([code, "", repr(float(t)), repr(float(values[k]))])
     _write_manifest(args, out)
 
 
@@ -369,10 +376,7 @@ def _cmd_degrade(args) -> None:
 
 def _cmd_simulate(args) -> None:
     params = load_params(args.params) if args.params else SocialForcesParams()
-    with np.errstate(all="ignore"):  # a blow-up is rejected below
-        crowd = simulate(_scenario(args, args.seed), params, args.duration, args.dt)
-    if not np.isfinite(crowd.positions).all():
-        raise ConfigError("simulated positions are not finite: the integration overflowed")
+    crowd = _simulate_finite(_scenario(args, args.seed), params, args.duration, args.dt)
     save_trajectory_csv(crowd, args.out)
     _write_manifest(args, args.out)
 
@@ -391,12 +395,12 @@ def _cmd_tune(args) -> None:
         initial_params=load_params(args.initial_params) if args.initial_params else None,
     )
     result = tune(config, stats, weights)
+    best = _simulate_finite(scenario, result.p_opt, args.duration, CANONICAL_DT)
 
     save_params(result.p_opt, args.out)
     history_path = args.history or f"{args.out}.history.csv"
     _write_history_csv(history_path, "best_score", result.best_score_history)
-    best_path = args.out_trajectory or f"{args.out}.best.csv"
-    save_trajectory_csv(simulate(scenario, result.p_opt, args.duration), best_path)
+    save_trajectory_csv(best, args.out_trajectory or f"{args.out}.best.csv")
     _write_manifest(args, args.out)
     print(f"S_QF={result.final_score:.4f}")
     print(f"quartile={quartile(result.final_score)}")

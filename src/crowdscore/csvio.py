@@ -43,8 +43,9 @@ def _parse_numeric_body(body: str, n_columns: int, id_col: int):
             or not _NUMERIC_BODY.fullmatch(body)):
         return None
     read = dict(delimiter=",", comments=None)
+    data = body.encode()  # a BytesIO holds 1 byte per character, a StringIO up to 4
     try:
-        table = np.loadtxt(io.StringIO(body), ndmin=2, **read)
+        table = np.loadtxt(io.BytesIO(data), ndmin=2, **read)
         if table.shape[1] != n_columns:
             return None
         with warnings.catch_warnings():
@@ -53,7 +54,7 @@ def _parse_numeric_body(body: str, n_columns: int, id_col: int):
             # only a warning.  As an error, numpy raises it as the ValueError
             # of any unparsable field, and the row loop rejects the id.
             warnings.simplefilter("error", DeprecationWarning)
-            ids = np.loadtxt(io.StringIO(body), dtype=np.int64, usecols=id_col, ndmin=1, **read)
+            ids = np.loadtxt(io.BytesIO(data), dtype=np.int64, usecols=id_col, ndmin=1, **read)
     except ValueError:
         return None
     return ids, table

@@ -77,25 +77,6 @@ GRANULARITY = {
 
 
 @dataclass
-class FeatureSamples:
-    """The value set of one feature.
-
-    ``values`` is (N, T) for per-agent-time codes, (N,) for per-agent codes
-    and (T,) for per-time codes.  ``flat()`` is agent-major.
-    """
-
-    code: str
-    values: np.ndarray
-
-    @property
-    def granularity(self) -> str:
-        return GRANULARITY[self.code]
-
-    def flat(self) -> np.ndarray:
-        return np.ravel(self.values)
-
-
-@dataclass
 class FundamentalDiagramCurve:
     """Piecewise-constant expected walking speed as a function of density.
 
@@ -284,8 +265,13 @@ def _anticipation(
 
 def extract(
     crowd: CrowdTrajectory, curve: FundamentalDiagramCurve | None = None
-) -> dict[str, FeatureSamples]:
+) -> dict[str, np.ndarray]:
     """Measure all 21 feature value sets on one crowd trajectory.
+
+    Returns the sample arrays keyed by code in listing order: (N, T) for
+    per-agent-time codes, (N,) for per-agent codes and (T,) for per-time
+    codes, as ``GRANULARITY`` says.  Callers ravel them (agent-major)
+    before reducing them.
 
     Pairwise features only consider neighbours within the interaction
     horizon; a single-agent crowd emits neutral samples for them.  FDG is
@@ -414,7 +400,7 @@ def extract(
     spread = S.std(axis=0)
     var = np.where(mean_speed > 1e-9, spread / np.maximum(mean_speed, 1e-9), 0.0)
 
-    values = {
+    return {
         "AWS": aws,
         "DGD": dgd,
         "INE": ine,
@@ -436,12 +422,4 @@ def extract(
         "IAN": ian,
         "DCA": dca,
         "VAR": var,
-    }
-    return {code: FeatureSamples(code=code, values=values[code]) for code in FEATURE_CODES}
-
-
-def merge_flat_samples(maps: list[dict[str, FeatureSamples]]) -> dict[str, np.ndarray]:
-    """Concatenate the flat sample vectors of several crowds, per feature."""
-    return {
-        code: np.concatenate([m[code].flat() for m in maps]) for code in FEATURE_CODES
     }

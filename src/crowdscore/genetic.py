@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+TOURNAMENT_SIZE = 3  # genomes drawn per parent selection
+
 
 @dataclass
 class GaConfig:
@@ -27,7 +29,6 @@ class GaConfig:
     seed: int = 0
     plateau_generations: int = 30
     plateau_epsilon: float = 1e-4
-    tournament_size: int = 3
 
     def __post_init__(self) -> None:
         self.validate()
@@ -55,8 +56,6 @@ class GaConfig:
             raise ConfigError(
                 f"plateau_epsilon must be finite and >= 0, got {self.plateau_epsilon}"
             )
-        if self.tournament_size < 1:
-            raise ConfigError(f"tournament_size must be >= 1, got {self.tournament_size}")
 
 
 @dataclass
@@ -79,8 +78,8 @@ def _check_bounds(bounds) -> np.ndarray:
     return b
 
 
-def _tournament(rng: np.random.Generator, fits: np.ndarray, size: int) -> int:
-    picks = rng.integers(0, len(fits), size=size)
+def _tournament(rng: np.random.Generator, fits: np.ndarray) -> int:
+    picks = rng.integers(0, len(fits), size=TOURNAMENT_SIZE)
     return int(picks[np.argmin(fits[picks])])
 
 
@@ -179,8 +178,8 @@ def ga_optimize(
         children = np.empty((n_children, n_genes))
         filled = 0
         while filled < n_children:
-            pa = _tournament(rng, fits, cfg.tournament_size)
-            pb = _tournament(rng, fits, cfg.tournament_size)
+            pa = _tournament(rng, fits)
+            pb = _tournament(rng, fits)
             child_a = population[pa].copy()
             child_b = population[pb].copy()
             if rng.random() < cfg.crossover_rate:

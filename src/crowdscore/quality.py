@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +17,10 @@ from .errors import ConfigError, DataError
 from .features import (
     FD_BIN_WIDTH,
     FEATURE_CODES,
-    FeatureSamples,
     FundamentalDiagramCurve,
     extract,
     fd_gap,
     fundamental_diagram_curve,
-    merge_flat_samples,
 )
 from .keyvalue import format_keyvalue, parse_float, parse_keyvalue
 from .trajectory import CrowdTrajectory, to_canonical
@@ -32,19 +30,12 @@ SIGMA_FLOOR = 1e-3  # feature units, keeps the Gaussian denominator sane
 _STAT_FIELDS = ("mu", "sigma", "omega", "curve")
 
 
-def _flat(values) -> np.ndarray:
-    if isinstance(values, FeatureSamples):
-        return values.flat()
-    return np.ravel(np.asarray(values, dtype=float))
-
-
 @dataclass
 class ReferenceStats:
     """Per-feature mean/spread of golden data plus the speed-density curve."""
 
     mu: dict[str, float]
     sigma: dict[str, float]
-    sample_count: dict[str, int] = field(default_factory=dict)
     fd_curve: FundamentalDiagramCurve | None = None
 
     def require(self, code: str) -> tuple[float, float]:
@@ -95,26 +86,25 @@ class QualityScore:
 
 
 def fit_reference(
-    samples,
+    samples: dict[str, np.ndarray],
     *,
     fd_curve: FundamentalDiagramCurve | None = None,
     fd_bin_width: float = FD_BIN_WIDTH,
 ) -> ReferenceStats:
     """Fit per-feature (mu, sigma) from golden-data samples.
 
-    ``samples`` maps feature codes to FeatureSamples or plain arrays.  Sigma
+    ``samples`` maps feature codes to sample arrays, raveled here.  Sigma
     uses the population convention and is floored at SIGMA_FLOOR.  Unless a
     curve is supplied, the fundamental diagram is fitted from the paired
     (LDN, AWS) samples.
     """
     mu: dict[str, float] = {}
     sigma: dict[str, float] = {}
-    count: dict[str, int] = {}
     flats: dict[str, np.ndarray] = {}
     for code in FEATURE_CODES:
         if code not in samples:
             raise DataError(f"feature {code}: no samples provided")
-        vals = _flat(samples[code])
+        vals = np.ravel(samples[code])
         if vals.size < 2:
             raise DataError(f"feature {code}: need at least 2 samples, got {vals.size}")
         if not np.all(np.isfinite(vals)):
@@ -122,7 +112,6 @@ def fit_reference(
         flats[code] = vals
         mu[code] = float(np.mean(vals))
         sigma[code] = max(float(np.std(vals)), SIGMA_FLOOR)
-        count[code] = int(vals.size)
     curve = fd_curve
     if curve is None:
         ldn, aws = flats["LDN"], flats["AWS"]
@@ -132,7 +121,7 @@ def fit_reference(
                 "cannot pair them for the fundamental diagram"
             )
         curve = fundamental_diagram_curve(np.column_stack([ldn, aws]), fd_bin_width)
-    return ReferenceStats(mu=mu, sigma=sigma, sample_count=count, fd_curve=curve)
+    return ReferenceStats(mu=mu, sigma=sigma, fd_curve=curve)
 
 
 def fit_reference_from_crowds(crowds, *, fd_bin_width: float = FD_BIN_WIDTH) -> ReferenceStats:
@@ -146,41 +135,33 @@ def fit_reference_from_crowds(crowds, *, fd_bin_width: float = FD_BIN_WIDTH) -> 
     if not crowds:
         raise DataError("no golden crowd trajectories provided")
     maps = [extract(c) for c in crowds]
-    merged = merge_flat_samples(maps)
+    merged = {code: np.concatenate([np.ravel(m[code]) for m in maps]) for code in FEATURE_CODES}
     pairs = np.column_stack([merged["LDN"], merged["AWS"]])
     curve = fundamental_diagram_curve(pairs, fd_bin_width)
-    merged["FDG"] = np.concatenate(
-        [fd_gap(m["AWS"].values, m["LDN"].values, curve) for m in maps]
-    )
+    merged["FDG"] = np.concatenate([fd_gap(m["AWS"], m["LDN"], curve) for m in maps])
     return fit_reference(merged, fd_curve=curve)
 
 
-def cost(samples: FeatureSamples, stats: ReferenceStats) -> float:
+def cost(code: str, samples: np.ndarray, stats: ReferenceStats) -> float:
     """Mean Gaussian penalty of one feature's samples against the reference."""
-    vals = _flat(samples)
+    vals = np.ravel(samples)
     if vals.size == 0:
-        raise ValueError(f"feature {samples.code}: empty sample set")
-    mu, sigma = stats.require(samples.code)
+        raise ValueError(f"feature {code}: empty sample set")
+    mu, sigma = stats.require(code)
     z = (vals - mu) / sigma
     return float(np.mean(1.0 - np.exp(-0.5 * z * z)))
 
 
-def cost_vector(sample_map, stats: ReferenceStats) -> np.ndarray:
+def cost_vector(sample_map: dict[str, np.ndarray], stats: ReferenceStats) -> np.ndarray:
     """All 21 costs in canonical listing order."""
-    return np.array([cost(sample_map[code], stats) for code in FEATURE_CODES])
+    return np.array([cost(code, sample_map[code], stats) for code in FEATURE_CODES])
 
 
-def combine(costs, weights: WeightVector) -> QualityScore:
-    """Weighted combination of per-feature costs into the quality score."""
-    if isinstance(costs, dict):
-        missing = [c for c in FEATURE_CODES if c not in costs]
-        if missing:
-            raise ConfigError(f"costs missing features: {', '.join(missing)}")
-        cvec = np.array([float(costs[c]) for c in FEATURE_CODES])
-    else:
-        cvec = np.asarray(costs, dtype=float)
-        if cvec.shape != (len(FEATURE_CODES),):
-            raise ConfigError(f"expected {len(FEATURE_CODES)} costs, got shape {cvec.shape}")
+def combine(costs: np.ndarray, weights: WeightVector) -> QualityScore:
+    """Weighted combination of the (21,) cost vector into the quality score."""
+    cvec = np.asarray(costs, dtype=float)
+    if cvec.shape != (len(FEATURE_CODES),):
+        raise ConfigError(f"expected {len(FEATURE_CODES)} costs, got shape {cvec.shape}")
     wvec = weights.vector()
     contrib = wvec * cvec
     total = min(1.0, max(0.0, 1.0 - float(np.sum(contrib))))

@@ -344,7 +344,13 @@ def simulate_population(
         p = np.repeat(setup.positions[None], count, axis=0)
         v = np.zeros_like(p)
         reached = np.zeros((count, n), dtype=bool)
-        history = np.empty((n_steps,) + p.shape)
+        try:
+            history = np.empty((n_steps,) + p.shape)
+        except (MemoryError, ValueError):  # ValueError: more elements than numpy indexes
+            raise ConfigError(
+                f"duration {duration} s at dt {dt} s yields {n_steps} steps, "
+                "too many to hold in memory"
+            ) from None
         history[0] = p
         for t in range(1, n_steps):
             p, v, reached = step(p, v, reached, setup, coeffs, dt, noise_rng)

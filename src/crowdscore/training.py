@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import FEATURE_CODES, FeatureSamples, FundamentalDiagramCurve, extract
+from .features import FEATURE_CODES, FundamentalDiagramCurve, extract
 from .genetic import GaConfig, GaResult, ga_optimize
 from .quality import ReferenceStats, WeightVector, cost_vector
 from .trajectory import CrowdTrajectory, derive_kinematics
@@ -29,7 +29,7 @@ FREEZE_FRACTION = 0.5  # default share of agents stopped mid-trajectory
 class TrainingExample:
     """Pre-extracted features of one crowd with its target quality score."""
 
-    features: dict[str, FeatureSamples]
+    features: dict[str, np.ndarray]
     target: float
     label: str
 
@@ -180,7 +180,7 @@ def check_correlations(
     if len(examples) < 2:
         raise ValueError(f"need at least 2 examples, got {len(examples)}")
     means = np.array(
-        [[float(np.mean(ex.features[c].flat())) for c in FEATURE_CODES] for ex in examples]
+        [[float(np.mean(np.ravel(ex.features[c]))) for c in FEATURE_CODES] for ex in examples]
     )
     centered = means - means.mean(axis=0)
     std = means.std(axis=0)

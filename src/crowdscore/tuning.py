@@ -28,7 +28,7 @@ from .simulator import (
 
 TUNE_MODES = ("single", "generic")
 
-DEFAULT_QUARTILE_EDGES = (0.225, 0.45, 0.675)  # even split of the [0, 0.9) range
+QUARTILE_EDGES = (0.225, 0.45, 0.675)  # even split of the [0, 0.9) range
 
 
 @dataclass
@@ -79,9 +79,12 @@ def tune(
 
     def evaluate(population: np.ndarray) -> np.ndarray:
         totals = np.empty((len(population), len(active["scenarios"])))
-        for j, scenario in enumerate(active["scenarios"]):
-            for i, crowd in enumerate(simulate_population(scenario, population, config.duration)):
-                totals[i, j] = score(crowd, stats, weights).total
+        with np.errstate(all="ignore"):  # a blow-up ends with the worst fitness
+            for j, scenario in enumerate(active["scenarios"]):
+                for i, crowd in enumerate(
+                    simulate_population(scenario, population, config.duration)
+                ):
+                    totals[i, j] = score(crowd, stats, weights).total
         values = 1.0 - np.mean(totals, axis=1)
         return np.where(np.isfinite(values), values, 1.0)
 
@@ -122,17 +125,11 @@ def tune(
     )
 
 
-def quartile(score: float, edges: tuple[float, float, float] = DEFAULT_QUARTILE_EDGES) -> str:
+def quartile(score: float) -> str:
     """Quality quartile label Q1 (worst) .. Q4 (best), left-closed buckets."""
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"score must be in [0,1], got {score}")
-    e = tuple(edges)
-    if len(e) != 3 or not (0.0 <= e[0] < e[1] < e[2] <= 1.0):
-        raise ValueError(f"edges must be 3 strictly increasing values in [0,1], got {edges}")
-    if score < e[0]:
-        return "Q1"
-    if score < e[1]:
-        return "Q2"
-    if score < e[2]:
-        return "Q3"
+    for label, edge in zip(("Q1", "Q2", "Q3"), QUARTILE_EDGES):
+        if score < edge:
+            return label
     return "Q4"

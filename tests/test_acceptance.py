@@ -14,7 +14,7 @@ import numpy as np
 
 import crowdscore
 from crowdscore.cli import run as cli_run
-from crowdscore.features import FEATURE_CODES, FeatureSamples, extract
+from crowdscore.features import FEATURE_CODES, extract
 from crowdscore.genetic import GaConfig
 from crowdscore.geometry import closest_approach, time_to_collision
 from crowdscore.quality import (
@@ -49,7 +49,7 @@ def test_cost_anchor_points(acceptance_log):
             (mu - 2 * sig, at_two_sigma),
         ]
         for value, expected in anchors:
-            got = cost(FeatureSamples(code="AWS", values=np.array([value])), stats)
+            got = cost("AWS", np.array([value]), stats)
             worst = max(worst, abs(got - expected))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 1.0
@@ -62,7 +62,7 @@ def test_weight_table(acceptance_log):
     path = Path(crowdscore.__file__).parent / "data" / "default_weights.txt"
     weights = load_weights(path)
     total = weights.total()
-    floor = combine({c: 1.0 for c in FEATURE_CODES}, weights).total
+    floor = combine(np.ones(len(FEATURE_CODES)), weights).total
     largest = max(weights.omega, key=weights.omega.get)
     ok = (abs(total - 0.9998) <= 1e-4
           and abs(floor - 0.0002) <= 1e-4
@@ -143,7 +143,7 @@ def test_golden_outscores_degraded(acceptance_log, golden_crowds,
                                    heldout_crowds, golden_stats, table_weights):
     """Held-out golden runs beat their degraded variants by a clear margin."""
     t0 = time.perf_counter()
-    col_max = max(float(extract(c)["COL"].flat().max())
+    col_max = max(float(extract(c)["COL"].max())
                   for c in golden_crowds + heldout_crowds)
     recipes = (("no-avoidance", {}), ("jitter", {}),
                ("speed-scale", {"factor": 2.0}))
@@ -176,10 +176,8 @@ def test_training_concentrates_weight(acceptance_log):
     offset = math.sqrt(2.0 * math.log(2.0))  # every other cost sits at 0.5
 
     def example(planted_value, target, label):
-        features = {c: FeatureSamples(code=c, values=np.full(4, offset))
-                    for c in FEATURE_CODES}
-        features[planted] = FeatureSamples(code=planted,
-                                           values=np.full(4, planted_value))
+        features = {c: np.full(4, offset) for c in FEATURE_CODES}
+        features[planted] = np.full(4, planted_value)
         return TrainingExample(features=features, target=target, label=label)
 
     examples = ([example(0.0, 1.0, f"golden-{i}") for i in range(6)]

@@ -141,10 +141,17 @@ def test_degrade_overflow_exits_2(tmp_path, workspace, capsys):
     (["simulate", "--kind", "random", "--agents", "3", "--duration", "1", "--density", "1e-308"],
      3, "spawn area overflows"),
     (["fit-reference", "--bin-width", "1e-308"], 2, "bin_width 1e-308 is too small"),
+    (["tune", "--agents", "3", "--radius", "1e308", "--duration", "1", "--population", "4",
+      "--generations", "2"], 3, "simulated positions are not finite"),
+    (["simulate", "--agents", "3", "--duration", "1e12"], 3, "yields 10000000000000 steps"),
+    (["tune", "--agents", "3", "--duration", "1e12", "--population", "4",
+      "--generations", "1", "--elitism", "1"], 3, "yields 10000000000000 steps"),
 ], ids=["simulate-steps", "tune-steps", "score-window", "circle-radius", "crossing-radius",
-        "random-density", "bin-width"])
+        "random-density", "bin-width", "tune-radius", "simulate-history", "tune-history"])
 def test_overflowing_values_exit_cleanly(tmp_path, workspace, capsys, argv, code, message):
-    # each run's inputs come from the workspace; every output path is in tmp_path
+    # each run's inputs come from the workspace; every output path is in tmp_path.
+    # A 1e12 s duration is 1e13 steps, whose history exceeds the 128 TiB address
+    # space, so it is refused without ever being allocated.
     inputs = {"score": ["--trajectory", str(workspace["sample"]), "--stats",
                         str(workspace["stats"]), "--breakdown", str(tmp_path / "b.csv")],
               "tune": ["--stats", str(workspace["stats"]), "--out", str(tmp_path / "p.txt")],

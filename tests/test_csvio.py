@@ -282,11 +282,11 @@ def legacy_loadtxt(real):
     def loadtxt(fname, dtype=float, **kwargs):
         if dtype is not np.int64:
             return real(fname, dtype=dtype, **kwargs)
-        text = fname.read()
+        data = fname.read()
         try:
-            return real(io.StringIO(text), dtype=dtype, **kwargs)
+            return real(io.BytesIO(data), dtype=dtype, **kwargs)
         except ValueError:
-            values = real(io.StringIO(text), **kwargs)
+            values = real(io.BytesIO(data), **kwargs)
         try:
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                           DeprecationWarning)

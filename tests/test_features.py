@@ -9,11 +9,9 @@ from crowdscore.features import (
     FEATURE_CODES,
     GRANULARITY,
     INTERACTION_HORIZON,
-    FeatureSamples,
     FundamentalDiagramCurve,
     extract,
     fundamental_diagram_curve,
-    merge_flat_samples,
 )
 from crowdscore.geometry import TTC_HORIZON, predict_pair, time_to_collision
 
@@ -37,75 +35,74 @@ def test_feature_table_is_complete():
 def test_granularity_shapes_and_sample_counts():
     crowd = random_walk_crowd(1, n_agents=5, steps=30)
     feats = extract(crowd)
-    assert set(feats) == set(FEATURE_CODES)
-    for code, fs in feats.items():
+    assert list(feats) == list(FEATURE_CODES)
+    for code, values in feats.items():
         if GRANULARITY[code] == "per-agent":
-            assert fs.values.shape == (5,)
+            assert values.shape == (5,)
         elif GRANULARITY[code] == "per-time":
-            assert fs.values.shape == (30,)
+            assert values.shape == (30,)
         else:
-            assert fs.values.shape == (5, 30)
-        assert fs.flat().ndim == 1
+            assert values.shape == (5, 30)
 
 
 def test_straight_walker_is_featureless():
     crowd = straight_crowd(speed=1.4, steps=20)
     f = extract(crowd)
-    assert np.allclose(f["AWS"].values, 1.4)
-    assert np.allclose(f["DCS"].values, 0.0)
-    assert np.allclose(f["DGD"].values, 0.0)
-    assert np.allclose(f["AVL"].values, 0.0)
-    assert np.allclose(f["INE"].values, 0.0)
-    assert np.allclose(f["FDR"].values, 0.0)
-    assert np.allclose(f["FSP"].values, 0.0)
-    assert f["GLR"].values[0] == pytest.approx(1.0)
-    assert f["LEN"].values[0] == pytest.approx(1.0)
-    assert np.allclose(f["FDG"].values, 0.0)  # self-fitted curve
-    assert np.allclose(f["VAR"].values, 0.0)
+    assert np.allclose(f["AWS"], 1.4)
+    assert np.allclose(f["DCS"], 0.0)
+    assert np.allclose(f["DGD"], 0.0)
+    assert np.allclose(f["AVL"], 0.0)
+    assert np.allclose(f["INE"], 0.0)
+    assert np.allclose(f["FDR"], 0.0)
+    assert np.allclose(f["FSP"], 0.0)
+    assert f["GLR"][0] == pytest.approx(1.0)
+    assert f["LEN"][0] == pytest.approx(1.0)
+    assert np.allclose(f["FDG"], 0.0)  # self-fitted curve
+    assert np.allclose(f["VAR"], 0.0)
     # single agent: pairwise features emit neutral values
-    assert np.all(f["DTA"].values == 30.0)
-    assert np.all(f["TTC"].values == 10.0)
-    assert np.all(f["TCA"].values == 10.0)
-    assert np.all(f["DCA"].values == 30.0)
-    assert np.all(f["IST"].values == 0.0)
-    assert np.all(f["LDN"].values == 0.0)
-    assert np.all(f["COL"].values == 0.0)
-    assert np.all(f["OVP"].values == 0.0)
-    assert np.all(f["IAN"].values == 0.0)
-    assert np.all(f["EDN"].values == 1.0)
+    assert np.all(f["DTA"] == 30.0)
+    assert np.all(f["TTC"] == 10.0)
+    assert np.all(f["TCA"] == 10.0)
+    assert np.all(f["DCA"] == 30.0)
+    assert np.all(f["IST"] == 0.0)
+    assert np.all(f["LDN"] == 0.0)
+    assert np.all(f["COL"] == 0.0)
+    assert np.all(f["OVP"] == 0.0)
+    assert np.all(f["IAN"] == 0.0)
+    assert np.all(f["EDN"] == 1.0)
 
 
 def test_static_pair_contact_features():
     # two standing agents 0.5 m apart: bodies overlap the whole time
     crowd = linear_pair((0, 0), (0, 0), (0.5, 0), (0, 0), steps=12)
     f = extract(crowd)
-    assert np.all(f["COL"].values == 1.0)
-    assert np.all(f["TTC"].values == 0.0)  # overlapping discs
-    assert np.all(f["IST"].values == 1.0)  # exp(-0/tau)
-    assert np.allclose(f["OVP"].values, 0.5)  # personal discs 0.5 + 0.5 - 0.5
-    assert np.allclose(f["DTA"].values, 0.5)
-    assert np.allclose(f["AWS"].values, 0.0)
-    assert np.allclose(f["VAR"].values, 0.0)  # zero mean speed convention
+    assert np.all(f["COL"] == 1.0)
+    assert np.all(f["TTC"] == 0.0)  # overlapping discs
+    assert np.all(f["IST"] == 1.0)  # exp(-0/tau)
+    assert np.allclose(f["OVP"], 0.5)  # personal discs 0.5 + 0.5 - 0.5
+    assert np.allclose(f["DTA"], 0.5)
+    assert np.allclose(f["AWS"], 0.0)
+    assert np.allclose(f["VAR"], 0.0)  # zero mean speed convention
 
 
 def test_personal_space_overlap_without_contact():
     crowd = linear_pair((0, 0), (0, 0), (0.8, 0), (0, 0), steps=10)
     f = extract(crowd)
-    assert np.all(f["COL"].values == 0.0)  # 0.8 > 0.3 + 0.3
-    assert np.allclose(f["OVP"].values, 0.2)  # 1.0 - 0.8
-    assert np.all(f["TTC"].values == 10.0)  # static, not overlapping
-    assert np.all(f["IST"].values == 0.0)
+    assert np.all(f["COL"] == 0.0)  # 0.8 > 0.3 + 0.3
+    assert np.allclose(f["OVP"], 0.2)  # 1.0 - 0.8
+    assert np.all(f["TTC"] == 10.0)  # static, not overlapping
+    assert np.all(f["IST"] == 0.0)
     # static pair: closest approach is the current gap, at time zero
-    assert np.allclose(f["TCA"].values, 0.0)
-    assert np.allclose(f["DCA"].values, 0.8)
+    assert np.allclose(f["TCA"], 0.0)
+    assert np.allclose(f["DCA"], 0.8)
 
 
 def test_crossing_pair_closest_approach():
     crowd = linear_pair((0, 0), (1, 0), (5, -5), (0, 1), steps=3)
     f = extract(crowd)
-    assert f["TCA"].values[0, 0] == pytest.approx(5.0)
-    assert f["TCA"].values[1, 0] == pytest.approx(5.0)
-    assert f["DCA"].values[0, 0] == pytest.approx(0.0, abs=1e-9)
+    assert f["TCA"][0, 0] == pytest.approx(5.0)
+    assert f["TCA"][1, 0] == pytest.approx(5.0)
+    assert f["DCA"][0, 0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_interaction_horizon_masks_far_pairs():
@@ -113,14 +110,14 @@ def test_interaction_horizon_masks_far_pairs():
     # the pair only becomes an interaction once within 30 m
     crowd = linear_pair((0, 0), (2, 0), (40, 0), (-2, 0), steps=30)
     f = extract(crowd)
-    assert f["TTC"].values[0, 0] == 10.0
-    assert f["IST"].values[0, 0] == 0.0
-    assert f["LDN"].values[0, 0] == 0.0
-    assert f["DTA"].values[0, 0] == 30.0  # capped at the horizon
+    assert f["TTC"][0, 0] == 10.0
+    assert f["IST"][0, 0] == 0.0
+    assert f["LDN"][0, 0] == 0.0
+    assert f["DTA"][0, 0] == 30.0  # capped at the horizon
     # by step 26 the gap is 29.6 m and the prediction appears
     expected = (29.6 - 0.6) / 4.0
-    assert f["TTC"].values[0, 26] == pytest.approx(expected)
-    assert f["IST"].values[0, 26] == pytest.approx(math.exp(-expected / 2.0))
+    assert f["TTC"][0, 26] == pytest.approx(expected)
+    assert f["IST"][0, 26] == pytest.approx(math.exp(-expected / 2.0))
 
 
 def test_local_density_counts_neighbours_in_disc():
@@ -131,8 +128,8 @@ def test_local_density_counts_neighbours_in_disc():
     pos[2, :, 0] = 3.0
     f = extract(crowd_from_positions(pos))
     area = math.pi * 4.0
-    assert np.allclose(f["LDN"].values[1], 2.0 / area)
-    assert np.allclose(f["LDN"].values[0], 1.0 / area)
+    assert np.allclose(f["LDN"][1], 2.0 / area)
+    assert np.allclose(f["LDN"][0], 1.0 / area)
 
 
 def test_heading_flicker_saturates_on_zigzag():
@@ -143,10 +140,10 @@ def test_heading_flicker_saturates_on_zigzag():
     pos = np.vstack([[0.0, 0.0], np.cumsum(deltas, axis=0)])[None]
     f = extract(crowd_from_positions(pos))
     # the final step repeats the backward difference, so stop one short
-    assert np.allclose(f["FDR"].values[0, 12:-1], 1.0)
-    assert np.all(f["FSP"].values == 0.0)  # speed is constant throughout
-    assert np.allclose(f["AVL"].values[0, 1:-1], 2.0)  # 0.2 rad per 0.1 s
-    assert f["AVL"].values[0, -1] == 0.0
+    assert np.allclose(f["FDR"][0, 12:-1], 1.0)
+    assert np.all(f["FSP"] == 0.0)  # speed is constant throughout
+    assert np.allclose(f["AVL"][0, 1:-1], 2.0)  # 0.2 rad per 0.1 s
+    assert f["AVL"][0, -1] == 0.0
 
 
 def test_speed_flicker_counts_alternations():
@@ -157,8 +154,8 @@ def test_speed_flicker_counts_alternations():
     pos = np.zeros((1, steps, 2))
     pos[0, :, 0] = x
     f = extract(crowd_from_positions(pos))
-    assert np.allclose(f["FSP"].values[0, 12:-1], 1.0)
-    assert np.all(f["FDR"].values == 0.0)
+    assert np.allclose(f["FSP"][0, 12:-1], 1.0)
+    assert np.all(f["FDR"] == 0.0)
 
 
 def test_goal_reach_and_length_ratio():
@@ -166,7 +163,7 @@ def test_goal_reach_and_length_ratio():
     pos = np.zeros((1, 11, 2))
     pos[0, :, 0] = np.minimum(np.arange(11) * 0.1, 0.5)
     f = extract(crowd_from_positions(pos, goals=[[1.0, 0.0]], comfort_speeds=1.0))
-    assert f["GLR"].values[0] == pytest.approx(0.5)
+    assert f["GLR"][0] == pytest.approx(0.5)
 
     # detour doubles the path
     pos2 = np.zeros((1, 21, 2))
@@ -174,7 +171,7 @@ def test_goal_reach_and_length_ratio():
     pos2[0, 11:, 1] = 1.0
     pos2[0, 11:, 0] = np.arange(1, 11) * 0.1  # right 1 m
     f2 = extract(crowd_from_positions(pos2))
-    assert f2["LEN"].values[0] == pytest.approx(2.0 / math.sqrt(2.0))
+    assert f2["LEN"][0] == pytest.approx(2.0 / math.sqrt(2.0))
 
 
 def test_anticipation_records_ttc_at_maneuver_onset():
@@ -194,7 +191,7 @@ def test_anticipation_records_ttc_at_maneuver_onset():
     crowd = crowd_from_positions(np.stack([p0, p1]))
     f = extract(crowd)
 
-    ian = f["IAN"].values
+    ian = f["IAN"]
     assert ian[0, 0] > 0.0  # reaction recorded at episode onset
     assert np.all(ian[0, 1:] == 0.0)
     assert np.all(ian[1] == 0.0)  # the oblivious agent never maneuvers
@@ -209,7 +206,7 @@ def test_anticipation_records_ttc_at_maneuver_onset():
 def test_anticipation_zero_when_nobody_reacts():
     crowd = linear_pair((0, 0), (1, 0), (12, 0), (-1, 0), steps=40)
     f = extract(crowd)
-    assert np.all(f["IAN"].values == 0.0)
+    assert np.all(f["IAN"] == 0.0)
 
 
 def test_nearest_neighbour_spacing_two_agent_value():
@@ -217,7 +214,7 @@ def test_nearest_neighbour_spacing_two_agent_value():
     f = extract(crowd)
     # segment hull inflated by 1 m: area 2*2*1 + pi
     lam = 2.0 / (4.0 + math.pi)
-    assert np.allclose(f["EDN"].values, 2.0 * 2.0 * math.sqrt(lam))
+    assert np.allclose(f["EDN"], 2.0 * 2.0 * math.sqrt(lam))
 
 
 def test_speed_variation_across_agents():
@@ -227,7 +224,7 @@ def test_speed_variation_across_agents():
     pos[1, :, 0] = np.arange(10) * 0.2
     pos[1, :, 1] = 100.0
     f = extract(crowd_from_positions(pos))
-    assert np.allclose(f["VAR"].values, np.std([1.0, 2.0]) / 1.5)
+    assert np.allclose(f["VAR"], np.std([1.0, 2.0]) / 1.5)
 
 
 def test_fundamental_diagram_curve_queries():
@@ -270,7 +267,7 @@ def test_reference_curve_changes_fdg():
     crowd = straight_crowd(speed=1.0, steps=10)
     slow = FundamentalDiagramCurve(densities=np.array([0.25]), speeds=np.array([1.4]))
     f = extract(crowd, curve=slow)
-    assert np.allclose(f["FDG"].values, 1.0 - 1.4)
+    assert np.allclose(f["FDG"], 1.0 - 1.4)
 
 
 def test_rigid_motion_invariance():
@@ -279,7 +276,7 @@ def test_rigid_motion_invariance():
     f0 = extract(crowd)
     f1 = extract(moved)
     for code in FEATURE_CODES:
-        assert np.allclose(f0[code].values, f1[code].values, atol=1e-8), code
+        assert np.allclose(f0[code], f1[code], atol=1e-8), code
 
 
 def test_nonnegativity_and_collision_is_binary():
@@ -288,10 +285,10 @@ def test_nonnegativity_and_collision_is_binary():
         f = extract(crowd)
         for code in FEATURE_CODES:
             if code != "FDG":  # FDG is a signed gap
-                assert np.all(f[code].values >= 0.0), code
-        assert set(np.unique(f["COL"].values)) <= {0.0, 1.0}
-        assert np.all(f["TTC"].values <= 10.0)
-        assert np.all(f["IST"].values <= 1.0)
+                assert np.all(f[code] >= 0.0), code
+        assert set(np.unique(f["COL"])) <= {0.0, 1.0}
+        assert np.all(f["TTC"] <= 10.0)
+        assert np.all(f["IST"] <= 1.0)
 
 
 def test_extract_rejects_single_step():
@@ -303,16 +300,6 @@ def test_extract_rejects_single_step():
                     headings=crowd.headings[:, :1], speeds=crowd.speeds[:, :1])
     with pytest.raises(DataError):
         extract(short)
-
-
-def test_merge_flat_samples_concatenates():
-    a = extract(random_walk_crowd(1, n_agents=2, steps=10))
-    b = extract(random_walk_crowd(2, n_agents=3, steps=12))
-    merged = merge_flat_samples([a, b])
-    assert merged["AWS"].shape == (2 * 10 + 3 * 12,)
-    assert merged["GLR"].shape == (5,)
-    assert merged["VAR"].shape == (22,)
-    assert np.array_equal(merged["AWS"][:20], a["AWS"].flat())
 
 
 def contact_crowd(seed=3, n_agents=9, steps=40):
@@ -333,10 +320,10 @@ def test_pairwise_chunking_is_exact(monkeypatch):
     for budget in (1, 7 * n * n, steps * n * n):
         monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
         results.append(extract(crowd))
-    assert np.any(results[0]["COL"].values == 1.0)  # the crowd has contacts
+    assert np.any(results[0]["COL"] == 1.0)  # the crowd has contacts
     for other in results[1:]:
         for code in FEATURE_CODES:
-            assert np.array_equal(results[0][code].values, other[code].values), code
+            assert np.array_equal(results[0][code], other[code]), code
 
 
 def test_pairwise_minima_match_scalar_predictions():
@@ -363,7 +350,7 @@ def test_pairwise_minima_match_scalar_predictions():
                     tca[i, t], dca[i, t] = pred.tca, pred.dca
     assert np.any(ttc < TTC_HORIZON) and np.any(tca < TTC_HORIZON)
     for code, expected in (("TTC", ttc), ("TCA", tca), ("DCA", dca)):
-        np.testing.assert_allclose(f[code].values, expected, rtol=1e-12, atol=1e-12,
+        np.testing.assert_allclose(f[code], expected, rtol=1e-12, atol=1e-12,
                                    err_msg=code)
 
 

@@ -166,8 +166,6 @@ def test_config_validation_errors():
         GaConfig(max_generations=0)
     with pytest.raises(ConfigError):
         GaConfig(plateau_generations=0)
-    with pytest.raises(ConfigError):
-        GaConfig(tournament_size=0)
     for name in ("mutation_scale", "plateau_epsilon"):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="finite"):

@@ -11,7 +11,6 @@ from crowdscore.features import (
     FundamentalDiagramCurve,
     extract,
     fundamental_diagram_curve,
-    merge_flat_samples,
 )
 from crowdscore.quality import (
     SIGMA_FLOOR,
@@ -32,21 +31,19 @@ from crowdscore.quality import (
     save_weights,
     score,
 )
-from crowdscore.features import FeatureSamples
 from crowdscore.simulator import parse_params
 
-from helpers import colliding_crowd, crowd_arrays, straight_crowd
+from helpers import colliding_crowd, crowd_arrays, random_walk_crowd, straight_crowd
 
 
 def samples_of(values):
-    return FeatureSamples(code="AWS", values=np.asarray(values, dtype=float))
+    return np.asarray(values, dtype=float)
 
 
 def stats_for(mu, sigma):
     return ReferenceStats(
         mu={c: mu for c in FEATURE_CODES},
         sigma={c: sigma for c in FEATURE_CODES},
-        sample_count={c: 100 for c in FEATURE_CODES},
         fd_curve=FundamentalDiagramCurve(
             densities=np.array([0.25]), speeds=np.array([mu])
         ),
@@ -54,7 +51,7 @@ def stats_for(mu, sigma):
 
 
 def full_sample_map(value, n=8):
-    return {c: FeatureSamples(code=c, values=np.full(n, value)) for c in FEATURE_CODES}
+    return {c: np.full(n, value) for c in FEATURE_CODES}
 
 
 # --- Gaussian penalty ---
@@ -62,12 +59,12 @@ def full_sample_map(value, n=8):
 
 def test_cost_analytic_values():
     st = stats_for(mu=2.0, sigma=0.5)
-    assert cost(samples_of([2.0, 2.0]), st) == pytest.approx(0.0, abs=1e-15)
-    assert cost(samples_of([2.5]), st) == pytest.approx(1.0 - math.exp(-0.5), abs=1e-12)
-    assert cost(samples_of([1.5]), st) == pytest.approx(1.0 - math.exp(-0.5), abs=1e-12)
-    assert cost(samples_of([3.0]), st) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-12)
+    assert cost("AWS", samples_of([2.0, 2.0]), st) == pytest.approx(0.0, abs=1e-15)
+    assert cost("AWS", samples_of([2.5]), st) == pytest.approx(1.0 - math.exp(-0.5), abs=1e-12)
+    assert cost("AWS", samples_of([1.5]), st) == pytest.approx(1.0 - math.exp(-0.5), abs=1e-12)
+    assert cost("AWS", samples_of([3.0]), st) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-12)
     # half at mu, half at mu + 2 sigma
-    mixed = cost(samples_of([2.0, 3.0]), st)
+    mixed = cost("AWS", samples_of([2.0, 3.0]), st)
     assert mixed == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, abs=1e-12)
 
 
@@ -75,22 +72,22 @@ def test_cost_is_affine_invariant_and_order_free():
     rng = np.random.default_rng(2)
     vals = rng.normal(1.0, 0.4, size=300)
     st = stats_for(mu=1.0, sigma=0.4)
-    base = cost(samples_of(vals), st)
+    base = cost("AWS", samples_of(vals), st)
 
     a, b = 2.5, -1.0
     st2 = stats_for(mu=a * 1.0 + b, sigma=a * 0.4)
-    assert cost(samples_of(a * vals + b), st2) == pytest.approx(base, abs=1e-12)
+    assert cost("AWS", samples_of(a * vals + b), st2) == pytest.approx(base, abs=1e-12)
 
-    assert cost(samples_of(vals[::-1]), st) == pytest.approx(base, abs=1e-15)
+    assert cost("AWS", samples_of(vals[::-1]), st) == pytest.approx(base, abs=1e-15)
 
 
 def test_cost_rejects_empty_and_missing():
     st = stats_for(1.0, 0.5)
     with pytest.raises(ValueError):
-        cost(samples_of([]), st)
+        cost("AWS", samples_of([]), st)
     del st.mu["AWS"]
     with pytest.raises(ConfigError):
-        cost(samples_of([1.0]), st)
+        cost("AWS", samples_of([1.0]), st)
 
 
 # --- reference fitting ---
@@ -100,14 +97,13 @@ def test_fit_reference_recovers_gaussian_parameters():
     rng = np.random.default_rng(0)
     draws = rng.normal(1.4, 0.2, size=10000)
     sample_map = full_sample_map(0.0)
-    sample_map["AWS"] = FeatureSamples(code="AWS", values=draws)
-    sample_map["LDN"] = FeatureSamples(code="LDN", values=np.abs(draws))
+    sample_map["AWS"] = draws
+    sample_map["LDN"] = np.abs(draws)
     st = fit_reference(sample_map)
     assert st.mu["AWS"] == pytest.approx(1.4, abs=0.02)
     assert st.sigma["AWS"] == pytest.approx(0.2, abs=0.02)
     assert st.mu["AWS"] == pytest.approx(float(np.mean(draws)), abs=1e-12)
     assert st.sigma["AWS"] == pytest.approx(float(np.std(draws)), abs=1e-12)
-    assert st.sample_count["AWS"] == 10000
 
 
 def test_fit_reference_population_sigma_and_floor():
@@ -116,8 +112,8 @@ def test_fit_reference_population_sigma_and_floor():
     assert st.sigma["DGD"] == SIGMA_FLOOR  # constant samples hit the floor
     assert st.mu["DGD"] == pytest.approx(5.0)
 
-    sample_map["AWS"] = FeatureSamples(code="AWS", values=np.array([0.0, 2.0]))
-    sample_map["LDN"] = FeatureSamples(code="LDN", values=np.array([0.1, 0.1]))
+    sample_map["AWS"] = np.array([0.0, 2.0])
+    sample_map["LDN"] = np.array([0.1, 0.1])
     st2 = fit_reference(sample_map)
     assert st2.mu["AWS"] == pytest.approx(1.0)
     assert st2.sigma["AWS"] == pytest.approx(1.0)  # population, not sample, std
@@ -125,7 +121,7 @@ def test_fit_reference_population_sigma_and_floor():
 
 def test_fit_reference_needs_two_samples_per_feature():
     sample_map = full_sample_map(1.0)
-    sample_map["TTC"] = FeatureSamples(code="TTC", values=np.array([10.0]))
+    sample_map["TTC"] = np.array([10.0])
     with pytest.raises(DataError, match="TTC"):
         fit_reference(sample_map)
     del sample_map["TTC"]
@@ -179,7 +175,7 @@ def test_combine_known_value_and_clamping():
     with pytest.raises(ConfigError):
         combine(np.ones(20), w)
     with pytest.raises(ConfigError):
-        combine({c: 1.0 for c in FEATURE_CODES if c != "VAR"}, w)
+        combine(np.ones((21, 1)), w)
 
 
 def test_quality_decreases_when_any_cost_rises():
@@ -209,11 +205,12 @@ def test_one_pass_fit_matches_two_pass_fit(monkeypatch, golden_crowds, bin_width
     # two passes: fit the curve on self-fitted extractions, then re-extract
     first = [extract(c) for c in crowds]
     pairs = np.concatenate(
-        [np.column_stack([m["LDN"].flat(), m["AWS"].flat()]) for m in first]
+        [np.column_stack([np.ravel(m["LDN"]), np.ravel(m["AWS"])]) for m in first]
     )
     curve = fundamental_diagram_curve(pairs, bin_width)
-    expected = fit_reference(merge_flat_samples([extract(c, curve) for c in crowds]),
-                             fd_curve=curve)
+    second = [extract(c, curve) for c in crowds]
+    merged = {c: np.concatenate([np.ravel(m[c]) for m in second]) for c in FEATURE_CODES}
+    expected = fit_reference(merged, fd_curve=curve)
 
     calls = []
 
@@ -227,9 +224,22 @@ def test_one_pass_fit_matches_two_pass_fit(monkeypatch, golden_crowds, bin_width
     assert all(a is b for a, b in zip(calls, crowds))
     assert got.mu == expected.mu
     assert got.sigma == expected.sigma
-    assert got.sample_count == expected.sample_count
     assert np.array_equal(got.fd_curve.densities, expected.fd_curve.densities)
     assert np.array_equal(got.fd_curve.speeds, expected.fd_curve.speeds)
+
+
+def test_fit_reference_from_crowds_pools_samples():
+    crowds = [random_walk_crowd(1, n_agents=2, steps=10),
+              random_walk_crowd(2, n_agents=3, steps=12)]
+    maps = [extract(c) for c in crowds]
+    stats = fit_reference_from_crowds(crowds)
+    for code in FEATURE_CODES:
+        if code == "FDG":  # measured against the pooled curve, not each crowd's own
+            continue
+        pooled = np.concatenate([np.ravel(m[code]) for m in maps])
+        assert pooled.shape == {"GLR": (5,), "LEN": (5,), "VAR": (22,)}.get(code, (56,))
+        assert stats.mu[code] == float(np.mean(pooled)), code
+        assert stats.sigma[code] == max(float(np.std(pooled)), SIGMA_FLOOR), code
 
 
 # --- end-to-end scoring ---
@@ -262,7 +272,7 @@ def test_score_is_invariant_to_agent_order(golden_stats, table_weights):
     crowd = colliding_crowd()
     radii = rng.uniform(0.2, 0.35, crowd.n_agents)
     crowd = replace(crowd, body_radii=radii, personal_radii=radii + 0.2)
-    assert extract(crowd)["COL"].values.any()
+    assert extract(crowd)["COL"].any()
 
     perm = rng.permutation(crowd.n_agents)
     permuted = replace(crowd, **{name: value[perm]

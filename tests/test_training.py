@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crowdscore.errors import ConfigError, DataError
-from crowdscore.features import FEATURE_CODES, FeatureSamples, extract
+from crowdscore.features import FEATURE_CODES, extract
 from crowdscore.genetic import GaConfig
 from crowdscore.quality import WeightVector, parse_reference_stats
 from crowdscore.training import (
@@ -68,9 +68,9 @@ def test_no_avoidance_walks_straight_at_comfort():
 
 def test_no_avoidance_causes_contacts_in_circle_crossings(golden_crowds):
     golden = golden_crowds[0]
-    assert np.all(extract(golden)["COL"].flat() == 0.0)
+    assert np.all(extract(golden)["COL"] == 0.0)
     rammed = degrade(golden, "no-avoidance")
-    assert float(np.mean(extract(rammed)["COL"].flat())) > 0.0
+    assert float(np.mean(extract(rammed)["COL"])) > 0.0
 
 
 def test_jitter_preserves_speed_profile():
@@ -141,11 +141,10 @@ def test_build_training_set_targets_and_labels():
 def synth_example(seed, overrides):
     rng = np.random.default_rng(seed)
     features = {
-        code: FeatureSamples(code=code, values=rng.uniform(0.0, 1.0, size=3))
-        for code in FEATURE_CODES
+        code: rng.uniform(0.0, 1.0, size=3) for code in FEATURE_CODES
     }
     for code, value in overrides.items():
-        features[code] = FeatureSamples(code=code, values=np.full(3, float(value)))
+        features[code] = np.full(3, float(value))
     return TrainingExample(features=features, target=1.0, label=f"s{seed}")
 
 
@@ -229,19 +228,13 @@ def planted_training_examples(planted="COL", n=3):
     offset = math.sqrt(2.0 * math.log(2.0))  # cost exactly 0.5 at mu=0 sigma=1
     examples = []
     for i in range(n):
-        features = {
-            code: FeatureSamples(code=code, values=np.full(4, offset))
-            for code in FEATURE_CODES
-        }
-        features[planted] = FeatureSamples(code=planted, values=np.zeros(4))
+        features = {code: np.full(4, offset) for code in FEATURE_CODES}
+        features[planted] = np.zeros(4)
         examples.append(TrainingExample(features=features, target=1.0,
                                         label=f"golden-{i}"))
     for i in range(n):
-        features = {
-            code: FeatureSamples(code=code, values=np.full(4, offset))
-            for code in FEATURE_CODES
-        }
-        features[planted] = FeatureSamples(code=planted, values=np.full(4, 10.0))
+        features = {code: np.full(4, offset) for code in FEATURE_CODES}
+        features[planted] = np.full(4, 10.0)
         examples.append(TrainingExample(features=features, target=0.0,
                                         label=f"degraded-{i}"))
     return examples
