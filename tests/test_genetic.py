@@ -1,5 +1,7 @@
 """Genetic optimizer behaviour: convergence, determinism, stopping rules."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,13 @@ def test_bad_bounds_and_decay_errors():
     with pytest.raises(ConfigError):
         ga_optimize(sphere, [(0.0, 1.0)] * 3, GaConfig(population_size=4),
                     initial=np.zeros((1, 4)))
+    for bad in ([np.nan, 0.0, 0.0], [[0.0, np.inf, 0.0]],
+                [[0.0, 0.0, 0.0], [-np.inf, 0.0, 0.0]]):
+        with pytest.raises(ConfigError, match="finite"):
+            ga_optimize(sphere, [(0.0, 1.0)] * 3, GaConfig(population_size=4), initial=bad)
+    with pytest.raises(ConfigError, match=r"\(k, genes\) block, got shape \(2, 2, 3\)"):
+        ga_optimize(sphere, [(0.0, 1.0)] * 3, GaConfig(population_size=4),
+                    initial=np.zeros((2, 2, 3)))
 
 
 def test_result_type_fields():
@@ -294,3 +303,79 @@ def test_population_contract_matches_per_row_evaluation(hook):
     assert batched.stop_reason == rowwise.stop_reason == "plateau"
     assert batched.generations == rowwise.generations
     assert 0 < len(per_row_calls) <= cfg.population_size * rowwise.generations
+
+
+# --- RNG stream pins ---
+# Bitwise results of small runs, recorded before the breeding loop was
+# rewritten: any change to the order, sizes or use of the draws moves them.
+# The fitness has many ties (rounded values) and some inf rows, so the
+# tie-break of tournament selection and elitism is pinned too.
+
+
+def tied_fitness(pop):
+    f = np.round(np.sum((pop - CENTER) ** 2, axis=1)) + 1.0
+    return np.where(pop[:, 1] > 2.0, np.inf, f)
+
+
+PIN_BASE = dict(population_size=7, max_generations=20, elitism_count=2,
+                plateau_generations=100, seed=5)
+
+# name: (config overrides, keyword arguments, sha256 prefix of every block
+#        sent to fitness, best genome bytes, best fitness, history)
+STREAM_PINS = {
+    "odd-children": (
+        {}, {}, "cadc51f71f413360",
+        "32013087c564f63f84440bd42f56d1bf32a7f06bee74fc3f98347d03584707c0", 12.0,
+        [28, 28, 28, 19, 19, 19, 19, 17, 17, 17, 16, 16, 14, 14, 14, 13, 13, 12, 12, 12]),
+    "no-crossover": (
+        {"crossover_rate": 0.0}, {}, "275cf397c2f3ee03",
+        "54bec82850e60240dd36c1b83023f6bf0abb660393300b40a6c8493be63bf5bf", 6.0,
+        [28, 25, 25, 25, 24, 24, 20, 20, 20, 20, 20, 18, 14, 14, 12, 12, 9, 9, 9, 6]),
+    "always-crossover": (
+        {"crossover_rate": 1.0}, {}, "573b3edac6133821",
+        "59f73c1e75dcf83f8d33cc331d93efbfd88c5f477440094038e0bbbb0f24f3bf", 4.0,
+        [28, 28, 28, 27, 27, 26, 26, 21, 20, 20, 19, 18, 17, 17, 17, 17, 17, 9, 4, 4]),
+    "no-mutation": (
+        {"mutation_rate": 0.0}, {}, "287da6fb4b7f6179",
+        "68e9f2136fcae13f16b8c7cfab4802c0e4894a233245fc3f1e8698b4716e11c0", 26.0,
+        [28, 28] + [26] * 18),
+    "always-mutate": (
+        {"mutation_rate": 1.0}, {}, "49432975915983b9",
+        "350cf1e03934f53fa8b0d9f23e9bcd3f32998c1b03000940d21067d25044dc3f", 2.0,
+        [28, 24, 12, 12, 6, 4, 4, 3] + [2] * 12),
+    "no-elitism": (
+        {"elitism_count": 0, "population_size": 8}, {}, "0293aa983a92d787",
+        "68e9f2136fcae13f104f0a52a0b3abbf22746b92f4810040a47aafb19e2806c0", 11.0,
+        [28, 28, 19, 17, 15, 14, 14, 14, 12, 12, 12, 12, 12, 12, 11, 11, 11, 11, 11, 11]),
+    "decay": (
+        {"population_size": 10, "mutation_scale": 0.3}, {"mutation_decay": 0.8},
+        "320612b2cae9677c",
+        "f280583ac78ef03f5ca521ffa03ceabf53354331a9840440f01fd4b448efe13f", 1.0,
+        [28, 12, 7, 7, 6, 6, 5, 4, 3, 2] + [1] * 10),
+    "initial": (
+        {}, {"initial": [[0.0, 0.0, 0.0, 0.0], [9.0, 3.0, 2.0, -9.0], [2.0, -1.0, 3.0, 1.0]]},
+        "e48cb3e59bc34a91",
+        "68e9f2136fcae13f000000000000f0bf0000000000000840000000000000f03f", 2.0,
+        [3, 3] + [2] * 18),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAM_PINS))
+def test_rng_stream_is_pinned(name):
+    overrides, kwargs, digest, genome_hex, best, history = STREAM_PINS[name]
+    sent = hashlib.sha256()
+    inf_rows = []
+
+    def spy(pop):
+        sent.update(pop.tobytes())
+        fits = tied_fitness(pop)
+        inf_rows.append(int(np.isinf(fits).sum()))
+        return fits
+
+    res = ga_optimize(spy, BOUNDS4, GaConfig(**{**PIN_BASE, **overrides}), **kwargs)
+    assert sum(inf_rows) > 0
+    assert sent.hexdigest()[:16] == digest
+    assert res.best_genome.tobytes().hex() == genome_hex
+    assert repr(res.best_fitness) == repr(best)
+    assert res.history == [float(v) for v in history]
+    assert (res.stop_reason, res.generations) == ("max-generations", 20)

@@ -33,7 +33,13 @@ from crowdscore.quality import (
 )
 from crowdscore.simulator import parse_params
 
-from helpers import colliding_crowd, crowd_arrays, random_walk_crowd, straight_crowd
+from helpers import (
+    colliding_crowd,
+    crowd_arrays,
+    crowd_from_positions,
+    random_walk_crowd,
+    straight_crowd,
+)
 
 
 def samples_of(values):
@@ -280,6 +286,28 @@ def test_score_is_invariant_to_agent_order(golden_stats, table_weights):
     assert not np.array_equal(permuted.agent_ids, crowd.agent_ids)
     expected = score(crowd, golden_stats, table_weights).total
     assert abs(score(permuted, golden_stats, table_weights).total - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("shift", [3.7, 1234.5, -2.0])
+def test_shifting_t0_leaves_the_score_unchanged(golden_crowds, golden_stats, shift):
+    from dataclasses import replace
+
+    from crowdscore.trajectory import resample
+
+    canonical = golden_crowds[0]
+    # positions only at dt 0.05 s, so scoring takes the resampling path
+    fine = crowd_from_positions(resample(canonical, 0.05).positions, dt=0.05)
+
+    def same(a, b):
+        return a.total == b.total and a.per_feature_cost == b.per_feature_cost
+
+    for crowd in (canonical, fine):
+        moved = replace(crowd, t0=crowd.t0 + shift)
+        assert same(score(moved, golden_stats), score(crowd, golden_stats))
+    start, stop = 2.5, 9.0
+    moved = replace(canonical, t0=canonical.t0 + shift)
+    assert same(score(moved, golden_stats, window=(start + shift, stop + shift)),
+                score(canonical, golden_stats, window=(start, stop)))
 
 
 def test_score_matches_csv_round_trip(tmp_path, golden_crowds, golden_stats):
