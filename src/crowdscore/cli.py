@@ -418,8 +418,16 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     args.argv_full = argv
     try:
-        args.func(args)
+        # A float overflow, or an inf - inf or 0/0 it leads to, means the
+        # input's values are too large to compute with; underflow is routine
+        # (the Gaussian cost of a far-off sample).
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            args.func(args)
         return 0
+    except FloatingPointError as exc:
+        print(f"crowdscore: data error: values too large to compute with ({exc})",
+              file=sys.stderr)
+        return 2
     except DataError as exc:
         print(f"crowdscore: data error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,10 @@
 """Trajectory CSV format.
 
 Header ``agent_id,t,x,y[,goal_x,goal_y,comfort_speed,radius]``, rows sorted by
-(agent_id, t), t in seconds, coordinates in meters.  Floats are written with
-``repr`` so a load/save round trip is bit-exact.
+(agent_id, t), t in seconds, coordinates in meters.  ``radius`` is the body
+radius; the personal radius is not stored and takes derive_kinematics'
+default, body + 0.2 m.  Floats are written with ``repr`` so a load/save round
+trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ from .trajectory import CANONICAL_DT, CrowdTrajectory, derive_kinematics, valida
 
 REQUIRED_COLUMNS = ("agent_id", "t", "x", "y")
 OPTIONAL_COLUMNS = ("goal_x", "goal_y", "comfort_speed", "radius")
-
-# The single radius column maps to the body disc; the personal disc keeps the
-# default 0.2 m standoff on top of it.
-_PERSONAL_STANDOFF = 0.2
 
 
 # A body that only holds numbers, commas and single newlines.
@@ -164,7 +162,6 @@ def load_trajectory_csv(path) -> CrowdTrajectory:
 
     grid = table.reshape(starts.size, T, len(names))
     first = {name: grid[:, 0, c] for c, name in enumerate(names)}
-    radius = first.get("radius")
     crowd = derive_kinematics(
         grid[:, :, [names.index("x"), names.index("y")]],
         dt,
@@ -172,12 +169,11 @@ def load_trajectory_csv(path) -> CrowdTrajectory:
         agent_ids=ids[starts],
         goals=np.column_stack([first["goal_x"], first["goal_y"]]) if "goal_x" in first else None,
         comfort_speeds=first.get("comfort_speed"),
-        body_radii=radius,
-        personal_radii=None if radius is None else radius + _PERSONAL_STANDOFF,
+        body_radii=first.get("radius"),
     )
-    report = validate(crowd)
-    if not report.ok:
-        raise DataError(f"{path}: {report.violations[0]}")
+    problems = validate(crowd)
+    if problems:
+        raise DataError(f"{path}: {problems[0]}")
     return crowd
 
 

@@ -16,7 +16,7 @@ from .errors import ConfigError, DataError
 from .features import FEATURE_CODES, FundamentalDiagramCurve, extract
 from .genetic import GaConfig, GaResult, ga_optimize
 from .quality import ReferenceStats, WeightVector, cost_vector
-from .trajectory import CrowdTrajectory, derive_kinematics
+from .trajectory import CrowdTrajectory
 
 DEGRADE_MODES = ("no-avoidance", "jitter", "speed-scale", "freeze")
 
@@ -42,16 +42,7 @@ def _rebuild(crowd: CrowdTrajectory, positions: np.ndarray) -> CrowdTrajectory:
     """New crowd with replaced positions; ids, goals, comfort and radii preserved."""
     if not np.isfinite(positions).all():
         raise ValueError("degraded positions are not finite: the damage overflows float64")
-    return derive_kinematics(
-        positions,
-        crowd.dt,
-        t0=crowd.t0,
-        agent_ids=crowd.agent_ids,
-        goals=crowd.goals,
-        comfort_speeds=crowd.comfort_speeds,
-        body_radii=crowd.body_radii,
-        personal_radii=crowd.personal_radii,
-    )
+    return crowd.with_positions(positions, crowd.dt)
 
 
 def degrade(crowd: CrowdTrajectory, mode: str, seed: int = 0, **params) -> CrowdTrajectory:

@@ -9,7 +9,7 @@ by finite differences so that positions-only datasets are first-class input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,8 @@ CANONICAL_DT = 0.1
 EPS_SPEED = 1e-3
 
 DEFAULT_BODY_RADIUS = 0.3  # m, adult shoulder half-width
-DEFAULT_PERSONAL_RADIUS = 0.5  # m
+# Default personal radius = body radius + this standoff (m).
+PERSONAL_STANDOFF = 0.2
 
 # Floor for comfort speeds inferred from data (invariant: comfort_speed > 0).
 _MIN_COMFORT_SPEED = 1e-3
@@ -74,26 +75,19 @@ class CrowdTrajectory:
             t0=self.t0 + start * self.dt,
         )
 
-
-def _position_array(positions) -> tuple[np.ndarray, np.ndarray | None]:
-    """Accept {agent_id: (T,2)}, a sequence of (T,2), or an (N,T,2) array;
-    return an (N,T,2) C-contiguous float64 copy and the mapping's ids."""
-    ids = None
-    if isinstance(positions, dict):
-        ids = list(positions)
-        positions = [positions[i] for i in ids]
-    try:
-        P = np.array(positions, dtype=float, order="C")
-    except ValueError:
-        shapes = sorted({np.shape(p) for p in positions})
-        raise DataError(f"agents have differing position shapes: {shapes}") from None
-    if P.shape[0] == 0:
-        raise DataError("no agents in input")
-    if P.ndim != 3 or P.shape[2] != 2:
-        raise DataError(f"positions must be (T, 2) points per agent, got shape {P.shape}")
-    if P.shape[1] < 2:
-        raise DataError(f"need at least 2 timesteps per agent, got {P.shape[1]}")
-    return P, ids
+    def with_positions(self, positions, dt: float) -> "CrowdTrajectory":
+        """This crowd moved onto new (N, T, 2) positions sampled every ``dt``:
+        kinematics re-derived, t0 and every per-agent array kept."""
+        return derive_kinematics(
+            positions,
+            dt,
+            t0=self.t0,
+            agent_ids=self.agent_ids,
+            goals=self.goals,
+            comfort_speeds=self.comfort_speeds,
+            body_radii=self.body_radii,
+            personal_radii=self.personal_radii,
+        )
 
 
 def _per_agent(values, default, shape) -> np.ndarray:
@@ -112,22 +106,25 @@ def derive_kinematics(
     body_radii=None,
     personal_radii=None,
 ) -> CrowdTrajectory:
-    """Build a CrowdTrajectory from per-agent position sequences.
+    """Build a CrowdTrajectory from an (N, T, 2) array-like of positions.
 
-    ``positions`` may be a mapping agent_id -> (T, 2) points, a sequence of
-    (T, 2) arrays (ids 0..N-1), or an (N, T, 2) array; the crowd keeps its
-    own copy.  Velocities are forward differences (backward at the last
-    step); headings below EPS_SPEED carry the last valid heading forward, and
-    before any motion face the goal.  Omitted per-agent arrays default to:
-    goal = final position, comfort speed = median of the T-1 step speeds
-    (floored at 1e-3), default body and personal radii.
+    The crowd keeps its own float64 copy.  Velocities are forward differences
+    (backward at the last step); headings below EPS_SPEED carry the last
+    valid heading forward, and before any motion face the goal.  Omitted
+    per-agent arrays default to: ids 0..N-1, goal = final position, comfort
+    speed = median of the T-1 step speeds (floored at 1e-3), body radius
+    DEFAULT_BODY_RADIUS, personal radius = body radius + PERSONAL_STANDOFF.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    P, keys = _position_array(positions)
+    P = np.array(positions, dtype=float, order="C")
+    if P.ndim != 3 or P.shape[2] != 2:
+        raise DataError(f"positions must be an (N, T, 2) array, got shape {P.shape}")
     N, T = P.shape[:2]
-    if agent_ids is None:
-        agent_ids = keys if keys is not None else np.arange(N)
+    if N == 0:
+        raise DataError("no agents in input")
+    if T < 2:
+        raise DataError(f"need at least 2 timesteps per agent, got {T}")
     goals = _per_agent(goals, P[:, -1], (N, 2))
 
     step = np.diff(P, axis=1)
@@ -147,16 +144,17 @@ def derive_kinematics(
     carried = np.take_along_axis(raw, np.maximum(last_valid, 0), axis=1)
     heading = np.where(last_valid >= 0, carried, init[:, None])
 
+    body_radii = _per_agent(body_radii, DEFAULT_BODY_RADIUS, (N,))
     return CrowdTrajectory(
         positions=P,
         velocities=vel,
         speeds=speed,
         headings=heading,
-        agent_ids=np.array(agent_ids),
+        agent_ids=np.arange(N) if agent_ids is None else np.array(agent_ids),
         goals=goals,
         comfort_speeds=_per_agent(comfort_speeds, None, (N,)),
-        body_radii=_per_agent(body_radii, DEFAULT_BODY_RADIUS, (N,)),
-        personal_radii=_per_agent(personal_radii, DEFAULT_PERSONAL_RADIUS, (N,)),
+        body_radii=body_radii,
+        personal_radii=_per_agent(personal_radii, body_radii + PERSONAL_STANDOFF, (N,)),
         dt=dt,
         t0=t0,
     )
@@ -184,16 +182,7 @@ def resample(crowd: CrowdTrajectory, dt_out: float) -> CrowdTrajectory:
     out = slope * (t_new - t_old[lo])[:, None] + P[:, lo]
     hit = (j == T - 1) | (t_new == t_old[j])
     out[:, hit] = P[:, j[hit]]
-    return derive_kinematics(
-        out,
-        dt_out,
-        t0=crowd.t0,
-        agent_ids=crowd.agent_ids,
-        goals=crowd.goals,
-        comfort_speeds=crowd.comfort_speeds,
-        body_radii=crowd.body_radii,
-        personal_radii=crowd.personal_radii,
-    )
+    return crowd.with_positions(out, dt_out)
 
 
 def to_canonical(crowd: CrowdTrajectory) -> CrowdTrajectory:
@@ -203,28 +192,14 @@ def to_canonical(crowd: CrowdTrajectory) -> CrowdTrajectory:
     return resample(crowd, CANONICAL_DT)
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of validate(); empty violation list means all invariants hold."""
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate(crowd: CrowdTrajectory) -> ValidationReport:
-    """Check the data-model invariants and report every violation found."""
-    report = ValidationReport()
-    add = report.violations.append
+def validate(crowd: CrowdTrajectory) -> list[str]:
+    """Every data-model invariant the crowd breaks; empty when it is valid."""
+    problems = []
+    add = problems.append
 
     if crowd.n_agents < 1:
         add("crowd has no agents")
-        return report
+        return problems
     if crowd.dt <= 0:
         add(f"dt must be positive, got {crowd.dt}")
 
@@ -232,7 +207,7 @@ def validate(crowd: CrowdTrajectory) -> ValidationReport:
     lengths = {a.shape[1] for a in per_step}
     if len(lengths) > 1:
         add(f"ragged state lists: step counts {sorted(lengths)}")
-        return report
+        return problems
     if 0 in lengths:
         add("character with empty state list")
 
@@ -266,4 +241,4 @@ def validate(crowd: CrowdTrajectory) -> ValidationReport:
         np.abs(np.hypot(V[..., 0], V[..., 1]) - crowd.speeds) > 1e-6,
         "speed differs from |velocity|",
     )
-    return report
+    return problems

@@ -4,7 +4,7 @@ Crowd fixtures are built from position arrays through derive_kinematics so the
 tests exercise the same ingestion path as CSV loading.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -55,11 +55,8 @@ def rigid_transform(crowd, angle, shift):
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, -s], [s, c]])
     shift = np.asarray(shift, dtype=float)
-    return derive_kinematics(
-        crowd.positions @ rot.T + shift, crowd.dt, t0=crowd.t0,
-        agent_ids=crowd.agent_ids, goals=crowd.goals @ rot.T + shift,
-        comfort_speeds=crowd.comfort_speeds, body_radii=crowd.body_radii,
-        personal_radii=crowd.personal_radii)
+    moved = replace(crowd, goals=crowd.goals @ rot.T + shift)
+    return moved.with_positions(crowd.positions @ rot.T + shift, crowd.dt)
 
 
 def colliding_crowd(n_agents=8, seed=4):

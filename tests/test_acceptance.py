@@ -148,6 +148,7 @@ def test_golden_outscores_degraded(acceptance_log, golden_crowds,
     recipes = (("no-avoidance", {}), ("jitter", {}),
                ("speed-scale", {"factor": 2.0}))
     margins = []
+    per_recipe = {mode: [] for mode, _ in recipes}  # s_gold - s_deg per crowd
     pointwise_ok = True
     for crowd in heldout_crowds:
         s_gold = score(crowd, golden_stats, table_weights,
@@ -157,14 +158,18 @@ def test_golden_outscores_degraded(acceptance_log, golden_crowds,
             s_deg = score(degrade(crowd, mode, seed=7, **kwargs), golden_stats,
                           table_weights, window=GOLDEN_WINDOW).total
             damaged.append(s_deg)
+            per_recipe[mode].append(s_gold - s_deg)
             pointwise_ok = pointwise_ok and s_gold > s_deg
         margins.append(s_gold - float(np.mean(damaged)))
     elapsed = time.perf_counter() - t0
     ok = (col_max == 0.0 and pointwise_ok and min(margins) >= 0.15
           and elapsed < 300.0)
+    recipe_ranges = ", ".join(f"{mode} {min(m):+.3f}..{max(m):+.3f}"
+                              for mode, m in per_recipe.items())
     acceptance_log("golden-vs-degraded", ok,
                    "margins " + " ".join(f"{m:+.3f}" for m in margins)
-                   + f" (need >= +0.150), contact max {col_max:g}, {elapsed:.1f}s")
+                   + f" (need >= +0.150; per recipe {recipe_ranges}), "
+                   f"contact max {col_max:g}, {elapsed:.1f}s")
 
 
 def test_training_concentrates_weight(acceptance_log):

@@ -1,10 +1,12 @@
 """End-to-end command-line runs: exit codes, outputs, reproducibility."""
 
 import csv
+import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,13 +59,18 @@ def test_threads_below_one_is_a_usage_error(tmp_path, workspace, capsys, threads
     assert not (tmp_path / "b.csv").exists()
 
 
-def test_non_finite_trajectory_exits_2(tmp_path, workspace, capsys):
+def _sample_with_x(workspace, path, value):
+    """The workspace sample with the x of one row replaced by ``value``."""
     lines = workspace["sample"].read_text().splitlines()
     fields = lines[5].split(",")
-    fields[2] = "nan"  # the x column
+    fields[2] = value  # the x column
     lines[5] = ",".join(fields)
-    bad = tmp_path / "nan.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_non_finite_trajectory_exits_2(tmp_path, workspace, capsys):
+    bad = _sample_with_x(workspace, tmp_path / "nan.csv", "nan")
     assert run(["score", "--trajectory", str(bad), "--stats", str(workspace["stats"]),
                 "--breakdown", str(tmp_path / "b.csv")]) == 2
     captured = capsys.readouterr()
@@ -164,6 +171,95 @@ def test_overflowing_values_exit_cleanly(tmp_path, workspace, capsys, argv, code
     assert kind in err and message in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["1e200", "7.7e139"])
+def test_overflowing_trajectory_value_exits_2(tmp_path, workspace, capsys, value):
+    # finite in the file, but squared or differenced it overflows float64
+    bad = _sample_with_x(workspace, tmp_path / "big.csv", value)
+    assert run(["score", "--trajectory", str(bad), "--stats", str(workspace["stats"]),
+                "--breakdown", str(tmp_path / "b.csv")]) == 2
+    captured = capsys.readouterr()
+    assert "data error: values too large to compute with" in captured.err
+    assert "Traceback" not in captured.err and "S_QF" not in captured.out
+    assert not (tmp_path / "b.csv").exists()
+
+
+def _small_csv(flavour):
+    """Three walkers over 1.2 s: full columns at dt 0.1 or positions at dt 0.05."""
+    dt = 0.1 if flavour == "full" else 0.05
+    steps = round(1.2 / dt) + 1
+    header = ["agent_id", "t", "x", "y"]
+    if flavour == "full":
+        header += ["goal_x", "goal_y", "comfort_speed", "radius"]
+    rows = [",".join(header)]
+    for a in range(3):
+        for k in range(steps):
+            t = k * dt
+            row = [str(a + 1), repr(t), repr(1.3 * t - 2.0 + 0.1 * a), repr(1.5 * a - 0.02 * t)]
+            if flavour == "full":
+                row += ["4.0", repr(1.5 * a), "1.3", "0.27"]
+            rows.append(",".join(row))
+    return ("\n".join(rows) + "\n").encode()
+
+
+_FUZZ_BYTES = b"0123456789.-+eE,\n \tnaif\x00\xff"
+
+
+def _mutate(data, rng):
+    """One to three seeded byte edits: replace, delete, insert, digit -> e,
+    or drop a line."""
+    b = bytearray(data)
+    for _ in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(5))
+        k = int(rng.integers(len(b))) if b else 0
+        if kind == 0 and b:
+            b[k] = _FUZZ_BYTES[rng.integers(len(_FUZZ_BYTES))]
+        elif kind == 1 and b:
+            del b[k]
+        elif kind == 2:
+            b.insert(k, _FUZZ_BYTES[rng.integers(len(_FUZZ_BYTES))])
+        elif kind == 3:
+            digits = [i for i, c in enumerate(b) if 48 <= c <= 57]
+            if digits:
+                b[digits[int(rng.integers(len(digits)))]] = ord("e")
+        else:
+            lines = bytes(b).split(b"\n")
+            del lines[int(rng.integers(len(lines)))]
+            b = bytearray(b"\n".join(lines))
+    return bytes(b)
+
+
+@pytest.mark.parametrize("flavour", ["full", "positions"])
+def test_mutated_csv_scores_or_exits_2(tmp_path, workspace, capsys, flavour):
+    """Every mutation ends in a finite score in [0, 1] with a clean stderr, or
+    in exit 2 with a data error: never a traceback, a warning or another code."""
+    rng = np.random.default_rng(["full", "positions"].index(flavour))
+    valid = _small_csv(flavour)
+    path, breakdown = tmp_path / "m.csv", tmp_path / "b.csv"
+    argv = ["score", "--trajectory", str(path), "--stats", str(workspace["stats"]),
+            "--breakdown", str(breakdown)]
+    path.write_bytes(valid)
+    assert run(argv) == 0
+    capsys.readouterr()
+    outcomes = []
+    for _ in range(150):
+        data = _mutate(valid, rng)
+        # unlink first: replacing an existing file can stall on its flush
+        for stale in (path, breakdown):
+            stale.unlink(missing_ok=True)
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        out, err = capsys.readouterr()
+        if code == 0:
+            value = float(out.split("S_QF=")[1])
+            assert math.isfinite(value) and 0.0 <= value <= 1.0 and err == "", data
+        else:
+            assert code == 2 and err.startswith("crowdscore: data error: "), (data, err)
+        outcomes.append(code)
+    assert 0 in outcomes and 2 in outcomes  # the mutations reach both ends
 
 
 def test_simulate_writes_trajectory_and_manifest(tmp_path, workspace):

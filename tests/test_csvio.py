@@ -7,10 +7,11 @@ import pytest
 from crowdscore import csvio
 from crowdscore.csvio import load_trajectory_csv, save_trajectory_csv
 from crowdscore.errors import DataError
+from crowdscore.features import FEATURE_CODES, extract
 from crowdscore.simulator import Scenario, simulate
 from crowdscore.trajectory import derive_kinematics
 
-from helpers import crowd_arrays, straight_crowd
+from helpers import colliding_crowd, crowd_arrays, crowd_from_positions, straight_crowd
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -33,9 +34,27 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_round_trip_keeps_default_personal_radii_and_features(tmp_path):
+    # 0.25 m bodies: the default personal radius is body + 0.2 m both when the
+    # crowd is built and when it is read back from its radius column.
+    source = colliding_crowd()
+    crowd = crowd_from_positions(source.positions, goals=source.goals,
+                                 comfort_speeds=source.comfort_speeds, body_radii=0.25)
+    path = tmp_path / "c.csv"
+    save_trajectory_csv(crowd, path)
+    back = load_trajectory_csv(path)
+
+    assert np.array_equal(back.personal_radii, crowd.personal_radii)
+    before, after = extract(crowd), extract(back)
+    assert before["OVP"].max() > 0.0  # the personal discs overlap somewhere
+    for code in FEATURE_CODES:
+        assert np.array_equal(after[code], before[code]), code
+
+
 def test_save_writes_agents_in_id_order_with_repr_floats(tmp_path):
-    crowd = derive_kinematics({5: [[0.1, 0.2], [0.3, 0.4]], 2: [[1 / 3, 0.0], [2 / 3, 0.0]]},
-                              0.1, t0=0.7, comfort_speeds=[1.25, 1.5], body_radii=[0.25, 0.2])
+    crowd = derive_kinematics([[[0.1, 0.2], [0.3, 0.4]], [[1 / 3, 0.0], [2 / 3, 0.0]]],
+                              0.1, t0=0.7, agent_ids=[5, 2], comfort_speeds=[1.25, 1.5],
+                              body_radii=[0.25, 0.2])
     path = tmp_path / "c.csv"
     save_trajectory_csv(crowd, path)
 

@@ -71,16 +71,39 @@ def test_defaults_goal_final_position_comfort_median_speed():
 
 
 def test_derive_kinematics_input_errors():
-    with pytest.raises(DataError):
-        derive_kinematics([], 0.1)
-    with pytest.raises(DataError):
-        derive_kinematics([np.zeros((5, 2)), np.zeros((6, 2))], 0.1)
-    with pytest.raises(DataError):
-        derive_kinematics([np.zeros((1, 2))], 0.1)
-    with pytest.raises(DataError):
-        derive_kinematics([np.zeros((5, 3))], 0.1)
+    with pytest.raises(DataError, match="no agents"):
+        derive_kinematics(np.zeros((0, 5, 2)), 0.1)
+    with pytest.raises(DataError, match=r"\(N, T, 2\)"):
+        derive_kinematics(np.zeros((5, 2)), 0.1)  # one agent without its agent axis
+    with pytest.raises(DataError, match="at least 2 timesteps"):
+        derive_kinematics(np.zeros((1, 1, 2)), 0.1)
+    with pytest.raises(DataError, match=r"\(N, T, 2\)"):
+        derive_kinematics(np.zeros((1, 5, 3)), 0.1)
     with pytest.raises(ValueError):
-        derive_kinematics([np.zeros((5, 2))], 0.0)
+        derive_kinematics(np.zeros((1, 5, 2)), 0.0)
+
+
+def test_personal_radius_defaults_to_body_plus_standoff():
+    pos = np.zeros((3, 4, 2))
+    crowd = crowd_from_positions(pos, body_radii=[0.25, 0.3, 0.4])
+    assert crowd.personal_radii.tolist() == [0.25 + 0.2, 0.3 + 0.2, 0.4 + 0.2]
+    assert crowd_from_positions(pos).personal_radii.tolist() == [0.5] * 3
+    given = crowd_from_positions(pos, body_radii=0.25, personal_radii=0.9)
+    assert given.personal_radii.tolist() == [0.9] * 3
+
+
+def test_with_positions_keeps_t0_and_per_agent_arrays():
+    crowd = crowd_from_positions(random_walk_crowd(2, n_agents=3).positions, t0=4.5,
+                                 agent_ids=[7, 3, 9], goals=np.ones((3, 2)),
+                                 comfort_speeds=[1.1, 1.2, 1.3], body_radii=0.25,
+                                 personal_radii=[0.6, 0.7, 0.8])
+    moved = crowd.with_positions(crowd.positions[:, ::2] + 1.0, 0.2)
+    assert (moved.t0, moved.dt, moved.n_steps) == (4.5, 0.2, 20)
+    for name in ("agent_ids", "goals", "comfort_speeds", "body_radii", "personal_radii"):
+        assert np.array_equal(getattr(moved, name), getattr(crowd, name)), name
+    expected = derive_kinematics(crowd.positions[:, ::2] + 1.0, 0.2, goals=crowd.goals)
+    assert np.array_equal(moved.velocities, expected.velocities)
+    assert np.array_equal(moved.headings, expected.headings)
 
 
 def test_window_slices_states_and_shifts_t0():
@@ -132,25 +155,23 @@ def test_to_canonical_is_identity_on_canonical_grid():
 
 def test_validate_reports_violations():
     crowd = straight_crowd(steps=8)
-    assert validate(crowd).ok
+    assert validate(crowd) == []
 
-    bad = crowd_from_positions(np.zeros((2, 8, 2)) * np.array([1.0]), dt=0.1)
+    bad = crowd_from_positions(np.zeros((2, 8, 2)), dt=0.1)
     bad.positions[0, 3, 0] = np.nan
-    report = validate(bad)
-    assert not report.ok
-    assert any("non-finite position at timestep 3" in v for v in report.violations)
+    assert validate(bad) == ["agent 0: non-finite position at timestep 3"]
 
     dup = crowd_from_positions(np.zeros((2, 8, 2)), dt=0.1)
     dup.agent_ids[1] = 0
-    assert any("duplicate agent_id" in v for v in validate(dup).violations)
+    assert any("duplicate agent_id" in v for v in validate(dup))
 
     shrunk = crowd_from_positions(np.zeros((1, 8, 2)), dt=0.1)
     shrunk.body_radii[0], shrunk.personal_radii[0] = 0.4, 0.2
-    assert any("personal_radius" in v for v in validate(shrunk).violations)
+    assert any("personal_radius" in v for v in validate(shrunk))
 
     forged = straight_crowd(steps=8)
     forged.speeds[0, 2] += 0.5
-    assert any("differs from |velocity|" in v for v in validate(forged).violations)
+    assert any("differs from |velocity|" in v for v in validate(forged))
 
 
 def test_operations_leave_the_input_crowd_unchanged():
