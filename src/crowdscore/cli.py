@@ -13,6 +13,7 @@ import argparse
 import csv
 import shlex
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .csvio import load_trajectory_csv, save_trajectory_csv
 from .errors import ConfigError, DataError
 from .features import FD_BIN_WIDTH, FEATURE_CODES, GRANULARITY, extract
 from .genetic import GaConfig
-from .keyvalue import format_keyvalue
+from .keyvalue import format_keyvalue, open_output
 from .quality import (
     default_weights,
     fit_reference_from_crowds,
@@ -223,7 +224,7 @@ def build_parser() -> _Parser:
 
 
 def _write_manifest(args, primary_out) -> None:
-    path = Path(args.manifest) if args.manifest else Path(f"{primary_out}.manifest.txt")
+    path = args.manifest or f"{primary_out}.manifest.txt"
     items = [
         ("subcommand", args.command),
         ("argv", shlex.join(args.argv_full)),
@@ -238,11 +239,12 @@ def _write_manifest(args, primary_out) -> None:
         if value is None:
             continue
         items.append((f"flag.{key.replace('_', '-')}", str(value)))
-    path.write_text(format_keyvalue(items), encoding="utf-8")
+    with open_output(path) as fh:
+        fh.write(format_keyvalue(items))
 
 
 def _write_history_csv(path, column: str, values) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["generation", column])
         for gen, value in enumerate(values):
@@ -315,7 +317,7 @@ def _cmd_score(args) -> None:
     quality = score(crowd, stats, weights, window=window)
 
     breakdown = args.breakdown or f"{args.trajectory}.breakdown.csv"
-    with open(breakdown, "w", newline="") as fh:
+    with open_output(breakdown) as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "cost", "weight", "contribution"])
         for code in FEATURE_CODES:
@@ -337,23 +339,22 @@ def _cmd_features(args) -> None:
     sample_map = extract(crowd, curve)
 
     out = args.out or f"{args.trajectory}.features.csv"
-    times = crowd.times()
-    ids = crowd.agent_ids.tolist()
-    with open(out, "w", newline="") as fh:
+    ids, times = crowd.agent_ids, crowd.times()
+    # The agent and time columns of each granularity, in the agent-major
+    # order of the raveled samples; "" where the granularity has no such axis.
+    columns = {
+        "per-agent-time": (np.repeat(ids, len(times)).tolist(),
+                           list(map(repr, np.tile(times, len(ids)).tolist()))),
+        "per-agent": (ids.tolist(), repeat("")),
+        "per-time": (repeat(""), list(map(repr, times.tolist()))),
+    }
+    with open_output(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "agent_id", "t", "value"])
         for code in FEATURE_CODES:
-            values = sample_map[code]
-            if GRANULARITY[code] == "per-agent-time":
-                for i, aid in enumerate(ids):
-                    for k, t in enumerate(times):
-                        writer.writerow([code, aid, repr(float(t)), repr(float(values[i, k]))])
-            elif GRANULARITY[code] == "per-agent":
-                for i, aid in enumerate(ids):
-                    writer.writerow([code, aid, "", repr(float(values[i]))])
-            else:
-                for k, t in enumerate(times):
-                    writer.writerow([code, "", repr(float(t)), repr(float(values[k]))])
+            agent_col, time_col = columns[GRANULARITY[code]]
+            values = sample_map[code].ravel().tolist()
+            writer.writerows(zip(repeat(code), agent_col, time_col, map(repr, values)))
     _write_manifest(args, out)
 
 

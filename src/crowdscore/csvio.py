@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .keyvalue import open_output
 from .trajectory import CANONICAL_DT, CrowdTrajectory, derive_kinematics, validate
 
 REQUIRED_COLUMNS = ("agent_id", "t", "x", "y")
@@ -186,7 +187,7 @@ def save_trajectory_csv(crowd: CrowdTrajectory, path) -> None:
                  crowd.comfort_speeds[order], crowd.body_radii[order])
     columns = [np.tile(crowd.times(), N), P[..., 0].ravel(), P[..., 1].ravel()]
     columns += [np.repeat(v, T) for v in per_agent]
-    with Path(path).open("w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(REQUIRED_COLUMNS) + list(OPTIONAL_COLUMNS))
         writer.writerows(

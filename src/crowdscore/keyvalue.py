@@ -1,15 +1,50 @@
-"""Line-oriented key-value text files.
+"""Line-oriented key-value text files, and the one way outputs are written.
 
 Grammar shared by the stats/weights files and the simulator parameter file:
 one ``key = value`` per line, ``#`` starts a comment, blank lines ignored.
 Callers validate the key set; this module only handles the syntax.
+``open_output`` opens every file the package writes.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
+from contextlib import contextmanager
 
 from .errors import DataError
+
+
+@contextmanager
+def open_output(path):
+    """Open ``path`` as a UTF-8 text file for writing, rewriting it in place.
+
+    The file is opened without ``O_TRUNC`` and cut to the written length on
+    exit: ext4 flushes a file truncated to zero (or renamed over) when it is
+    closed, which stalls each rewrite for tens of milliseconds.  Like
+    ``open(path, "w")`` this keeps the inode, so a symlink is written through
+    and the mode is kept.  ``newline=""`` lets ``csv.writer`` stream into it.
+    If the block or the final flush raises, a regular file is truncated to
+    zero before the error propagates, so no new bytes are left over an old
+    tail.  Devices and pipes are never truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="", closefd=False) as fh:
+                yield fh
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+            if os.fstat(fd).st_size > end:
+                os.ftruncate(fd, end)
+    finally:
+        os.close(fd)
 
 
 def parse_keyvalue(text: str, source: str = "<string>") -> dict[str, str]:

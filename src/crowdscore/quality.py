@@ -22,7 +22,7 @@ from .features import (
     fd_gap,
     fundamental_diagram_curve,
 )
-from .keyvalue import format_keyvalue, parse_float, parse_keyvalue
+from .keyvalue import format_keyvalue, open_output, parse_float, parse_keyvalue
 from .trajectory import CrowdTrajectory, to_canonical
 
 SIGMA_FLOOR = 1e-3  # feature units, keeps the Gaussian denominator sane
@@ -264,7 +264,7 @@ def load_reference_stats(path) -> ReferenceStats:
 
 
 def save_reference_stats(stats: ReferenceStats, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(format_reference_stats(stats))
 
 
@@ -294,7 +294,7 @@ def load_weights(path) -> WeightVector:
 
 
 def save_weights(weights: WeightVector, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(format_weights(weights))
 
 

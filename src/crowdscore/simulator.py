@@ -17,7 +17,7 @@ import numpy as np
 
 from . import features
 from .errors import ConfigError, DataError
-from .keyvalue import format_keyvalue, parse_float, parse_keyvalue
+from .keyvalue import format_keyvalue, open_output, parse_float, parse_keyvalue
 from .trajectory import CANONICAL_DT, DEFAULT_BODY_RADIUS, CrowdTrajectory, derive_kinematics
 
 GOAL_RADIUS = 0.3  # m, agents inside hold position
@@ -387,5 +387,5 @@ def load_params(path) -> SocialForcesParams:
 
 
 def save_params(params: SocialForcesParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(format_params(params))

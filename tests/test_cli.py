@@ -417,6 +417,74 @@ def test_tune_cli_smoke(tmp_path, workspace, capsys):
     load_trajectory_csv(tmp_path / "params.txt.best.csv")
 
 
+# --- output files ---
+
+
+def _score_argv(workspace, breakdown, *extra):
+    return ["score", "--trajectory", str(workspace["sample"]),
+            "--stats", str(workspace["stats"]), "--breakdown", str(breakdown), *extra]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory", "disk full"])
+def test_unwritable_output_exits_2_naming_it(tmp_path, workspace, capsys, where):
+    if where == "disk full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    out = {"missing directory": tmp_path / "missing" / "b.csv",
+           "a directory": tmp_path,
+           "disk full": Path("/dev/full")}[where]
+    assert run(_score_argv(workspace, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("crowdscore: data error: ")
+    assert ("No space left on device" if where == "disk full" else str(out)) in err
+
+
+def test_symlinked_breakdown_is_written_through(tmp_path, workspace):
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"stale\n" * 1000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert run(_score_argv(workspace, link)) == 0
+    assert link.is_symlink()
+    fresh = tmp_path / "fresh.csv"
+    assert run(_score_argv(workspace, fresh)) == 0
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_manifest_to_dev_null_exits_0(tmp_path, workspace):
+    assert run(_score_argv(workspace, tmp_path / "b.csv", "--manifest", os.devnull)) == 0
+    assert (tmp_path / "b.csv").stat().st_size > 0
+
+
+def _output_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["score", "train", "tune"])
+def test_outputs_do_not_depend_on_existing_files(tmp_path, workspace, capsys, command):
+    """A rerun over longer stale outputs, and over the call's own outputs,
+    writes the same bytes as a call into fresh paths."""
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "score": _score_argv(workspace, out / "b.csv"),
+        "train": ["train-weights", "--golden", str(workspace["golden"]), "--auto-degrade",
+                  "--stats", str(workspace["stats"]), "--population", "6",
+                  "--generations", "3", "--out", str(out / "w.txt")],
+        "tune": ["tune", "--kind", "circle", "--agents", "4", "--radius", "3.0",
+                 "--duration", "2.0", "--stats", str(workspace["stats"]),
+                 "--population", "4", "--generations", "2", "--out", str(out / "p.txt")],
+    }[command] + ["--seed", "0"]
+    assert run(argv) == 0
+    fresh = _output_bytes(out)
+    assert len(fresh) >= 2
+    assert run(argv) == 0
+    assert _output_bytes(out) == fresh
+    for name, data in fresh.items():
+        (out / name).write_bytes(b"#" * (len(data) + 4096))
+    assert run(argv) == 0
+    assert _output_bytes(out) == fresh
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
