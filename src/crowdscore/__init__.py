@@ -29,7 +29,7 @@ from .quality import (
 )
 from .csvio import load_trajectory_csv, save_trajectory_csv
 from .simulator import Scenario, SocialForcesParams, make_scenario, simulate
-from .training import TrainingExample, build_training_set, check_correlations, degrade, train_weights
+from .training import build_training_set, check_correlations, degrade, train_weights
 from .trajectory import (
     CrowdTrajectory,
     derive_kinematics,
@@ -69,7 +69,6 @@ __all__ = [
     "SocialForcesParams",
     "make_scenario",
     "simulate",
-    "TrainingExample",
     "build_training_set",
     "check_correlations",
     "degrade",

@@ -297,11 +297,9 @@ def _cmd_train_weights(args) -> None:
             "(training on golden data alone collapses to all-zero weights)"
         )
 
-    examples = build_training_set(golden, degraded, stats.fd_curve)
-    initial = load_weights(args.initial_weights) if args.initial_weights else None
-    weights, result = train_weights(
-        examples, stats, _ga_config(args), initial=initial
-    )
+    costs, targets = build_training_set(golden, degraded, stats)
+    initial = load_weights(args.initial_weights).vector() if args.initial_weights else None
+    weights, result = train_weights(costs, targets, _ga_config(args), initial=initial)
     save_weights(weights, args.out)
     history_path = args.history or f"{args.out}.history.csv"
     _write_history_csv(history_path, "best_fitness", result.history)
@@ -360,15 +358,9 @@ def _cmd_features(args) -> None:
 
 def _cmd_degrade(args) -> None:
     crowd = load_trajectory_csv(args.trajectory)
-    extras = {}
-    if args.amplitude is not None:
-        extras["amplitude"] = args.amplitude
-    if args.factor is not None:
-        extras["factor"] = args.factor
-    if args.fraction is not None:
-        extras["fraction"] = args.fraction
     try:
-        damaged = degrade(crowd, args.mode, seed=args.seed, **extras)
+        damaged = degrade(crowd, args.mode, seed=args.seed, amplitude=args.amplitude,
+                          factor=args.factor, fraction=args.fraction)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     save_trajectory_csv(damaged, args.out)

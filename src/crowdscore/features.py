@@ -128,9 +128,11 @@ def fundamental_diagram_curve(
     reference, bin_width: float = FD_BIN_WIDTH
 ) -> FundamentalDiagramCurve:
     """Fit the piecewise-constant curve from (density, speed) pairs."""
-    pairs = np.asarray(list(reference), dtype=float)
+    pairs = np.asarray(reference, dtype=float)
     if pairs.size == 0:
         raise ValueError("reference list of (density, speed) pairs is empty")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"reference must be (M, 2) density/speed pairs, got shape {pairs.shape}")
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
     if not np.all(pairs[:, 0] < 2.0**53 * bin_width):  # bin indices must be exact integers

@@ -1,8 +1,9 @@
 """Labeled training sets and weight training.
 
-Golden crowds are targets of 1.0; degraded variants carry 0 (or an explicit
-score).  Weights are trained by minimizing the mean absolute error between
-targets and the quality score over the 21-dimensional weight box.
+A training set is a (k, 21) matrix of feature costs and k target scores:
+golden crowds are targets of 1.0, degraded variants carry 0.  Weights are
+trained by minimizing the mean absolute error between targets and the quality
+score over the 21-dimensional weight box.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import FEATURE_CODES, FundamentalDiagramCurve, extract
+from .features import FEATURE_CODES, extract
 from .genetic import GaConfig, GaResult, ga_optimize
 from .quality import ReferenceStats, WeightVector, cost_vector
 from .trajectory import CrowdTrajectory
@@ -25,19 +26,6 @@ SPEED_SCALE_FACTOR = 3.0  # default multiplier, far outside the walkable range
 FREEZE_FRACTION = 0.5  # default share of agents stopped mid-trajectory
 
 
-@dataclass
-class TrainingExample:
-    """Pre-extracted features of one crowd with its target quality score."""
-
-    features: dict[str, np.ndarray]
-    target: float
-    label: str
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.target <= 1.0:
-            raise ValueError(f"target must be in [0,1], got {self.target}")
-
-
 def _rebuild(crowd: CrowdTrajectory, positions: np.ndarray) -> CrowdTrajectory:
     """New crowd with replaced positions; ids, goals, comfort and radii preserved."""
     if not np.isfinite(positions).all():
@@ -45,20 +33,35 @@ def _rebuild(crowd: CrowdTrajectory, positions: np.ndarray) -> CrowdTrajectory:
     return crowd.with_positions(positions, crowd.dt)
 
 
-def degrade(crowd: CrowdTrajectory, mode: str, seed: int = 0, **params) -> CrowdTrajectory:
+def degrade(
+    crowd: CrowdTrajectory,
+    mode: str,
+    seed: int = 0,
+    *,
+    amplitude: float | None = None,
+    factor: float | None = None,
+    fraction: float | None = None,
+) -> CrowdTrajectory:
     """Deliberately damaged copy of a crowd (same N, T, dt, starts, goals).
 
     Modes: ``no-avoidance`` re-walks every agent straight to its goal at
     comfort speed; ``jitter`` adds per-step heading noise (``amplitude`` rad);
     ``speed-scale`` multiplies all speeds by ``factor``; ``freeze`` stops a
-    ``fraction`` of agents mid-trajectory.
+    ``fraction`` of agents mid-trajectory.  A parameter left at None takes its
+    mode's default; one given to another mode is rejected.
     """
+    if mode not in DEGRADE_MODES:
+        raise ValueError(f"unknown degrade mode {mode!r}, expected one of {DEGRADE_MODES}")
+    own = {"jitter": "amplitude", "speed-scale": "factor", "freeze": "fraction"}.get(mode)
+    given = {"amplitude": amplitude, "factor": factor, "fraction": fraction}
+    unexpected = [name for name, value in given.items() if value is not None and name != own]
+    if unexpected:
+        raise ValueError(f"degrade mode {mode!r} got unexpected parameters {unexpected}")
     P = crowd.positions
     N, T = crowd.n_agents, crowd.n_steps
     rng = np.random.default_rng(seed)
 
     if mode == "no-avoidance":
-        _reject_params(mode, params, ())
         start = P[:, 0, :]
         goals = crowd.goals
         delta = goals - start
@@ -70,8 +73,7 @@ def degrade(crowd: CrowdTrajectory, mode: str, seed: int = 0, **params) -> Crowd
         return _rebuild(crowd, positions)
 
     if mode == "jitter":
-        amplitude = float(params.pop("amplitude", JITTER_AMPLITUDE))
-        _reject_params(mode, params, ())
+        amplitude = JITTER_AMPLITUDE if amplitude is None else float(amplitude)
         if not math.isfinite(amplitude):
             raise ValueError(f"jitter amplitude must be finite, got {amplitude}")
         if amplitude == 0.0:
@@ -88,8 +90,7 @@ def degrade(crowd: CrowdTrajectory, mode: str, seed: int = 0, **params) -> Crowd
         return _rebuild(crowd, positions)
 
     if mode == "speed-scale":
-        factor = float(params.pop("factor", SPEED_SCALE_FACTOR))
-        _reject_params(mode, params, ())
+        factor = SPEED_SCALE_FACTOR if factor is None else float(factor)
         if not math.isfinite(factor):
             raise ValueError(f"speed-scale factor must be finite, got {factor}")
         start = P[:, :1, :]
@@ -97,58 +98,33 @@ def degrade(crowd: CrowdTrajectory, mode: str, seed: int = 0, **params) -> Crowd
             positions = start + factor * (P - start)
         return _rebuild(crowd, positions)
 
-    if mode == "freeze":
-        fraction = float(params.pop("fraction", FREEZE_FRACTION))
-        _reject_params(mode, params, ())
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"freeze fraction must be in [0,1], got {fraction}")
-        n_frozen = int(round(fraction * N))
-        chosen = rng.choice(N, size=n_frozen, replace=False)
-        positions = P.copy()
-        for agent in sorted(chosen):
-            t_stop = int(rng.integers(T // 4, max(T // 4 + 1, 3 * T // 4)))
-            positions[agent, t_stop:, :] = positions[agent, t_stop, :]
-        return _rebuild(crowd, positions)
-
-    raise ValueError(f"unknown degrade mode {mode!r}, expected one of {DEGRADE_MODES}")
+    # mode == "freeze"
+    fraction = FREEZE_FRACTION if fraction is None else float(fraction)
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"freeze fraction must be in [0,1], got {fraction}")
+    n_frozen = int(round(fraction * N))
+    chosen = rng.choice(N, size=n_frozen, replace=False)
+    positions = P.copy()
+    for agent in sorted(chosen):
+        t_stop = int(rng.integers(T // 4, max(T // 4 + 1, 3 * T // 4)))
+        positions[agent, t_stop:, :] = positions[agent, t_stop, :]
+    return _rebuild(crowd, positions)
 
 
-def _reject_params(mode, params, allowed):
-    unknown = [k for k in params if k not in allowed]
-    if unknown:
-        raise ValueError(f"degrade mode {mode!r} got unexpected parameters {unknown}")
+def build_training_set(golden, degraded, stats: ReferenceStats) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 21) cost matrix and the k targets of a labeled training set.
 
-
-def build_training_set(
-    golden,
-    degraded,
-    curve: FundamentalDiagramCurve | None = None,
-) -> list[TrainingExample]:
-    """Extract features once per crowd and attach targets.
-
-    ``golden`` is a list of crowds (target 1); ``degraded`` is a list of
-    crowds or (crowd, target) pairs (default target 0).  ``curve`` is the
-    reference fundamental diagram FDG is measured against (see ``extract``).
+    Each row is one crowd's feature costs against ``stats``, whose ``fd_curve``
+    FDG is measured against (see ``extract``): the ``golden`` crowds first,
+    with target 1, then the ``degraded`` crowds, with target 0.
     """
     golden = list(golden)
     if not golden:
         raise DataError("training set needs at least one golden crowd")
-    examples = []
-    for i, crowd in enumerate(golden):
-        examples.append(
-            TrainingExample(features=extract(crowd, curve), target=1.0, label=f"golden-{i}")
-        )
-    for i, item in enumerate(degraded):
-        if isinstance(item, tuple):
-            crowd, target = item
-        else:
-            crowd, target = item, 0.0
-        examples.append(
-            TrainingExample(
-                features=extract(crowd, curve), target=float(target), label=f"degraded-{i}"
-            )
-        )
-    return examples
+    crowds = golden + list(degraded)
+    costs = np.array([cost_vector(extract(crowd, stats.fd_curve), stats) for crowd in crowds])
+    targets = np.r_[np.ones(len(golden)), np.zeros(len(crowds) - len(golden))]
+    return costs, targets
 
 
 @dataclass
@@ -161,17 +137,18 @@ class PairCorrelation:
 
 
 def check_correlations(
-    examples: list[TrainingExample], threshold: float = 0.8
+    feature_maps: list[dict[str, np.ndarray]], threshold: float = 0.8
 ) -> list[PairCorrelation]:
-    """Pearson correlation of per-example mean feature values, all pairs.
+    """Pearson correlation of per-crowd mean feature values, all pairs.
 
-    Highly correlated pairs are flagged, not removed.  Zero-variance features
-    yield rho = 0 with the degenerate marker set.
+    ``feature_maps`` holds one ``extract`` result per crowd.  Highly
+    correlated pairs are flagged, not removed.  Zero-variance features yield
+    rho = 0 with the degenerate marker set.
     """
-    if len(examples) < 2:
-        raise ValueError(f"need at least 2 examples, got {len(examples)}")
+    if len(feature_maps) < 2:
+        raise ValueError(f"need at least 2 feature maps, got {len(feature_maps)}")
     means = np.array(
-        [[float(np.mean(np.ravel(ex.features[c]))) for c in FEATURE_CODES] for ex in examples]
+        [[float(np.mean(np.ravel(m[c]))) for c in FEATURE_CODES] for m in feature_maps]
     )
     centered = means - means.mean(axis=0)
     std = means.std(axis=0)
@@ -189,23 +166,6 @@ def check_correlations(
     return out
 
 
-def example_cost_matrix(
-    examples: list[TrainingExample], stats: ReferenceStats
-) -> tuple[np.ndarray, np.ndarray]:
-    """(examples x 21) cost matrix and the target vector."""
-    if not examples:
-        raise DataError("no training examples")
-    for ex in examples:
-        missing = [c for c in FEATURE_CODES if c not in ex.features]
-        if missing:
-            raise ConfigError(
-                f"example {ex.label} missing features: {', '.join(missing)}"
-            )
-    costs = np.array([cost_vector(ex.features, stats) for ex in examples])
-    targets = np.array([ex.target for ex in examples])
-    return costs, targets
-
-
 def training_fitness(costs: np.ndarray, targets: np.ndarray):
     """Mean |target - score| of each raw weight genome in a (k, 21) block."""
 
@@ -220,22 +180,35 @@ def training_fitness(costs: np.ndarray, targets: np.ndarray):
 
 
 def train_weights(
-    examples: list[TrainingExample],
-    stats: ReferenceStats,
+    costs: np.ndarray,
+    targets: np.ndarray,
     config: GaConfig | None = None,
     *,
-    initial: WeightVector | np.ndarray | None = None,
+    initial: np.ndarray | None = None,
 ) -> tuple[WeightVector, GaResult]:
-    """Fit the 21 feature weights to the labeled examples.
+    """Fit the 21 feature weights to a training set.
 
-    Returns the best weight vector (normalized so the weights sum to at most
-    1) together with the GA result carrying the fitness history.
+    ``costs`` is the (k, 21) matrix of feature costs, one row per example, and
+    ``targets`` the k scores in [0, 1] wanted for them, as ``build_training_set``
+    returns.  ``initial`` is a (21,) weight vector seeded into the first
+    population.  Returns the best weight vector (normalized so the weights sum
+    to at most 1) together with the GA result carrying the fitness history.
     """
-    costs, targets = example_cost_matrix(examples, stats)
+    costs = np.asarray(costs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if costs.ndim != 2 or costs.shape[1] != len(FEATURE_CODES):
+        raise ConfigError(
+            f"training costs must be a (k, {len(FEATURE_CODES)}) matrix, got shape {costs.shape}"
+        )
+    if len(costs) == 0:
+        raise DataError("no training examples")
+    if not np.isfinite(costs).all():
+        raise DataError("training costs are not finite")
+    if targets.shape != (len(costs),):
+        raise ValueError(f"expected {len(costs)} targets, got shape {targets.shape}")
+    if not np.all((targets >= 0.0) & (targets <= 1.0)):
+        raise ValueError("every target must be in [0,1]")
     fitness = training_fitness(costs, targets)
     bounds = [(0.0, 1.0)] * len(FEATURE_CODES)
-    init = None
-    if initial is not None:
-        init = initial.vector() if isinstance(initial, WeightVector) else np.asarray(initial)
-    result = ga_optimize(fitness, bounds, config, initial=init)
+    result = ga_optimize(fitness, bounds, config, initial=initial)
     return WeightVector.from_vector(result.best_genome), result

@@ -25,7 +25,7 @@ from crowdscore.quality import (
     score,
 )
 from crowdscore.simulator import Scenario, SocialForcesParams
-from crowdscore.training import TrainingExample, degrade, train_weights
+from crowdscore.training import degrade, train_weights
 from crowdscore.tuning import TuneConfig, tune
 
 from conftest import GOLDEN_WINDOW
@@ -176,20 +176,13 @@ def test_training_concentrates_weight(acceptance_log):
     """Weight training piles the mass onto the one discriminating feature."""
     t0 = time.perf_counter()
     planted = "COL"
-    stats = parse_reference_stats("\n".join(
-        f"{c}.mu = 0.0\n{c}.sigma = 1.0" for c in FEATURE_CODES))
-    offset = math.sqrt(2.0 * math.log(2.0))  # every other cost sits at 0.5
-
-    def example(planted_value, target, label):
-        features = {c: np.full(4, offset) for c in FEATURE_CODES}
-        features[planted] = np.full(4, planted_value)
-        return TrainingExample(features=features, target=target, label=label)
-
-    examples = ([example(0.0, 1.0, f"golden-{i}") for i in range(6)]
-                + [example(10.0, 0.0, f"degraded-{i}") for i in range(6)])
+    costs = np.full((12, len(FEATURE_CODES)), 0.5)  # every other cost sits at 0.5
+    costs[:6, FEATURE_CODES.index(planted)] = 0.0  # golden
+    costs[6:, FEATURE_CODES.index(planted)] = 1.0  # degraded
+    targets = np.r_[np.ones(6), np.zeros(6)]
     cfg = GaConfig(population_size=48, max_generations=150, seed=0,
                    plateau_generations=150)
-    weights, result = train_weights(examples, stats, cfg)
+    weights, result = train_weights(costs, targets, cfg)
     vec = weights.vector()
     share = float(vec[FEATURE_CODES.index(planted)] / vec.sum())
     non_increasing = all(a >= b for a, b in zip(result.history,

@@ -5,6 +5,9 @@ import re
 from pathlib import Path
 
 import crowdscore
+from crowdscore.csvio import save_trajectory_csv
+from crowdscore.quality import fit_reference_from_crowds, save_reference_stats
+from crowdscore.simulator import Scenario, simulate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,3 +38,21 @@ def test_every_dotted_name_in_the_readme_resolves():
     names = sorted(set(re.findall(r"\bcrowdscore(?:\.\w+)+", README.read_text(encoding="utf-8"))))
     assert len(names) >= 12
     assert [name for name in names if not _resolves(name)] == []
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch):
+    """Every python block of "Library use", in order and in one namespace, on a
+    small simulated crowd saved under the file names the first block loads."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) >= 2
+
+    crowd = simulate(Scenario(kind="circle", agent_count=6, radius=3.0, seed=0), duration=4.0)
+    (tmp_path / "golden").mkdir()
+    save_trajectory_csv(crowd, tmp_path / "golden" / "run0.csv")
+    save_reference_stats(fit_reference_from_crowds([crowd]), tmp_path / "stats.txt")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

@@ -1,34 +1,22 @@
 """Degrade modes, training-set assembly, correlation checks, weight training."""
 
-import math
-
 import numpy as np
 import pytest
 
 from crowdscore.errors import ConfigError, DataError
 from crowdscore.features import FEATURE_CODES, extract
 from crowdscore.genetic import GaConfig
-from crowdscore.quality import WeightVector, parse_reference_stats
+from crowdscore.quality import cost_vector
 from crowdscore.training import (
     DEGRADE_MODES,
-    TrainingExample,
     build_training_set,
     check_correlations,
     degrade,
-    example_cost_matrix,
     train_weights,
     training_fitness,
 )
 
 from helpers import random_walk_crowd, straight_crowd
-
-
-def unit_stats():
-    lines = []
-    for code in FEATURE_CODES:
-        lines.append(f"{code}.mu = 0.0")
-        lines.append(f"{code}.sigma = 1.0")
-    return parse_reference_stats("\n".join(lines))
 
 
 @pytest.mark.parametrize("mode", DEGRADE_MODES)
@@ -120,40 +108,40 @@ def test_degrade_rejects_unknown_mode_and_params():
         degrade(crowd, "melt")
     with pytest.raises(ValueError, match="unexpected parameters"):
         degrade(crowd, "no-avoidance", amplitude=0.5)
+    with pytest.raises(ValueError, match=r"unexpected parameters \['factor'\]"):
+        degrade(crowd, "jitter", amplitude=0.5, factor=2.0)
     with pytest.raises(ValueError, match="fraction"):
         degrade(crowd, "freeze", fraction=1.5)
 
 
-def test_build_training_set_targets_and_labels():
-    golden = [straight_crowd(steps=12)]
-    degraded = [random_walk_crowd(seed=0, n_agents=2, steps=12),
-                (random_walk_crowd(seed=1, n_agents=2, steps=12), 0.25)]
-    examples = build_training_set(golden, degraded)
-    assert [ex.target for ex in examples] == [1.0, 0.0, 0.25]
-    assert [ex.label for ex in examples] == ["golden-0", "degraded-0", "degraded-1"]
-    assert all(set(ex.features) == set(FEATURE_CODES) for ex in examples)
+def test_build_training_set_rows_and_targets(golden_crowds, golden_stats):
+    golden = golden_crowds[:2]
+    degraded = [degrade(golden_crowds[0], "no-avoidance")]
+    costs, targets = build_training_set(golden, degraded, golden_stats)
+    expected = [cost_vector(extract(c, golden_stats.fd_curve), golden_stats)
+                for c in golden + degraded]
+    assert np.array_equal(costs, expected)
+    assert np.array_equal(targets, [1.0, 1.0, 0.0])
     with pytest.raises(DataError, match="at least one golden"):
-        build_training_set([], degraded)
-    with pytest.raises(ValueError, match="target"):
-        TrainingExample(features=examples[0].features, target=1.5, label="x")
+        build_training_set([], degraded, golden_stats)
 
 
-def synth_example(seed, overrides):
+def synth_feature_map(seed, overrides):
     rng = np.random.default_rng(seed)
     features = {
         code: rng.uniform(0.0, 1.0, size=3) for code in FEATURE_CODES
     }
     for code, value in overrides.items():
         features[code] = np.full(3, float(value))
-    return TrainingExample(features=features, target=1.0, label=f"s{seed}")
+    return features
 
 
 def test_check_correlations_flags_duplicates_and_marks_degenerates():
-    examples = [
-        synth_example(k, {"AWS": k, "DGD": k, "INE": -float(k), "LEN": 5.0})
+    feature_maps = [
+        synth_feature_map(k, {"AWS": k, "DGD": k, "INE": -float(k), "LEN": 5.0})
         for k in range(5)
     ]
-    pairs = {(p.code_a, p.code_b): p for p in check_correlations(examples)}
+    pairs = {(p.code_a, p.code_b): p for p in check_correlations(feature_maps)}
     assert len(pairs) == 21 * 20 // 2
     dup = pairs[("AWS", "DGD")]
     assert dup.rho == pytest.approx(1.0)
@@ -164,22 +152,26 @@ def test_check_correlations_flags_duplicates_and_marks_degenerates():
     const = pairs[("AWS", "LEN")]
     assert const.degenerate and not const.flagged and const.rho == 0.0
     with pytest.raises(ValueError, match="at least 2"):
-        check_correlations(examples[:1])
+        check_correlations(feature_maps[:1])
 
 
-def test_example_cost_matrix_shapes_and_errors():
-    stats = unit_stats()
-    examples = [synth_example(0, {}), synth_example(1, {})]
-    costs, targets = example_cost_matrix(examples, stats)
-    assert costs.shape == (2, 21)
-    assert np.all((costs >= 0.0) & (costs <= 1.0))
-    assert np.array_equal(targets, [1.0, 1.0])
-    with pytest.raises(DataError, match="no training examples"):
-        example_cost_matrix([], stats)
-    broken = synth_example(2, {})
-    del broken.features["COL"]
-    with pytest.raises(ConfigError, match="missing features: COL"):
-        example_cost_matrix([broken], stats)
+@pytest.mark.parametrize("costs, targets, error, match", [
+    (np.zeros((0, 21)), np.zeros(0), DataError, "no training examples"),
+    (np.zeros((2, 20)), np.ones(2), ConfigError, "shape"),
+    (np.zeros(21), np.ones(1), ConfigError, "shape"),
+    (np.zeros((1, 2, 21)), np.ones(1), ConfigError, "shape"),
+    (np.full((2, 21), np.nan), np.ones(2), DataError, "not finite"),
+    (np.r_[np.zeros((1, 21)), np.full((1, 21), np.inf)], np.ones(2), DataError, "not finite"),
+    (np.zeros((2, 21)), np.ones(3), ValueError, "expected 2 targets"),
+    (np.zeros((2, 21)), np.ones((2, 1)), ValueError, "expected 2 targets"),
+    (np.zeros((2, 21)), np.array([1.0, 1.5]), ValueError, r"\[0,1\]"),
+    (np.zeros((2, 21)), np.array([-0.1, 0.0]), ValueError, r"\[0,1\]"),
+    (np.zeros((2, 21)), np.array([np.nan, 0.0]), ValueError, r"\[0,1\]"),
+], ids=["empty", "20-columns", "1-d", "3-d", "nan-cost", "inf-cost", "too-many-targets",
+        "column-targets", "target-above-1", "target-below-0", "nan-target"])
+def test_train_weights_rejects_malformed_training_sets(costs, targets, error, match):
+    with pytest.raises(error, match=match):
+        train_weights(costs, targets, GaConfig(population_size=4, max_generations=1))
 
 
 def test_training_fitness_zero_weights_scores_golden_perfectly():
@@ -224,27 +216,19 @@ def test_batched_training_fitness_matches_per_genome_formula():
     assert np.max(np.abs(batched - expected)) <= 1e-15
 
 
-def planted_training_examples(planted="COL", n=3):
-    offset = math.sqrt(2.0 * math.log(2.0))  # cost exactly 0.5 at mu=0 sigma=1
-    examples = []
-    for i in range(n):
-        features = {code: np.full(4, offset) for code in FEATURE_CODES}
-        features[planted] = np.zeros(4)
-        examples.append(TrainingExample(features=features, target=1.0,
-                                        label=f"golden-{i}"))
-    for i in range(n):
-        features = {code: np.full(4, offset) for code in FEATURE_CODES}
-        features[planted] = np.full(4, 10.0)
-        examples.append(TrainingExample(features=features, target=0.0,
-                                        label=f"degraded-{i}"))
-    return examples
+def planted_training_set(planted="COL", n=3):
+    """Every cost is 0.5 except the planted feature's: 0 golden, 1 degraded."""
+    costs = np.full((2 * n, len(FEATURE_CODES)), 0.5)
+    costs[:n, FEATURE_CODES.index(planted)] = 0.0
+    costs[n:, FEATURE_CODES.index(planted)] = 1.0
+    return costs, np.r_[np.ones(n), np.zeros(n)]
 
 
 def test_train_weights_concentrates_on_discriminating_feature():
-    examples = planted_training_examples("COL")
+    costs, targets = planted_training_set("COL")
     cfg = GaConfig(population_size=32, max_generations=60, seed=2,
                    plateau_generations=60)
-    weights, result = train_weights(examples, unit_stats(), cfg)
+    weights, result = train_weights(costs, targets, cfg)
     vec = weights.vector()
     share = vec[FEATURE_CODES.index("COL")] / vec.sum()
     assert share > 0.5
@@ -253,13 +237,11 @@ def test_train_weights_concentrates_on_discriminating_feature():
 
 
 def test_train_weights_keeps_initial_in_first_generation():
-    examples = planted_training_examples("AWS")
-    stats = unit_stats()
-    costs, targets = example_cost_matrix(examples, stats)
+    costs, targets = planted_training_set("AWS")
     start = np.zeros(21)
     start[FEATURE_CODES.index("AWS")] = 1.0
     start_fit = training_fitness(costs, targets)(start[None])[0]
     cfg = GaConfig(population_size=16, max_generations=3, seed=0,
                    plateau_generations=30)
-    _, result = train_weights(examples, stats, cfg, initial=start)
+    _, result = train_weights(costs, targets, cfg, initial=start)
     assert result.best_fitness <= start_fit
