@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import shlex
 import sys
 from itertools import repeat
@@ -124,6 +125,7 @@ def _scenario(args, seed: int) -> Scenario:
     )
 
 
+@functools.cache  # argparse only reads a parser, and a build costs about 1 ms
 def build_parser() -> _Parser:
     parser = _Parser(prog="crowdscore",
                      description="Perceptual quality scoring of crowd trajectories.")

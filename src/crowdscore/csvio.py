@@ -5,6 +5,12 @@ Header ``agent_id,t,x,y[,goal_x,goal_y,comfort_speed,radius]``, rows sorted by
 radius; the personal radius is not stored and takes derive_kinematics'
 default, body + 0.2 m.  Floats are written with ``repr`` so a load/save round
 trip is bit-exact.
+
+The loader reads a file once as bytes (``keyvalue.read_input``), turns CRLF
+and CR line ends into LF, and parses a body of plain numbers with one
+structured ``np.loadtxt``.  Only a body that parse declines is decoded to
+text, for the row loop: the reference parser, and the one that says what is
+wrong and on which line.
 """
 
 from __future__ import annotations
@@ -13,127 +19,105 @@ import csv
 import io
 import re
 import warnings
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .keyvalue import open_output
+from .keyvalue import decode_input, open_output, read_input
 from .trajectory import CANONICAL_DT, CrowdTrajectory, derive_kinematics, validate
 
 REQUIRED_COLUMNS = ("agent_id", "t", "x", "y")
 OPTIONAL_COLUMNS = ("goal_x", "goal_y", "comfort_speed", "radius")
 
 
-# A body that only holds numbers, commas and single newlines.
-_NUMERIC_BODY = re.compile(r"[0-9eE+\-.,\n]*")
+# A body that only holds numbers, commas and newlines.
+_NUMERIC_BODY = re.compile(rb"[0-9eE+\-.,\n]*")
 
 
-def _parse_numeric_body(body: str, n_columns: int, id_col: int):
-    """(int64 ids, float table of every column) parsed as arrays, or None.
+def _parse_numeric_body(data: bytes, dtype: np.dtype):
+    """The rows of ``data``, a whole file with LF line ends, as one array of
+    ``dtype``, or None.
 
-    Declines, leaving the file to the row loop, unless the body is made only
-    of number characters, commas and newlines, has no blank line, and every
-    row parses with exactly ``n_columns`` fields.  The ids are parsed on
-    their own, as integers: a float parse would round those above 2**53.
+    Declines, leaving the file to the row loop, unless the body after the
+    header line is made only of number characters, commas and newlines, has
+    a row and no blank line, and every row parses with one field per column.
     """
-    body = body.replace("\r\n", "\n")
-    if (not body.strip("\n") or body.startswith("\n") or "\n\n" in body
-            or not _NUMERIC_BODY.fullmatch(body)):
+    start = data.find(b"\n") + 1
+    if not 0 < start < len(data) or b"\n\n" in data or not _NUMERIC_BODY.fullmatch(data, start):
         return None
-    read = dict(delimiter=",", comments=None)
-    data = body.encode()  # a BytesIO holds 1 byte per character, a StringIO up to 4
     try:
-        table = np.loadtxt(io.BytesIO(data), ndmin=2, **read)
-        if table.shape[1] != n_columns:
-            return None
         with warnings.catch_warnings():
             # numpy releases with loadtxt's deprecated int-via-float fallback
             # read an id of 1.5, 1e3 or 2**63 as a float and cast it, with
             # only a warning.  As an error, numpy raises it as the ValueError
             # of any unparsable field, and the row loop rejects the id.
             warnings.simplefilter("error", DeprecationWarning)
-            ids = np.loadtxt(io.BytesIO(data), dtype=np.int64, usecols=id_col, ndmin=1, **read)
+            return np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", comments=None,
+                              skiprows=1, ndmin=1)
     except ValueError:
         return None
-    return ids, table
-
-
-def _not_utf8(path: Path) -> DataError:
-    """The error for a file that does not decode, naming the line at fault.
-
-    The text reader decodes in chunks, so its error's offset is not the
-    file's: decode the bytes again to find the first bad one.
-    """
-    raw = path.read_bytes()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        return DataError(f"{path}:{line}: not valid UTF-8 (byte 0x{raw[exc.start]:02x})")
-    return DataError(f"{path}: not valid UTF-8")
 
 
 def load_trajectory_csv(path) -> CrowdTrajectory:
     """Read a trajectory CSV into a CrowdTrajectory (kinematics derived).
 
-    Columns may come in any order.  Per-agent columns are read from each
-    agent's first row; the built crowd must pass ``validate``.
+    The header is the first line; columns may come in any order, and each
+    appears once.  Per-agent columns are read from each agent's first row;
+    the built crowd must pass ``validate``.
     """
-    path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-            body = fh.read()
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    if header is None:
+    # One line end for LF, CRLF and CR files; only the file's own kind is copied.
+    data = read_input(path).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data:
         raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in header]
+    header = decode_input(io.BytesIO(data).readline(), path)
+    header = [h.strip() for h in next(csv.reader([header]))]
     for col in REQUIRED_COLUMNS:
         if col not in header:
             raise DataError(f"{path}: missing required column {col!r}")
     unknown = [h for h in header if h not in REQUIRED_COLUMNS + OPTIONAL_COLUMNS]
     if unknown:
         raise DataError(f"{path}: unknown columns {unknown}")
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        raise DataError(f"{path}: column {repeated[0]!r} appears more than once")
     if ("goal_x" in header) != ("goal_y" in header):
         raise DataError(f"{path}: goal_x and goal_y must appear together")
-    id_col = header.index("agent_id")
-    # Float table columns: t first, then the rest in file order.
-    names = ["t"] + [h for h in header if h not in ("agent_id", "t")]
-    value_cols = [header.index(h) for h in names]
+    # Ids are parsed as integers: a float parse would round those above 2**53.
+    converters = [int if h == "agent_id" else float for h in header]
+    dtype = np.dtype([(h, np.int64 if c is int else float) for h, c in zip(header, converters)])
 
-    parsed = _parse_numeric_body(body, len(header), id_col)
-    if parsed is not None:
-        ids, table = parsed[0], parsed[1][:, value_cols]
+    rows = _parse_numeric_body(data, dtype)
+    if rows is not None:
+        del data  # held to the end, the file's bytes would set the load's peak memory
     else:
         # The row loop is the reference parser and the only one that
         # reports what is wrong, and where.
-        ids, rows = [], []
-        for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        lines = io.StringIO(decode_input(data, path), newline="")
+        del data
+        lines.readline()  # the header
+        parsed = []
+        for lineno, row in enumerate(csv.reader(lines), start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
-                ids.append(int(row[id_col]))
-                rows.append([float(row[i]) for i in value_cols])
+                parsed.append(tuple(convert(v) for convert, v in zip(converters, row)))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
-        if not rows:
+        if not parsed:
             raise DataError(f"{path}: no data rows")
-        table = np.array(rows)
+        try:
+            rows = np.array(parsed, dtype=dtype)
+        except OverflowError:
+            raise DataError(f"{path}: agent_id outside the 64-bit integer range") from None
 
-    bad = np.argwhere(~np.isfinite(table))
-    if bad.size:
-        k, c = bad[0]
-        raise DataError(f"{path}: non-finite {names[c]!r} for agent {ids[k]}")
-    ids = np.asarray(ids)
-    if ids.dtype != np.int64:  # numpy widens ids past int64 to float or object
-        raise DataError(f"{path}: agent_id outside the 64-bit integer range")
-    order = np.lexsort((table[:, 0], ids))
-    ids, table = ids[order], table[order]
-    t = table[:, 0]
+    for name in header:
+        bad = np.flatnonzero(~np.isfinite(rows[name]))
+        if bad.size:
+            raise DataError(f"{path}: non-finite {name!r} for agent {rows['agent_id'][bad[0]]}")
+    rows = rows[np.lexsort((rows["t"], rows["agent_id"]))]
+    ids, t = rows["agent_id"], rows["t"]
 
     times = np.unique(t)
     if times.size < 2:
@@ -161,10 +145,10 @@ def load_trajectory_csv(path) -> CrowdTrajectory:
             f"({counts[k]} rows, expected {T})"
         )
 
-    grid = table.reshape(starts.size, T, len(names))
-    first = {name: grid[:, 0, c] for c, name in enumerate(names)}
+    grid = rows.reshape(starts.size, T)
+    first = {name: grid[name][:, 0] for name in header}
     crowd = derive_kinematics(
-        grid[:, :, [names.index("x"), names.index("y")]],
+        np.stack([grid["x"], grid["y"]], axis=-1),
         dt,
         t0=float(times[0]),
         agent_ids=ids[starts],

@@ -1,19 +1,37 @@
-"""Line-oriented key-value text files, and the one way outputs are written.
+"""Line-oriented key-value text files, and the one way files are read and written.
 
 Grammar shared by the stats/weights files and the simulator parameter file:
 one ``key = value`` per line, ``#`` starts a comment, blank lines ignored.
 Callers validate the key set; this module only handles the syntax.
-``open_output`` opens every file the package writes.
+``read_input`` and ``decode_input`` read every input file of the package, and
+``open_output`` writes every output file.
 """
 
 from __future__ import annotations
 
+import codecs
 import math
 import os
 import stat
 from contextlib import contextmanager
 
 from .errors import DataError
+
+
+def read_input(path) -> bytes:
+    """The bytes of input file ``path``, less a leading UTF-8 BOM (as in a
+    spreadsheet's "CSV UTF-8" export)."""
+    with open(path, "rb") as fh:
+        return fh.read().removeprefix(codecs.BOM_UTF8)
+
+
+def decode_input(data: bytes, path) -> str:
+    """``data`` as UTF-8 text; a bad byte is a DataError naming ``path`` and its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(data[: exc.start + 1].splitlines())  # LF, CRLF or CR ends a line
+        raise DataError(f"{path}:{line}: not valid UTF-8 (byte 0x{data[exc.start]:02x})") from None
 
 
 @contextmanager

@@ -7,9 +7,9 @@ weighted sum of costs, so it lives in [0, 1] when the weights sum to at most 1.
 
 from __future__ import annotations
 
-import importlib.resources
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .features import (
     fd_gap,
     fundamental_diagram_curve,
 )
-from .keyvalue import format_keyvalue, open_output, parse_float, parse_keyvalue
+from .keyvalue import (decode_input, format_keyvalue, open_output, parse_float, parse_keyvalue,
+                       read_input)
 from .trajectory import CrowdTrajectory, to_canonical
 
 SIGMA_FLOOR = 1e-3  # feature units, keeps the Gaussian denominator sane
@@ -259,8 +260,7 @@ def format_reference_stats(stats: ReferenceStats) -> str:
 
 
 def load_reference_stats(path) -> ReferenceStats:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_reference_stats(fh.read(), source=str(path))
+    return parse_reference_stats(decode_input(read_input(path), path), source=str(path))
 
 
 def save_reference_stats(stats: ReferenceStats, path) -> None:
@@ -289,8 +289,7 @@ def format_weights(weights: WeightVector) -> str:
 
 
 def load_weights(path) -> WeightVector:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_weights(fh.read(), source=str(path))
+    return parse_weights(decode_input(read_input(path), path), source=str(path))
 
 
 def save_weights(weights: WeightVector, path) -> None:
@@ -300,9 +299,4 @@ def save_weights(weights: WeightVector, path) -> None:
 
 def default_weights() -> WeightVector:
     """The weight set trained on the reference dataset, shipped with the package."""
-    text = (
-        importlib.resources.files("crowdscore")
-        .joinpath("data/default_weights.txt")
-        .read_text(encoding="utf-8")
-    )
-    return parse_weights(text, source="default_weights.txt")
+    return load_weights(Path(__file__).with_name("data") / "default_weights.txt")

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import features
 from .errors import ConfigError, DataError
-from .keyvalue import format_keyvalue, open_output, parse_float, parse_keyvalue
+from .keyvalue import (decode_input, format_keyvalue, open_output, parse_float, parse_keyvalue,
+                       read_input)
 from .trajectory import CANONICAL_DT, DEFAULT_BODY_RADIUS, CrowdTrajectory, derive_kinematics
 
 GOAL_RADIUS = 0.3  # m, agents inside hold position
@@ -382,8 +383,7 @@ def format_params(params: SocialForcesParams) -> str:
 
 
 def load_params(path) -> SocialForcesParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_params(fh.read(), source=str(path))
+    return parse_params(decode_input(read_input(path), path), source=str(path))
 
 
 def save_params(params: SocialForcesParams, path) -> None:

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, outputs, reproducibility."""
 
+import codecs
 import csv
 import math
 import os
@@ -16,8 +17,8 @@ import crowdscore
 from crowdscore.cli import run
 from crowdscore.csvio import load_trajectory_csv
 from crowdscore.features import FEATURE_CODES
-from crowdscore.quality import load_weights
-from crowdscore.simulator import load_params
+from crowdscore.quality import default_weights, load_weights, save_weights
+from crowdscore.simulator import SocialForcesParams, load_params, save_params
 
 
 @pytest.fixture(scope="module")
@@ -78,14 +79,54 @@ def test_non_finite_trajectory_exits_2(tmp_path, workspace, capsys):
     assert "S_QF" not in captured.out
 
 
-def test_non_utf8_trajectory_names_file_and_line(tmp_path, workspace, capsys):
-    bad = tmp_path / "latin1.csv"
-    bad.write_bytes(b"agent_id,t,x,y\n0,0,\xff,0\n")
-    assert run(["score", "--trajectory", str(bad), "--stats", str(workspace["stats"]),
-                "--breakdown", str(tmp_path / "b.csv")]) == 2
+INPUT_OPTIONS = ["--trajectory", "--stats", "--weights", "--params"]
+
+
+def _input_file(option, workspace, tmp_path):
+    """A valid file for the input ``option``."""
+    if option == "--weights":
+        save_weights(default_weights(), tmp_path / "weights.txt")
+        return tmp_path / "weights.txt"
+    if option == "--params":
+        save_params(SocialForcesParams(), tmp_path / "params.txt")
+        return tmp_path / "params.txt"
+    return {"--trajectory": workspace["sample"], "--stats": workspace["stats"]}[option]
+
+
+def _input_argv(option, path, workspace, out):
+    """A run that reads ``path`` through ``option`` and writes ``out``."""
+    if option == "--params":
+        return ["simulate", "--params", str(path), "--agents", "3", "--duration", "0.5",
+                "--out", str(out)]
+    inputs = {"--trajectory": workspace["sample"], "--stats": workspace["stats"], option: path}
+    return ["score", *(str(a) for item in inputs.items() for a in item), "--breakdown", str(out)]
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r"], ids=["LF", "CR"])
+@pytest.mark.parametrize("line", [1, 2])
+@pytest.mark.parametrize("option", INPUT_OPTIONS)
+def test_non_utf8_input_names_file_and_line(tmp_path, workspace, capsys, option, line, end):
+    lines = _input_file(option, workspace, tmp_path).read_bytes().splitlines()
+    lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][2:]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(end.join(lines) + end)
+    assert run(_input_argv(option, bad, workspace, tmp_path / "out")) == 2
     captured = capsys.readouterr()
-    assert f"data error: {bad}:2: not valid UTF-8" in captured.err
-    assert "S_QF" not in captured.out
+    assert f"data error: {bad}:{line}: not valid UTF-8 (byte 0xff)" in captured.err
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option", INPUT_OPTIONS)
+def test_a_leading_bom_is_ignored(tmp_path, workspace, capsys, option):
+    plain = _input_file(option, workspace, tmp_path)
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    outputs = []
+    for path in (plain, bom):
+        out = tmp_path / f"out-{path.name}"
+        assert run(_input_argv(option, path, workspace, out)) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 def test_non_finite_simulate_radius_exits_3(tmp_path, capsys):

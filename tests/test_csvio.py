@@ -1,3 +1,4 @@
+import codecs
 import io
 import warnings
 
@@ -167,6 +168,9 @@ def test_columns_are_read_by_name(tmp_path, header):
             "agent_id,t,x,y,comfort_speed\n4,0,0,0,0\n4,0.1,0.1,0,0\n",
             "agent 4: comfort_speed must be positive, got 0.0",
         ),
+        ("agent_id,t,x,y,x\n0,0,0,0,5\n0,0.1,1,0,5\n", "column 'x' appears more than once"),
+        ("agent_id,t,agent_id,x,y\n0,0,1,0,0\n0,0.1,1,1,0\n",
+         "column 'agent_id' appears more than once"),
     ],
 )
 def test_malformed_files_raise_data_error(tmp_path, content, fragment):
@@ -232,11 +236,12 @@ def test_array_parser_matches_row_loop_on_mutated_files(tmp_path, monkeypatch, d
     save_trajectory_csv(crowd, base)  # csv.writer: CRLF line ends
     crlf = base.read_bytes()
     assert b"\r\n" in crlf
+    flavours = [crlf.replace(b"\r\n", b"\n"), crlf, crlf.replace(b"\r\n", b"\r")]
     rng = np.random.default_rng(2024)
     alphabet = b"0123456789eE+-.,\n\r \t\"ax\xff"
     counts = {"fast": 0, "ok": 0, "error": 0}
-    for k in range(400):
-        data = bytearray(crlf if k % 2 else crlf.replace(b"\r\n", b"\n"))
+    for k in range(600):
+        data = bytearray(flavours[k % 3])
         for _ in range(int(rng.integers(1, 4))):
             at = int(rng.integers(0, len(data)))
             op = rng.integers(0, 3)
@@ -276,6 +281,7 @@ def test_array_parser_matches_row_loop_on_mutated_files(tmp_path, monkeypatch, d
         # no final newline, CRLF, hand-written decimals
         ("agent_id,t,x,y\n0,0,.5,-0\n0,0.1,5.,+1e-3", None),
         ("agent_id,t,x,y\r\n0,0,.5,-0\r\n0,0.1,5.,+1E-3\r\n", None),
+        ("agent_id,t,x,y\r0,0,.5,-0\r0,0.1,5.,+1E-3\r", None),
     ],
 )
 @DEPRECATIONS
@@ -290,28 +296,46 @@ def test_array_parser_fixed_cases(tmp_path, monkeypatch, content, expected, depr
         assert fast[0] == "DataError" and expected in fast[1]
 
 
-def legacy_loadtxt(real):
+def test_line_ends_and_a_bom_do_not_change_the_load(tmp_path, monkeypatch):
+    crowd = simulate(Scenario(kind="random", agent_count=3, seed=4), duration=0.6)
+    path = tmp_path / "c.csv"
+    save_trajectory_csv(crowd, path)
+    crlf = path.read_bytes()
+    reference = load_outcome(path)
+    assert reference[0] == "ok"
+    for bom in (b"", codecs.BOM_UTF8):
+        for data in (crlf, crlf.replace(b"\r\n", b"\n"), crlf.replace(b"\r\n", b"\r")):
+            path.write_bytes(bom + data)
+            fast, slow, used = both_parsers(path, monkeypatch)
+            assert fast == slow == reference and used, (bom, data[:20])
+
+
+def legacy_loadtxt(real, fallbacks):
     """np.loadtxt as numpy releases with the int-via-float fallback run it.
 
     An integer field that does not parse as one is parsed as a float and
     cast, with a DeprecationWarning; when that warning is an error, numpy
-    raises it as a ValueError about the field.
+    raises it as a ValueError about the field.  Each fallback taken is
+    appended to ``fallbacks``.
     """
 
     def loadtxt(fname, dtype=float, **kwargs):
-        if dtype is not np.int64:
-            return real(fname, dtype=dtype, **kwargs)
+        dtype = np.dtype(dtype)
         data = fname.read()
         try:
             return real(io.BytesIO(data), dtype=dtype, **kwargs)
         except ValueError:
-            values = real(io.BytesIO(data), **kwargs)
+            if not any(dtype[name] == np.int64 for name in dtype.names or ()):
+                raise
+            as_float = np.dtype([(name, float) for name in dtype.names])
+            values = real(io.BytesIO(data), dtype=as_float, **kwargs)
+        fallbacks.append(dtype)
         try:
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                           DeprecationWarning)
         except DeprecationWarning as exc:
             raise ValueError("could not convert string to int64") from exc
-        return values.astype(np.int64)
+        return values.astype(dtype)
 
     return loadtxt
 
@@ -321,6 +345,8 @@ def legacy_loadtxt(real):
 def test_array_parser_refuses_int_via_float_ids(tmp_path, monkeypatch, deprecations, agent_id):
     path = tmp_path / "c.csv"
     path.write_text(f"agent_id,t,x,y\n{agent_id},0,0,0\n{agent_id},0.1,1,0\n")
-    monkeypatch.setattr(np, "loadtxt", legacy_loadtxt(np.loadtxt))
+    fallbacks = []
+    monkeypatch.setattr(np, "loadtxt", legacy_loadtxt(np.loadtxt, fallbacks))
     fast, slow, used = both_parsers(path, monkeypatch, deprecations)
     assert fast == slow and fast[0] == "DataError" and not used
+    assert fallbacks  # the array parser met the fallback and declined

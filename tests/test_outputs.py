@@ -1,16 +1,22 @@
-"""``open_output``, the one way the package writes a file."""
+"""``open_output`` and ``read_input``, the one way the package writes a file
+and the one way it reads one."""
 
 import ast
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from crowdscore.csvio import load_trajectory_csv, save_trajectory_csv
 from crowdscore.keyvalue import open_output
+from crowdscore.trajectory import derive_kinematics
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "crowdscore"
 HELPER = ("keyvalue.py", "open_output")
+READER = ("keyvalue.py", "read_input")
 
 
 def test_shorter_output_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
@@ -96,35 +102,66 @@ def _is_write_mode(node) -> bool:
             and any(flag in node.value for flag in "wax"))
 
 
-def _writes(source: str):
-    """(line, function) of each call in ``source`` that opens a file for
-    writing some other way than ``open_output``; function is the enclosing
-    top-level ``def`` or None."""
-    found = []
+def _walk(source: str):
+    """Each node of ``source`` with its enclosing top-level ``def``, or None."""
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             scope = function
             if function is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = child.name
-            if isinstance(child, ast.Call):
-                func, args = child.func, child.args
-                mode = [kw.value for kw in child.keywords if kw.arg == "mode"]
-                if isinstance(func, ast.Name) and func.id == "open":
-                    mode += args[1:2]
-                elif isinstance(func, ast.Attribute) and func.attr == "open":
-                    mode += args[:1]
-                elif isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
-                    found.append((child.lineno, scope))
-                if any(_is_write_mode(m) for m in mode):
-                    found.append((child.lineno, scope))
-            if isinstance(child, (ast.Name, ast.Attribute)) and "O_TRUNC" in (
-                getattr(child, "id", None), getattr(child, "attr", None)
-            ):
-                found.append((child.lineno, scope))
-            visit(child, scope)
+            yield child, scope
+            yield from visit(child, scope)
 
-    visit(ast.parse(source), None)
+    return visit(ast.parse(source), None)
+
+
+def _open_mode(call):
+    """"w" for an ``open(`` or ``.open(`` call with a write mode, "r" for one
+    without, None for any other call."""
+    func, args = call.func, call.args
+    mode = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode += args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        mode += args[:1]
+    else:
+        return None
+    return "w" if any(_is_write_mode(m) for m in mode) else "r"
+
+
+def _method(call):
+    return call.func.attr if isinstance(call.func, ast.Attribute) else None
+
+
+def _writes(source: str):
+    """(line, function) of each call in ``source`` that opens a file for
+    writing some other way than ``open_output``; function is the enclosing
+    top-level ``def`` or None."""
+    found = []
+    for node, scope in _walk(source):
+        if isinstance(node, ast.Call) and (
+            _open_mode(node) == "w" or _method(node) in ("write_text", "write_bytes")
+        ):
+            found.append((node.lineno, scope))
+        if isinstance(node, (ast.Name, ast.Attribute)) and "O_TRUNC" in (
+            getattr(node, "id", None), getattr(node, "attr", None)
+        ):
+            found.append((node.lineno, scope))
+    return found
+
+
+def _reads(source: str):
+    """(line, function) of each call in ``source`` that opens a file for
+    reading or reads one whole; an ``os.open`` with ``O_WRONLY`` is a write."""
+    found = []
+    for node, scope in _walk(source):
+        if not isinstance(node, ast.Call):
+            continue
+        os_write = any(getattr(n, "attr", None) == "O_WRONLY" for n in ast.walk(node))
+        if (_open_mode(node) == "r" and not os_write
+                or _method(node) in ("read_text", "read_bytes")):
+            found.append((node.lineno, scope))
     return found
 
 
@@ -156,3 +193,45 @@ def test_every_package_write_goes_through_open_output():
     assert found == []
     helper = (SRC / HELPER[0]).read_text(encoding="utf-8")
     assert [function for _, function in _writes(helper)] == [HELPER[1]]
+
+
+def test_the_read_scan_finds_each_other_way_to_read():
+    source = (
+        "import os\n"
+        "from pathlib import Path\n"
+        "def f(p):\n"
+        "    open(p)\n"
+        "    open(p, 'rb')\n"
+        "    open(p, mode='r', encoding='utf-8')\n"
+        "    Path(p).open(newline='')\n"
+        "    Path(p).read_text()\n"
+        "    Path(p).read_bytes()\n"
+        "    os.open(p, os.O_RDONLY)\n"
+        "    open(p, 'w')\n"
+        "    Path(p).open('a')\n"
+        "    os.open(p, os.O_WRONLY | os.O_CREAT)\n"
+    )
+    assert [line for line, _ in _reads(source)] == [4, 5, 6, 7, 8, 9, 10]
+
+
+def test_every_package_read_goes_through_read_input():
+    found = [(path.name, function)
+             for path in sorted(SRC.glob("*.py"))
+             for _, function in _reads(path.read_text(encoding="utf-8"))]
+    assert found == [READER]
+
+
+def test_loading_a_csv_stays_within_two_and_a_half_times_its_size(tmp_path):
+    # 150 random walkers over 300 steps, every column: about 5 MB of CSV.
+    rng = np.random.default_rng(0)
+    walk = rng.uniform(-20, 20, (150, 1, 2)) + np.cumsum(rng.normal(0, 0.1, (150, 300, 2)), axis=1)
+    path = tmp_path / "long.csv"
+    save_trajectory_csv(derive_kinematics(walk, 0.1), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        load_trajectory_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * size, f"peak {peak / size:.2f}x the {size} byte file"
