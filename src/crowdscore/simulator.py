@@ -226,22 +226,26 @@ def _sample_separated(
 def repulsion_forces(
     p: np.ndarray, radii: np.ndarray, strength: np.ndarray, reach: np.ndarray
 ) -> np.ndarray:
-    """Summed pairwise repulsion accelerations of P crowds, shaped like ``p`` (P, N, 2).
+    """Summed pairwise repulsion accelerations of P crowds, shaped like ``p`` (2, P, N).
 
-    ``strength`` and ``reach`` are the (P, 1, 1) repulsion_strength and range.
+    ``strength`` and ``reach`` are the (P, 1) repulsion_strength and range.
+    Above ``features._PAIR_BUDGET`` pairs the agents i go in blocks of rows;
+    each row sums over j in the same order either way.
     """
-    n = p.shape[1]
+    n = p.shape[2]
     active = np.count_nonzero(strength)  # cheaper than any()/all() on tiny arrays
     if n < 2 or active == 0:
         return np.zeros_like(p)
-    dp = p[:, :, None, :] - p[:, None, :, :]  # points from j to i
-    dist = np.linalg.norm(dp, axis=-1)
-    diagonal = np.arange(n)
-    dist[:, diagonal, diagonal] = np.inf
-    r_sum = radii[:, None] + radii[None, :]
-    magnitude = strength * np.exp((r_sum - dist) / reach)
-    direction = dp / np.maximum(dist, 1e-9)[..., None]
-    forces = np.sum(magnitude[..., None] * direction, axis=-2)
+    scale, reach = strength[..., None], reach[..., None]
+    rows = max(1, features._PAIR_BUDGET // p[0].size)  # p[0] is (P, N)
+    forces = np.empty_like(p)
+    for start in range(0, n, rows):
+        i = slice(start, start + rows)
+        d = p[:, :, i, None] - p[:, :, None, :]  # points from j to i
+        dist = np.sqrt(d[0] ** 2 + d[1] ** 2)
+        dist.reshape(len(dist), -1)[:, start :: n + 1] = np.inf  # j == i
+        m = scale * np.exp((radii[i, None] + radii - dist) / reach) / np.maximum(dist, 1e-9)
+        np.einsum("pij,cpij->cpi", m, d, out=forces[:, :, i])
     if active == strength.size:
         return forces
     # Repulsion-free crowds get exact zeros, as if their term were skipped.
@@ -254,34 +258,33 @@ def step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One explicit-Euler step of the social-forces model for P crowds.
 
-    ``p`` and ``v`` are (P, N, 2) positions and velocities, ``reached`` the
-    (P, N) latched goal arrivals; ``coeffs`` holds one (P, 1, 1) array per
-    parameter in PARAM_NAMES order.  Returns the next ``(p, v, reached)``.
+    ``p`` and ``v`` are (2, P, N) positions and velocities, held as x and y
+    planes; ``reached`` is the (P, N) latched goal arrivals and ``coeffs``
+    holds one (P, 1) array per parameter in PARAM_NAMES order.  Returns the
+    next ``(p, v, reached)``.
     """
     relaxation, strength, reach, max_speed, amplitude = coeffs
-    to_goal = setup.goals - p
-    dist_goal = np.linalg.norm(to_goal, axis=-1)
+    to_goal = setup.goals.T[:, None] - p
+    dist_goal = np.sqrt(to_goal[0] ** 2 + to_goal[1] ** 2)
     reached = reached | (dist_goal < GOAL_RADIUS)
 
-    goal_dir = np.where(
-        dist_goal[..., None] > 1e-9, to_goal / np.maximum(dist_goal, 1e-9)[..., None], 0.0
-    )
-    acc = (setup.comfort_speeds[:, None] * goal_dir - v) / relaxation
+    goal_dir = np.where(dist_goal > 1e-9, to_goal / np.maximum(dist_goal, 1e-9), 0.0)
+    acc = (setup.comfort_speeds * goal_dir - v) / relaxation
     acc += repulsion_forces(p, setup.body_radii, strength, reach)
     if np.count_nonzero(amplitude):
         # normal(0, a) draws a * standard_normal, so one draw serves every crowd.
-        noise = rng.standard_normal(size=p.shape[1:])
+        noise = rng.standard_normal(size=(p.shape[2], 2)).T[:, None]
         np.add(acc, amplitude * noise, out=acc, where=amplitude > 0.0)
 
     v_next = v + acc * dt
-    speed = np.linalg.norm(v_next, axis=-1, keepdims=True)
+    speed = np.sqrt(v_next[0] ** 2 + v_next[1] ** 2)
     over = speed > max_speed
     if np.count_nonzero(over):
         v_next *= np.divide(max_speed, speed, out=np.ones_like(speed), where=over)
     p_next = p + v * dt
 
-    v_next[reached] = 0.0
-    p_next[reached] = p[reached]
+    v_next[:, reached] = 0.0
+    p_next[:, reached] = p[:, reached]
     return p_next, v_next, reached
 
 
@@ -339,10 +342,10 @@ def simulate_population(
     for start in range(0, len(genomes), chunk):
         block = genomes[start : start + chunk]
         count = len(block)
-        coeffs = tuple(np.ascontiguousarray(block.T).reshape(len(PARAM_NAMES), count, 1, 1))
+        coeffs = tuple(np.ascontiguousarray(block.T).reshape(len(PARAM_NAMES), count, 1))
         # Every chunk restarts the scenario's noise stream, as a separate run would.
         noise_rng = np.random.default_rng([scenario.seed, 1])
-        p = np.repeat(setup.positions[None], count, axis=0)
+        p = np.repeat(setup.positions.T[:, None], count, axis=1)
         v = np.zeros_like(p)
         reached = np.zeros((count, n), dtype=bool)
         try:
@@ -358,7 +361,7 @@ def simulate_population(
             history[t] = p
         for k in range(count):
             yield derive_kinematics(
-                history[:, k].transpose(1, 0, 2),
+                history[:, :, k].transpose(2, 0, 1),
                 dt,
                 goals=setup.goals,
                 comfort_speeds=setup.comfort_speeds,

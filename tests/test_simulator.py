@@ -11,6 +11,7 @@ from crowdscore.simulator import (
     COMFORT_RANGE,
     GOAL_RADIUS,
     PARAM_NAMES,
+    TUNE_BOUNDS,
     CrowdSetup,
     Scenario,
     SocialForcesParams,
@@ -158,14 +159,19 @@ def test_comfort_speeds_are_clamped():
 
 
 def coefficients(block):
-    """The (P, 1, 1) coefficient arrays simulate_population builds for a (P, 5) block."""
-    return tuple(np.ascontiguousarray(block.T).reshape(len(PARAM_NAMES), len(block), 1, 1))
+    """The (P, 1) coefficient arrays simulate_population builds for a (P, 5) block."""
+    return tuple(np.ascontiguousarray(block.T).reshape(len(PARAM_NAMES), len(block), 1))
+
+
+def planes(points):
+    """(P, N, 2) points as the simulator's (2, P, N) x and y planes."""
+    return np.ascontiguousarray(np.transpose(points, (2, 0, 1)))
 
 
 def at_rest(setup):
     """(p, v, reached, setup) of one crowd standing on its spawn points."""
     n = len(setup.positions)
-    return setup.positions[None].copy(), np.zeros((1, n, 2)), np.zeros((1, n), bool), setup
+    return planes(setup.positions[None]), np.zeros((2, 1, n)), np.zeros((1, n), bool), setup
 
 
 def one_agent_state(position, goal, comfort=1.3):
@@ -184,7 +190,7 @@ def run_steps(state, params, count, dt=0.1):
     rng = np.random.default_rng(0)
     for _ in range(count):
         p, v, reached = step(p, v, reached, setup, coeffs, dt, rng)
-        yield p[0], v[0], reached[0]
+        yield p[:, 0].T, v[:, 0].T, reached[0]
 
 
 def test_first_step_accelerates_from_rest():
@@ -192,14 +198,14 @@ def test_first_step_accelerates_from_rest():
     params = SocialForcesParams(relaxation_time=0.5)
     p, v, _ = next(run_steps(state, params, 1))
     # position lags by one step under explicit Euler; velocity picks up first
-    assert np.array_equal(p, state[0][0])
+    assert np.array_equal(p, state[0][:, 0].T)
     assert v[0, 0] == pytest.approx(1.3 / 0.5 * 0.1)
     assert v[0, 1] == 0.0
 
 
 def test_cruise_at_comfort_speed_is_an_equilibrium():
     state = one_agent_state([0.0, 0.0], [100.0, 0.0], comfort=1.3)
-    state[1][0, 0] = [1.3, 0.0]
+    state[1][:, 0, 0] = [1.3, 0.0]
     params = SocialForcesParams(relaxation_time=0.5)
     p, v, _ = next(run_steps(state, params, 1))
     assert np.allclose(v, [[1.3, 0.0]])
@@ -234,7 +240,7 @@ def test_goal_hold_latches():
     state = one_agent_state([0.0, 0.0], [0.2, 0.0])  # already inside goal radius
     assert 0.2 < GOAL_RADIUS
     p, v, reached = next(run_steps(state, SocialForcesParams(), 1))
-    assert np.array_equal(p, state[0][0])
+    assert np.array_equal(p, state[0][:, 0].T)
     assert np.all(v == 0.0)
     assert reached[0]
 
@@ -295,9 +301,9 @@ def test_repulsion_forces_pairwise():
     params = SocialForcesParams(repulsion_strength=A, repulsion_range=B)
     _, strength, reach, _, _ = coefficients(params_to_genome(params)[None])
     gap = 1.0
-    positions = np.array([[[0.0, 0.0], [gap + 0.5, 0.0]]])
+    positions = planes([[[0.0, 0.0], [gap + 0.5, 0.0]]])
     radii = np.array([0.25, 0.25])
-    forces = repulsion_forces(positions, radii, strength, reach)[0]
+    forces = repulsion_forces(positions, radii, strength, reach)[:, 0].T
     expected = A * math.exp(-gap / B)
     assert forces[0, 0] == pytest.approx(-expected)
     assert forces[1, 0] == pytest.approx(expected)
@@ -305,7 +311,64 @@ def test_repulsion_forces_pairwise():
     assert np.allclose(forces[0], -forces[1])
     # zero strength or a single agent produce no force
     assert np.all(repulsion_forces(positions, radii, 0.0 * strength, reach) == 0.0)
-    assert np.all(repulsion_forces(positions[:, :1], radii[:1], strength, reach) == 0.0)
+    assert np.all(repulsion_forces(positions[..., :1], radii[:1], strength, reach) == 0.0)
+
+
+def reference_repulsion_forces(p, radii, strength, reach):
+    """Reference: the (P, N, 2) kernel with (P, 1, 1) coefficients that the planes replaced."""
+    n = p.shape[1]
+    active = np.count_nonzero(strength)
+    if n < 2 or active == 0:
+        return np.zeros_like(p)
+    dp = p[:, :, None, :] - p[:, None, :, :]  # points from j to i
+    dist = np.linalg.norm(dp, axis=-1)
+    diagonal = np.arange(n)
+    dist[:, diagonal, diagonal] = np.inf
+    r_sum = radii[:, None] + radii[None, :]
+    magnitude = strength * np.exp((r_sum - dist) / reach)
+    direction = dp / np.maximum(dist, 1e-9)[..., None]
+    forces = np.sum(magnitude[..., None] * direction, axis=-2)
+    if active == strength.size:
+        return forces
+    return np.where(strength > 0.0, forces, 0.0)
+
+
+def repulsion_instance(rng):
+    """Seeded crowds for the kernel: P in 1..16, N in 2..40, distinct radii, some overlaps."""
+    P, N = int(rng.integers(1, 17)), int(rng.integers(2, 41))
+    side = rng.uniform(0.5, 1.5) * math.sqrt(N)  # m; the tighter boxes overlap discs
+    points = rng.uniform(-side / 2, side / 2, size=(P, N, 2))
+    radii = rng.uniform(0.15, 0.35, N)
+    block = np.array([params_to_genome(SocialForcesParams())] * P)
+    for col in (1, 2):  # repulsion_strength, repulsion_range
+        block[:, col] = rng.uniform(*TUNE_BOUNDS[col], P)
+    block[rng.random(P) < 0.25, 1] = 0.0
+    return points, radii, coefficients(block)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plane_kernel_matches_reference_kernel(seed):
+    # The planes sum over j in another order, so forces agree to rounding only.
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        points, radii, (_, strength, reach, _, _) = repulsion_instance(rng)
+        forces = repulsion_forces(planes(points), radii, strength, reach)
+        reference = reference_repulsion_forces(points, radii, strength[..., None], reach[..., None])
+        np.testing.assert_allclose(planes(reference), forces, rtol=1e-12, atol=1e-12)
+        assert np.all(forces[:, strength[:, 0] == 0.0] == 0.0)
+
+
+def test_repulsion_row_blocks_are_exact(monkeypatch):
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        points, radii, (_, strength, reach, _, _) = repulsion_instance(rng)
+        p = planes(points)
+        whole = repulsion_forces(p, radii, strength, reach)
+        P, N = len(points), len(radii)
+        for rows in (1, 3, N - 1):  # blocks of one row, ragged blocks, one short block
+            monkeypatch.setattr(features, "_PAIR_BUDGET", rows * P * N)
+            assert np.array_equal(repulsion_forces(p, radii, strength, reach), whole)
+        monkeypatch.undo()
 
 
 def test_params_file_round_trip(tmp_path):
@@ -335,13 +398,14 @@ MIXED_POPULATION = np.array([
 ])
 
 
-@pytest.mark.parametrize("pairs_per_chunk", [None, 1, 2])
+@pytest.mark.parametrize("pairs_per_chunk", [None, 1, 2, 0.125, 0.625])
 def test_population_matches_per_genome_simulate(monkeypatch, pairs_per_chunk):
     sc = Scenario(kind="circle", agent_count=8, radius=2.5, seed=3)
     separate = [simulate(sc, genome_to_params(g), duration=4.0) for g in MIXED_POPULATION]
     if pairs_per_chunk is not None:
-        # budgets below P * N^2 split the population into chunks of 1 and 2 genomes
-        monkeypatch.setattr(features, "_PAIR_BUDGET", pairs_per_chunk * 64)
+        # budgets below P * N^2 split the population into chunks of 1 and 2 genomes;
+        # below N^2 each crowd's repulsion also goes in blocks of 1 and 5 agent rows
+        monkeypatch.setattr(features, "_PAIR_BUDGET", int(pairs_per_chunk * 64))
     together = list(simulate_population(sc, MIXED_POPULATION, duration=4.0))
     assert len(together) == len(MIXED_POPULATION)
     for one, batched in zip(separate, together):
@@ -357,20 +421,21 @@ def test_population_step_matches_per_genome_steps():
     setup = make_scenario(sc)
     rng = np.random.default_rng(8)
     P = len(MIXED_POPULATION)
-    p = np.repeat(setup.positions[None], P, axis=0)
-    v = rng.normal(0.0, 1.0, size=(P, 6, 2))
+    p = planes(np.repeat(setup.positions[None], P, axis=0))
+    v = planes(rng.normal(0.0, 1.0, size=(P, 6, 2)))
     reached = np.zeros((P, 6), bool)
     coeffs = coefficients(MIXED_POPULATION)
     out = step(p, v, reached, setup, coeffs, 0.1, np.random.default_rng(1))
     forces = repulsion_forces(p, setup.body_radii, coeffs[1], coeffs[2])
     for k in range(P):
+        crowd = np.s_[..., k:k + 1, :]  # crowd k of a (P, N) or (2, P, N) array
         one = coefficients(MIXED_POPULATION[k:k + 1])
-        expected = step(p[k:k + 1].copy(), v[k:k + 1].copy(), reached[k:k + 1], setup, one,
+        expected = step(p[crowd].copy(), v[crowd].copy(), reached[crowd], setup, one,
                         0.1, np.random.default_rng(1))
         for batched, single in zip(out, expected):
-            assert np.array_equal(batched[k:k + 1], single)
-        assert np.array_equal(forces[k:k + 1],
-                              repulsion_forces(p[k:k + 1], setup.body_radii, one[1], one[2]))
+            assert np.array_equal(batched[crowd], single)
+        assert np.array_equal(forces[crowd],
+                              repulsion_forces(p[crowd], setup.body_radii, one[1], one[2]))
 
 
 def test_population_rejects_cap_below_comfort():
