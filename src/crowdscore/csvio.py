@@ -6,11 +6,11 @@ radius; the personal radius is not stored and takes derive_kinematics'
 default, body + 0.2 m.  Floats are written with ``repr`` so a load/save round
 trip is bit-exact.
 
-The loader reads a file once as bytes (``keyvalue.read_input``), turns CRLF
-and CR line ends into LF, and parses a body of plain numbers with one
-structured ``np.loadtxt``.  Only a body that parse declines is decoded to
-text, for the row loop: the reference parser, and the one that says what is
-wrong and on which line.
+The loader reads a file once as bytes (``keyvalue.read_input``) and parses a
+body of plain numbers with one structured ``np.loadtxt``.  LF and CRLF files
+are parsed as read; only a file with a lone CR line end is copied, with LF
+ends.  Only a body that parse declines is decoded to text, for the row loop:
+the reference parser, and the one that says what is wrong and on which line.
 """
 
 from __future__ import annotations
@@ -30,20 +30,23 @@ REQUIRED_COLUMNS = ("agent_id", "t", "x", "y")
 OPTIONAL_COLUMNS = ("goal_x", "goal_y", "comfort_speed", "radius")
 
 
-# A body that only holds numbers, commas and newlines.
-_NUMERIC_BODY = re.compile(rb"[0-9eE+\-.,\n]*")
+# A body that only holds numbers, commas, spaces, tabs and line ends.  Other
+# whitespace is left to the row loop: loadtxt strips \x1c-\x1f around a
+# number, and float() does not.
+_NUMERIC_BODY = re.compile(rb"[0-9eE+\-., \t\r\n]*")
 
 
 def _parse_numeric_body(data: bytes, dtype: np.dtype):
-    """The rows of ``data``, a whole file with LF line ends, as one array of
-    ``dtype``, or None.
+    """The rows of ``data``, a whole file with LF or CRLF line ends, as one
+    array of ``dtype``, or None.
 
     Declines, leaving the file to the row loop, unless the body after the
-    header line is made only of number characters, commas and newlines, has
-    a row and no blank line, and every row parses with one field per column.
+    header line is made only of number characters, commas, spaces, tabs and
+    line ends, has a row, and every row parses with one field per column.
+    Blank lines are skipped, as the row loop skips them.
     """
     start = data.find(b"\n") + 1
-    if not 0 < start < len(data) or b"\n\n" in data or not _NUMERIC_BODY.fullmatch(data, start):
+    if not start or not _NUMERIC_BODY.fullmatch(data, start):
         return None
     try:
         with warnings.catch_warnings():
@@ -52,10 +55,13 @@ def _parse_numeric_body(data: bytes, dtype: np.dtype):
             # only a warning.  As an error, numpy raises it as the ValueError
             # of any unparsable field, and the row loop rejects the id.
             warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", comments=None,
+            # "input contained no data": the row loop reports it.
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", comments=None,
                               skiprows=1, ndmin=1)
     except ValueError:
         return None
+    return rows if rows.size else None
 
 
 def load_trajectory_csv(path) -> CrowdTrajectory:
@@ -65,8 +71,10 @@ def load_trajectory_csv(path) -> CrowdTrajectory:
     appears once.  Per-agent columns are read from each agent's first row;
     the built crowd must pass ``validate``.
     """
-    # One line end for LF, CRLF and CR files; only the file's own kind is copied.
-    data = read_input(path).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = read_input(path)
+    if data.count(b"\r") != data.count(b"\r\n"):
+        # A lone CR ends a line, which loadtxt and the header read do not see.
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data:
         raise DataError(f"{path}: empty file")
     header = decode_input(io.BytesIO(data).readline(), path)

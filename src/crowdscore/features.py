@@ -5,6 +5,10 @@ three-letter codes.  Seventeen produce one sample per agent per timestep,
 two (GLR, LEN) one sample per agent, and two (FDG, VAR) one sample per
 timestep.  Pairwise features aggregate over neighbours within an interaction
 horizon so that every feature emits a fixed-size sample set.
+
+TTC, TCA, DCA, IST and IAN come from one linear-motion pair kernel,
+``pairwise_arrays``.  It works on x and y planes (a reduction over a size-2
+axis costs more than its arithmetic) and in place, to hold few temporaries.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .geometry import TTC_HORIZON, pairwise_arrays
 from .trajectory import EPS_SPEED, CrowdTrajectory
 
 # Neighbour pairs (t, i, j) the pairwise pass holds at once: 0.5 MB per
@@ -25,6 +28,7 @@ _PAIR_BUDGET = 1 << 16
 
 # Constants of the feature definitions.
 INTERACTION_HORIZON = 30.0  # m, neighbours beyond this are ignored
+TTC_HORIZON = 10.0  # s, pairwise times are capped here; a later collision is none
 IST_TAU = 2.0  # s, decay constant of interaction strength
 FLICKER_WINDOW = 10  # steps (1 s at canonical dt)
 FLICKER_HEADING_THRESHOLD = 0.15  # rad per step
@@ -170,6 +174,60 @@ def _alternation_flags(delta: np.ndarray, threshold: float) -> np.ndarray:
     flags = np.zeros(delta.shape, dtype=bool)
     flags[:, 2:] = flip & big[:, 2:] & big[:, 1:-1]
     return flags
+
+
+def pairwise_arrays(dx, dy, ux, uy, radius_sum, horizon: float = TTC_HORIZON):
+    """(dist, ttc, tca, dca) from relative position and velocity planes.
+
+    ``dx, dy`` are the components of p_b - p_a and ``ux, uy`` those of
+    v_b - v_a, as float arrays of one shape (at least 1-D); ``radius_sum``
+    broadcasts to that shape.  |dp|^2, |dv|^2 and dp.dv are formed once: the
+    contact quadratic a t^2 + b t + c = 0 has a = |dv|^2, b = 2 dp.dv and
+    c = |dp|^2 - radius_sum^2.
+
+    dist is the current distance.  tca >= 0 is the time to closest approach
+    and dca the distance then (tca 0 without relative motion).  ttc is the
+    smallest t >= 0 with |dp + t dv| = radius_sum, capped at the horizon:
+    overlapping discs give 0, diverging pairs and misses the horizon.
+    """
+    dv2 = ux * ux
+    dv2 += uy * uy
+    ndot = dx * ux
+    ndot += dy * uy
+    np.negative(ndot, out=ndot)  # -dp.dv, so -b = 2 * ndot exactly
+    dist = dx * dx
+    dist += dy * dy
+    moving = dv2 > EPS_SPEED**2
+
+    tca = np.divide(ndot, dv2, out=np.zeros_like(dv2), where=moving)
+    np.maximum(tca, 0.0, out=tca)
+    dca = tca * ux
+    dca += dx
+    dca *= dca
+    cy = tca * uy
+    cy += dy
+    cy *= cy
+    dca += cy
+    np.sqrt(dca, out=dca)
+
+    c = dist - np.square(radius_sum)
+    np.sqrt(dist, out=dist)
+    neg_b = np.multiply(ndot, 2.0, out=ndot)
+    disc = np.multiply(dv2, 4.0, out=cy)
+    disc *= c
+    np.subtract(neg_b * neg_b, disc, out=disc)
+    hit = disc >= 0.0
+    hit &= moving
+    root = np.maximum(disc, 0.0, out=disc)
+    np.sqrt(root, out=root)
+    t_hit = np.subtract(neg_b, root, out=neg_b)
+    dv2 *= 2.0
+    np.divide(t_hit, dv2, out=t_hit, where=moving)
+    hit &= t_hit >= 0.0
+    np.minimum(t_hit, horizon, out=t_hit)
+    ttc = np.where(hit, t_hit, float(horizon))
+    ttc[c <= 0.0] = 0.0  # already overlapping
+    return dist, ttc, tca, dca
 
 
 def _hull_area_perimeter(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

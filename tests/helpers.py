@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
+from crowdscore.features import TTC_HORIZON, pairwise_arrays
 from crowdscore.simulator import Scenario, SocialForcesParams, simulate
 from crowdscore.trajectory import derive_kinematics
 
@@ -39,6 +40,14 @@ def linear_pair(p_a, v_a, p_b, v_b, steps=30, dt=DT, radius=0.3, personal=0.5):
     pos = np.stack([np.asarray(p_a) + t * np.asarray(v_a),
                     np.asarray(p_b) + t * np.asarray(v_b)])
     return crowd_from_positions(pos, dt, body_radii=radius, personal_radii=personal)
+
+
+def predict_pair(p_a, v_a, r_a, p_b, v_b, r_b, horizon=TTC_HORIZON):
+    """(ttc, tca, dca) of one agent pair, from the kernel on 1-element planes."""
+    dp = (np.asarray(p_b, dtype=float) - np.asarray(p_a, dtype=float))[:, None]
+    dv = (np.asarray(v_b, dtype=float) - np.asarray(v_a, dtype=float))[:, None]
+    _, ttc, tca, dca = pairwise_arrays(dp[0], dp[1], dv[0], dv[1], float(r_a) + float(r_b), horizon)
+    return float(ttc[0]), float(tca[0]), float(dca[0])
 
 
 def random_walk_crowd(seed, n_agents=4, steps=40, dt=DT, step_scale=0.12):

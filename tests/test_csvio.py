@@ -1,5 +1,6 @@
 import codecs
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -236,12 +237,16 @@ def test_array_parser_matches_row_loop_on_mutated_files(tmp_path, monkeypatch, d
     save_trajectory_csv(crowd, base)  # csv.writer: CRLF line ends
     crlf = base.read_bytes()
     assert b"\r\n" in crlf
-    flavours = [crlf.replace(b"\r\n", b"\n"), crlf, crlf.replace(b"\r\n", b"\r")]
+    lf = crlf.replace(b"\r\n", b"\n")
+    flavours = [lf, crlf, crlf.replace(b"\r\n", b"\r"), lf.replace(b",", b", ")]
     rng = np.random.default_rng(2024)
-    alphabet = b"0123456789eE+-.,\n\r \t\"ax\xff"
+    # and bytes the array parser must decline: whitespace that loadtxt strips
+    # and float() may not, a lone UTF-8 continuation byte, NUL, letters of
+    # nan and inf, and separators no number holds
+    alphabet = b"0123456789eE+-.,\n\r \t\"ax\xff\x0b\x0c\x1c\x1f\xa0\x00nif_#;"
     counts = {"fast": 0, "ok": 0, "error": 0}
     for k in range(600):
-        data = bytearray(flavours[k % 3])
+        data = bytearray(flavours[k % len(flavours)])
         for _ in range(int(rng.integers(1, 4))):
             at = int(rng.integers(0, len(data)))
             op = rng.integers(0, 3)
@@ -308,6 +313,30 @@ def test_line_ends_and_a_bom_do_not_change_the_load(tmp_path, monkeypatch):
             path.write_bytes(bom + data)
             fast, slow, used = both_parsers(path, monkeypatch)
             assert fast == slow == reference and used, (bom, data[:20])
+
+
+def test_crlf_and_spaced_files_take_the_array_parser_in_one_copy(tmp_path, monkeypatch):
+    crowd = simulate(Scenario(kind="circle", agent_count=40, seed=1), duration=10.0)
+    path = tmp_path / "c.csv"
+    save_trajectory_csv(crowd, path)
+    crlf = path.read_bytes()
+    lf = crlf.replace(b"\r\n", b"\n")
+    path.write_bytes(lf)
+    reference = load_outcome(path)
+    assert reference[0] == "ok"
+    peaks = {}
+    for name, data in (("lf", lf), ("crlf", crlf), ("spaced", lf.replace(b",", b", "))):
+        path.write_bytes(data)
+        fast, slow, used = both_parsers(path, monkeypatch)
+        assert fast == slow == reference and used, name
+        tracemalloc.start()
+        try:
+            load_trajectory_csv(path)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a CRLF file is not copied with LF line ends before the parse
+    assert peaks["crlf"] <= 1.1 * peaks["lf"], peaks
 
 
 def legacy_loadtxt(real, fallbacks):

@@ -10,16 +10,17 @@ from crowdscore.features import (
     FEATURE_CODES,
     GRANULARITY,
     INTERACTION_HORIZON,
+    TTC_HORIZON,
     FundamentalDiagramCurve,
     extract,
     fundamental_diagram_curve,
 )
-from crowdscore.geometry import TTC_HORIZON, predict_pair, time_to_collision
 
 from helpers import (
     colliding_crowd,
     crowd_from_positions,
     linear_pair,
+    predict_pair,
     random_walk_crowd,
     rigid_transform,
     straight_crowd,
@@ -201,7 +202,7 @@ def test_anticipation_records_ttc_at_maneuver_onset():
     # the stored value is the ttc at the maneuver step: the forward
     # difference puts the first rotated velocity at step 20
     P, V = crowd.positions, crowd.velocities
-    expected = time_to_collision(P[0, 20], V[0, 20], 0.3, P[1, 20], V[1, 20], 0.3)
+    expected, _, _ = predict_pair(P[0, 20], V[0, 20], 0.3, P[1, 20], V[1, 20], 0.3)
     assert ian[0, 0] == pytest.approx(expected)
 
 
@@ -373,12 +374,12 @@ def test_pairwise_minima_match_scalar_predictions():
             for j, gap in gaps.items():
                 if gap > INTERACTION_HORIZON:
                     continue
-                pred = predict_pair(P[i, t], V[i, t], r[i], P[j, t], V[j, t], r[j],
-                                    TTC_HORIZON)
-                ttc[i, t] = min(ttc[i, t], pred.ttc)
-                if pred.tca < TTC_HORIZON and pred.dca < best:
-                    best = pred.dca
-                    tca[i, t], dca[i, t] = pred.tca, pred.dca
+                pair_ttc, pair_tca, pair_dca = predict_pair(P[i, t], V[i, t], r[i],
+                                                            P[j, t], V[j, t], r[j], TTC_HORIZON)
+                ttc[i, t] = min(ttc[i, t], pair_ttc)
+                if pair_tca < TTC_HORIZON and pair_dca < best:
+                    best = pair_dca
+                    tca[i, t], dca[i, t] = pair_tca, pair_dca
     assert np.any(ttc < TTC_HORIZON) and np.any(tca < TTC_HORIZON)
     for code, expected in (("TTC", ttc), ("TCA", tca), ("DCA", dca)):
         np.testing.assert_allclose(f[code], expected, rtol=1e-12, atol=1e-12,

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from crowdscore.geometry import (
-    TTC_HORIZON,
-    closest_approach,
-    pairwise_arrays,
-    predict_pair,
-    time_to_collision,
-)
+from crowdscore.features import TTC_HORIZON, pairwise_arrays
+
+from helpers import predict_pair
 
 
 def rel(p_a, v_a, p_b, v_b):
@@ -16,36 +12,36 @@ def rel(p_a, v_a, p_b, v_b):
 
 
 def test_perpendicular_crossing_example():
-    tca, dca = closest_approach((0, 0), (1, 0), (5, -5), (0, 1))
+    _, tca, dca = predict_pair((0, 0), (1, 0), 0.0, (5, -5), (0, 1), 0.0)
     assert tca == pytest.approx(5.0)
     assert dca == pytest.approx(0.0, abs=1e-12)
 
 
 def test_head_on_collision_time():
     # 10 m apart, closing at 2 m/s, bodies 0.3 m each: contact at 4.7 s
-    ttc = time_to_collision((0, 0), (1, 0), 0.3, (10, 0), (-1, 0), 0.3)
+    ttc, _, _ = predict_pair((0, 0), (1, 0), 0.3, (10, 0), (-1, 0), 0.3)
     assert ttc == pytest.approx(4.7)
 
 
 def test_static_and_receding_pairs():
     # same velocity: no relative motion
-    tca, dca = closest_approach((0, 0), (1, 1), (3, 4), (1, 1))
+    ttc, tca, dca = predict_pair((0, 0), (1, 1), 0.3, (3, 4), (1, 1), 0.3)
     assert tca == 0.0
     assert dca == pytest.approx(5.0)
-    assert time_to_collision((0, 0), (1, 1), 0.3, (3, 4), (1, 1), 0.3) == TTC_HORIZON
+    assert ttc == TTC_HORIZON
 
     # receding: closest approach is now
-    tca, dca = closest_approach((0, 0), (-1, 0), (2, 0), (1, 0))
+    _, tca, dca = predict_pair((0, 0), (-1, 0), 0.0, (2, 0), (1, 0), 0.0)
     assert tca == 0.0
     assert dca == pytest.approx(2.0)
 
     # already overlapping discs
-    assert time_to_collision((0, 0), (1, 0), 0.3, (0.5, 0), (0, 0), 0.3) == 0.0
+    assert predict_pair((0, 0), (1, 0), 0.3, (0.5, 0), (0, 0), 0.3)[0] == 0.0
 
 
 def test_near_miss_gives_horizon():
     # passes 1 m off axis with 0.6 m combined radius: never touches
-    ttc = time_to_collision((0, 0), (1, 0), 0.3, (10, 1.0), (-1, 0), 0.3)
+    ttc, _, _ = predict_pair((0, 0), (1, 0), 0.3, (10, 1.0), (-1, 0), 0.3)
     assert ttc == TTC_HORIZON
 
 
@@ -56,9 +52,7 @@ def test_pair_symmetry():
         v_a, v_b = rng.uniform(-2, 2, (2, 2))
         ab = predict_pair(p_a, v_a, 0.3, p_b, v_b, 0.3)
         ba = predict_pair(p_b, v_b, 0.3, p_a, v_a, 0.3)
-        assert ab.tca == pytest.approx(ba.tca, abs=1e-12)
-        assert ab.dca == pytest.approx(ba.dca, abs=1e-12)
-        assert ab.ttc == pytest.approx(ba.ttc, abs=1e-12)
+        assert ab == pytest.approx(ba, abs=1e-12)  # ttc, tca and dca
 
 
 def test_prediction_invariants():
@@ -67,16 +61,16 @@ def test_prediction_invariants():
         p_a, p_b = rng.uniform(-8, 8, (2, 2))
         v_a, v_b = rng.uniform(-2, 2, (2, 2))
         dp, dv = rel(p_a, v_a, p_b, v_b)
-        pred = predict_pair(p_a, v_a, 0.3, p_b, v_b, 0.3)
+        ttc, tca, dca = predict_pair(p_a, v_a, 0.3, p_b, v_b, 0.3)
 
-        assert 0.0 <= pred.tca
-        assert pred.dca <= np.linalg.norm(dp) + 1e-12  # approach never worsens
-        assert 0.0 <= pred.ttc <= TTC_HORIZON
-        if pred.ttc < TTC_HORIZON and np.linalg.norm(dp) > 0.6:
+        assert 0.0 <= tca
+        assert dca <= np.linalg.norm(dp) + 1e-12  # approach never worsens
+        assert 0.0 <= ttc <= TTC_HORIZON
+        if ttc < TTC_HORIZON and np.linalg.norm(dp) > 0.6:
             # touching precedes the closest approach
-            assert pred.ttc <= pred.tca + 1e-9
+            assert ttc <= tca + 1e-9
             # the discs really touch at the reported time
-            gap = np.linalg.norm(dp + pred.ttc * dv)
+            gap = np.linalg.norm(dp + ttc * dv)
             assert gap == pytest.approx(0.6, abs=1e-9)
 
 
@@ -89,18 +83,18 @@ def test_matches_dense_time_stepping():
         v_a, v_b = rng.uniform(-2, 2, (2, 2))
         dp, dv = rel(p_a, v_a, p_b, v_b)
         d = np.linalg.norm(dp[None] + t[:, None] * dv[None], axis=1)
-        pred = predict_pair(p_a, v_a, 0.3, p_b, v_b, 0.3)
+        ttc, tca, dca = predict_pair(p_a, v_a, 0.3, p_b, v_b, 0.3)
 
         k = int(np.argmin(d))
         if k < t.size - 1:  # closest approach inside the sampled range
             if k > 0:
-                assert pred.tca == pytest.approx(t[k], abs=2e-3)
-            assert pred.dca == pytest.approx(d.min(), abs=1e-4)
+                assert tca == pytest.approx(t[k], abs=2e-3)
+            assert dca == pytest.approx(d.min(), abs=1e-4)
 
         crossing = np.flatnonzero(d <= 0.6)
         grid_ttc = min(t[crossing[0]] if crossing.size else np.inf, TTC_HORIZON)
         if d.min() < 0.59 or d.min() > 0.61:  # skip grazing tangency
-            assert pred.ttc == pytest.approx(grid_ttc, abs=2e-3)
+            assert ttc == pytest.approx(grid_ttc, abs=2e-3)
 
 
 def test_array_api_matches_scalar_api():
@@ -120,8 +114,8 @@ def test_array_api_matches_scalar_api():
     assert ttc.shape == tca.shape == dca.shape == dist.shape == (4, 3, 3)
     for idx in np.ndindex(4, 3, 3):
         p_b, v_b = dp[(slice(None),) + idx], dv[(slice(None),) + idx]
-        pred = predict_pair((0, 0), (0, 0), 0.25, p_b, v_b, 0.25)
-        assert (ttc[idx], tca[idx], dca[idx]) == (pred.ttc, pred.tca, pred.dca), idx
+        pair = predict_pair((0, 0), (0, 0), 0.25, p_b, v_b, 0.25)
+        assert (ttc[idx], tca[idx], dca[idx]) == pair, idx
         assert dist[idx] == np.sqrt(p_b[0] * p_b[0] + p_b[1] * p_b[1])
     # the edge pairs, in order
     cases = [(3, 0, 0), (3, 1, 0), (3, 2, 0), (3, 0, 1), (3, 1, 1)]
