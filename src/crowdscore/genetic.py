@@ -7,12 +7,15 @@ even when the fitness landscape is resampled between generations.
 
 The order and sizes of the RNG draws are part of the output contract: for a
 seed they fix the best genome, the history and every file written from them.
-Each child pair draws two tournaments (``integers(0, P, size=3)`` each), one
-``random()`` crossover coin and, if crossover fires, a ``random(genes)`` mask;
-then each of its children draws a ``random(genes)`` mutation mask and, if k
-genes mutate, ``standard_normal(k)``.  Drawing in any other order (say, a
-whole generation per call) moves the seed-0 values pinned in
-``bench/expected.json`` and so belongs in a change to the benchmark.
+Each child pair draws both its tournaments with one ``integers(0, P, size=6)``
+call (the first three picks are one tournament, the last three the other; the
+stream is that of two ``size=3`` calls, because PCG64 keeps the spare 32-bit
+half of a draw between calls), then one ``random()`` crossover coin and, if
+crossover fires, a ``random(genes)`` mask; then each of its children draws a
+``random(genes)`` mutation mask and, if k genes mutate, ``standard_normal(k)``.
+Drawing in any other order (say, a whole generation per call) moves the seed-0
+values pinned in ``bench/expected.json`` and so belongs in a change to the
+benchmark.
 """
 
 from __future__ import annotations
@@ -194,8 +197,9 @@ def ga_optimize(
         picks, swaps, masks, noise = [], [], [], []
         while len(masks) < n_children:
             # min keeps the first of tied picks, as argmin over fits[picks] would
-            picks.append(min(integers(0, pop_size, size=TOURNAMENT_SIZE).tolist(), key=fit_of))
-            picks.append(min(integers(0, pop_size, size=TOURNAMENT_SIZE).tolist(), key=fit_of))
+            drawn = integers(0, pop_size, size=2 * TOURNAMENT_SIZE).tolist()
+            picks.append(min(drawn[:TOURNAMENT_SIZE], key=fit_of))
+            picks.append(min(drawn[TOURNAMENT_SIZE:], key=fit_of))
             if random() < cfg.crossover_rate:
                 swaps.append(random(n_genes) < 0.5)
             else:

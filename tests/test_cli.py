@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import crowdscore
+from crowdscore import features
 from crowdscore.cli import run
 from crowdscore.csvio import load_trajectory_csv
 from crowdscore.features import FEATURE_CODES
@@ -58,6 +59,43 @@ def test_threads_below_one_is_a_usage_error(tmp_path, workspace, capsys, threads
                 "--breakdown", str(tmp_path / "b.csv")]) == 1
     assert "--threads: must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
+
+
+def test_worker_count_changes_no_output(tmp_path, monkeypatch, capsys):
+    """Every subcommand that extracts features writes the same bytes on one
+    CPU and on two, on 60-agent crowds whose pairwise pass takes 3 chunks on
+    one worker and 6 on two."""
+
+    def pipeline(cpus):
+        monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+        root = tmp_path / f"cpus{cpus}"
+        (root / "golden").mkdir(parents=True)
+        monkeypatch.chdir(root)
+        circle = ["--kind", "circle", "--agents", "60", "--radius", "6.0", "--duration", "4.0"]
+        commands = [
+            ["simulate", *circle, "--seed", "0", "--out", "golden/run0.csv"],
+            ["simulate", *circle, "--seed", "1", "--out", "golden/run1.csv"],
+            ["fit-reference", "--golden", "golden", "--out", "stats.txt"],
+            ["score", "--trajectory", "golden/run0.csv", "--stats", "stats.txt",
+             "--breakdown", "breakdown.csv"],
+            ["features", "--trajectory", "golden/run1.csv", "--stats", "stats.txt",
+             "--out", "features.csv"],
+            ["train-weights", "--golden", "golden", "--auto-degrade", "--population", "8",
+             "--generations", "2", "--out", "weights.txt"],
+            ["tune", *circle, "--stats", "stats.txt", "--population", "4",
+             "--generations", "2", "--out", "params.txt"],
+        ]
+        for argv in commands:
+            assert run(argv) == 0, argv
+        files = {p.relative_to(root).as_posix(): p.read_bytes()
+                 for p in sorted(root.rglob("*")) if p.is_file()}
+        return files, capsys.readouterr()
+
+    serial, threaded = pipeline(1), pipeline(2)
+    assert len(serial[0]) == 17 and set(serial[0]) == set(threaded[0])
+    for name, data in serial[0].items():
+        assert threaded[0][name] == data, name
+    assert threaded[1] == serial[1]  # stdout and stderr
 
 
 def _sample_with_x(workspace, path, value):

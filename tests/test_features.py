@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -348,7 +350,7 @@ def test_pairwise_chunking_is_exact(monkeypatch):
     crowd = contact_crowd()
     n, steps = crowd.n_agents, crowd.n_steps
     results = []
-    # chunks of 1 step, of 7 (a ragged last chunk) and of the whole recording
+    # chunks of 1 step, of 6 or 7 (7 at most) and of the whole recording
     for budget in (1, 7 * n * n, steps * n * n):
         monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
         results.append(extract(crowd))
@@ -356,6 +358,127 @@ def test_pairwise_chunking_is_exact(monkeypatch):
     for other in results[1:]:
         for code in FEATURE_CODES:
             assert np.array_equal(results[0][code], other[code]), code
+
+
+def spread_crowd(n_agents, steps, seed=0):
+    """Random walkers over a square that grows with the crowd: small crowds
+    touch, and in the largest some pairs lie beyond the interaction horizon."""
+    rng = np.random.default_rng(seed)
+    half = 1.5 + 0.15 * n_agents
+    start = rng.uniform(-half, half, size=(n_agents, 1, 2))
+    steps_xy = rng.normal(0.0, 0.12, size=(n_agents, steps - 1, 2))
+    return crowd_from_positions(
+        np.concatenate([start, start + np.cumsum(steps_xy, axis=1)], axis=1)
+    )
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 12, 57, 150])
+@pytest.mark.parametrize("steps", [2, 3, 110])
+def test_threaded_pairwise_pass_is_bitwise_serial(monkeypatch, n_agents, steps):
+    crowd = spread_crowd(n_agents, steps)
+    # Five steps of pairs per chunk on one worker: many chunks, an odd count
+    # at three workers, and room in the budget for four, more than this
+    # host's cores.
+    monkeypatch.setattr(features, "_PAIR_BUDGET", 5 * n_agents * n_agents)
+    split_any_crowd(monkeypatch, cpus=1)
+    running = threading.active_count()
+    serial = extract(crowd)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for cpus in (2, 3, 4):
+            split_any_crowd(monkeypatch, cpus=cpus)
+            threaded = extract(crowd)
+            assert threading.active_count() == running  # every helper joined
+            for code in FEATURE_CODES:
+                assert threaded[code].tobytes() == serial[code].tobytes(), (cpus, code)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def split_any_crowd(monkeypatch, cpus):
+    """Let extract start a worker per step, on up to ``cpus`` CPUs."""
+    monkeypatch.setattr(features, "_WORKER_PAIRS", 1)
+    monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+
+
+def fail_off_thread(fail):
+    """``pairwise_arrays`` that first calls ``fail()`` on any thread but this one."""
+    caller, kernel = threading.current_thread(), features.pairwise_arrays
+
+    def wrapped(*args):
+        if threading.current_thread() is not caller:
+            fail()
+        return kernel(*args)
+
+    return wrapped
+
+
+def test_helper_threads_compute_under_the_callers_error_state(monkeypatch):
+    def overflow():
+        np.float64(1e308) * 10.0
+
+    split_any_crowd(monkeypatch, cpus=2)
+    monkeypatch.setattr(features, "pairwise_arrays", fail_off_thread(overflow))
+    crowd = contact_crowd()
+    with np.errstate(over="ignore"):
+        extract(crowd)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        extract(crowd)
+
+
+def test_an_exception_in_a_helper_is_raised_in_the_caller(monkeypatch):
+    def boom():
+        raise RuntimeError("helper failed")
+
+    split_any_crowd(monkeypatch, cpus=4)
+    monkeypatch.setattr(features, "pairwise_arrays", fail_off_thread(boom))
+    running = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper failed"):
+        extract(contact_crowd())
+    assert threading.active_count() == running
+
+
+def test_workers_are_capped_by_cpus_steps_pairs_and_budget(monkeypatch):
+    started = []
+
+    class CountingThread:
+        """Stands in for threading.Thread: runs its target when started."""
+
+        def __init__(self, target, args):
+            self.target, self.args, self.ident = target, args, None
+
+        def start(self):
+            started.append(self)
+            self.ident = len(started)
+            self.target(*self.args)
+
+        def join(self):
+            pass
+
+    def helpers(crowd):
+        started.clear()
+        result = extract(crowd)
+        return len(started), result
+
+    monkeypatch.setattr(features.threading, "Thread", CountingThread)
+    small = contact_crowd()  # 9 agents over 40 steps: 3,240 pairs
+    dense = spread_crowd(150, 40)  # 22,500 pairs a step, 900,000 in all
+    assert helpers(small)[0] == 0  # too few pairs to share
+    assert helpers(dense)[0] <= features.usable_cpus() - 1
+    # On 64 CPUs the 2^16-pair budget holds two steps of the dense crowd.
+    monkeypatch.setattr(features, "usable_cpus", lambda: 64)
+    assert helpers(dense)[0] == 1
+    assert helpers(small)[0] == 0
+    serial = extract(small)
+    # With any split allowed, the 40 steps cap the workers.
+    monkeypatch.setattr(features, "_WORKER_PAIRS", 1)
+    count, capped = helpers(small)
+    assert count == small.n_steps - 1
+    for code in FEATURE_CODES:
+        assert np.array_equal(capped[code], serial[code]), code
+    monkeypatch.setattr(features, "usable_cpus", lambda: 3)
+    assert helpers(small)[0] == 2
 
 
 def test_pairwise_minima_match_scalar_predictions():
