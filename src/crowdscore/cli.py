@@ -66,8 +66,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sp.add_argument(
         "--threads", type=_positive_int, default=1,
-        help="accepted for compatibility, at least 1; each GA generation is evaluated "
-        "as one batch in one thread, so it changes neither results nor speed",
+        help="accepted for compatibility, at least 1, and recorded in the manifest "
+        "only; the pairwise feature pass sizes its workers from the CPUs the "
+        "process may use",
     )
     sp.add_argument(
         "--manifest", default=None, help="manifest path (default: <output>.manifest.txt)"
@@ -360,11 +361,8 @@ def _cmd_features(args) -> None:
 
 def _cmd_degrade(args) -> None:
     crowd = load_trajectory_csv(args.trajectory)
-    try:
-        damaged = degrade(crowd, args.mode, seed=args.seed, amplitude=args.amplitude,
-                          factor=args.factor, fraction=args.fraction)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    damaged = degrade(crowd, args.mode, seed=args.seed, amplitude=args.amplitude,
+                      factor=args.factor, fraction=args.fraction)
     save_trajectory_csv(damaged, args.out)
     _write_manifest(args, args.out)
 
@@ -382,7 +380,7 @@ def _cmd_tune(args) -> None:
     scenario_seed = args.scenario_seed if args.scenario_seed is not None else args.seed
     scenario = _scenario(args, scenario_seed)
     config = TuneConfig(
-        scenarios=[scenario],
+        scenario=scenario,
         mode=args.mode,
         duration=args.duration,
         ga=_ga_config(args),
@@ -397,8 +395,9 @@ def _cmd_tune(args) -> None:
     _write_history_csv(history_path, "best_score", result.best_score_history)
     save_trajectory_csv(best, args.out_trajectory or f"{args.out}.best.csv")
     _write_manifest(args, args.out)
-    print(f"S_QF={result.final_score:.4f}")
-    print(f"quartile={quartile(result.final_score)}")
+    final = result.best_score_history[-1]
+    print(f"S_QF={final:.4f}")
+    print(f"quartile={quartile(final)}")
 
 
 def run(argv=None) -> int:
@@ -423,13 +422,10 @@ def run(argv=None) -> int:
         print(f"crowdscore: data error: values too large to compute with ({exc})",
               file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"crowdscore: data error: {exc}", file=sys.stderr)
-        return 2
     except ConfigError as exc:
         print(f"crowdscore: configuration error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"crowdscore: data error: {exc}", file=sys.stderr)
         return 2
 

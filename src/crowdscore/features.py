@@ -235,7 +235,7 @@ def _run_workers(work, workers: int):
     return kept
 
 
-def pairwise_arrays(dx, dy, ux, uy, radius_sum, horizon: float = TTC_HORIZON):
+def pairwise_arrays(dx, dy, ux, uy, radius_sum):
     """(dist, ttc, tca, dca) from relative position and velocity planes.
 
     ``dx, dy`` are the components of p_b - p_a and ``ux, uy`` those of
@@ -246,8 +246,8 @@ def pairwise_arrays(dx, dy, ux, uy, radius_sum, horizon: float = TTC_HORIZON):
 
     dist is the current distance.  tca >= 0 is the time to closest approach
     and dca the distance then (tca 0 without relative motion).  ttc is the
-    smallest t >= 0 with |dp + t dv| = radius_sum, capped at the horizon:
-    overlapping discs give 0, diverging pairs and misses the horizon.
+    smallest t >= 0 with |dp + t dv| = radius_sum, capped at TTC_HORIZON:
+    overlapping discs give 0, diverging pairs and misses TTC_HORIZON.
     """
     dv2 = ux * ux
     dv2 += uy * uy
@@ -283,8 +283,8 @@ def pairwise_arrays(dx, dy, ux, uy, radius_sum, horizon: float = TTC_HORIZON):
     dv2 *= 2.0
     np.divide(t_hit, dv2, out=t_hit, where=moving)
     hit &= t_hit >= 0.0
-    np.minimum(t_hit, horizon, out=t_hit)
-    ttc = np.where(hit, t_hit, float(horizon))
+    np.minimum(t_hit, TTC_HORIZON, out=t_hit)
+    ttc = np.where(hit, t_hit, TTC_HORIZON)
     ttc[c <= 0.0] = 0.0  # already overlapping
     return dist, ttc, tca, dca
 
@@ -481,7 +481,7 @@ def extract(
             dy = Y[ts, None, :] - Y[ts, :, None]
             ux = VX[ts, None, :] - VX[ts, :, None]
             uy = VY[ts, None, :] - VY[ts, :, None]
-            dist, ttc_pair, tca_pair, dca_pair = pairwise_arrays(dx, dy, ux, uy, body_sum, cap)
+            dist, ttc_pair, tca_pair, dca_pair = pairwise_arrays(dx, dy, ux, uy, body_sum)
             del dx, dy, ux, uy
             dist.reshape(len(dist), N * N)[:, :: N + 1] = np.inf  # no self-pairs
 

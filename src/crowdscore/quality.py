@@ -87,21 +87,16 @@ class QualityScore:
 
 
 def fit_reference(
-    samples: dict[str, np.ndarray],
-    *,
-    fd_curve: FundamentalDiagramCurve | None = None,
-    fd_bin_width: float = FD_BIN_WIDTH,
+    samples: dict[str, np.ndarray], fd_curve: FundamentalDiagramCurve
 ) -> ReferenceStats:
     """Fit per-feature (mu, sigma) from golden-data samples.
 
     ``samples`` maps feature codes to sample arrays, raveled here.  Sigma
-    uses the population convention and is floored at SIGMA_FLOOR.  Unless a
-    curve is supplied, the fundamental diagram is fitted from the paired
-    (LDN, AWS) samples.
+    uses the population convention and is floored at SIGMA_FLOOR.  The FDG
+    samples must have been measured against ``fd_curve``, which the stats keep.
     """
     mu: dict[str, float] = {}
     sigma: dict[str, float] = {}
-    flats: dict[str, np.ndarray] = {}
     for code in FEATURE_CODES:
         if code not in samples:
             raise DataError(f"feature {code}: no samples provided")
@@ -110,19 +105,9 @@ def fit_reference(
             raise DataError(f"feature {code}: need at least 2 samples, got {vals.size}")
         if not np.all(np.isfinite(vals)):
             raise DataError(f"feature {code}: samples contain non-finite values")
-        flats[code] = vals
         mu[code] = float(np.mean(vals))
         sigma[code] = max(float(np.std(vals)), SIGMA_FLOOR)
-    curve = fd_curve
-    if curve is None:
-        ldn, aws = flats["LDN"], flats["AWS"]
-        if ldn.size != aws.size:
-            raise DataError(
-                f"LDN and AWS sample counts differ ({ldn.size} vs {aws.size}), "
-                "cannot pair them for the fundamental diagram"
-            )
-        curve = fundamental_diagram_curve(np.column_stack([ldn, aws]), fd_bin_width)
-    return ReferenceStats(mu=mu, sigma=sigma, fd_curve=curve)
+    return ReferenceStats(mu=mu, sigma=sigma, fd_curve=fd_curve)
 
 
 def fit_reference_from_crowds(crowds, *, fd_bin_width: float = FD_BIN_WIDTH) -> ReferenceStats:
@@ -140,7 +125,7 @@ def fit_reference_from_crowds(crowds, *, fd_bin_width: float = FD_BIN_WIDTH) -> 
     pairs = np.column_stack([merged["LDN"], merged["AWS"]])
     curve = fundamental_diagram_curve(pairs, fd_bin_width)
     merged["FDG"] = np.concatenate([fd_gap(m["AWS"], m["LDN"], curve) for m in maps])
-    return fit_reference(merged, fd_curve=curve)
+    return fit_reference(merged, curve)
 
 
 def cost(code: str, samples: np.ndarray, stats: ReferenceStats) -> float:

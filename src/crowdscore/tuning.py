@@ -1,10 +1,10 @@
 """Simulator parameter tuning by score maximization.
 
-The tuner runs the genetic engine over the social-forces parameter box with
-fitness 1 - mean quality score over the configured scenarios.  Generic mode
-re-seeds the scenarios every generation so the winning parameters cannot
-overfit one spawn layout; the mutation scale decays geometrically, giving the
-shrinking exploration rate.
+The tuner runs the genetic engine over the social-forces parameter box
+``TUNE_BOUNDS`` with fitness 1 - quality score of the simulated scenario.
+Generic mode re-seeds the scenario every generation so the winning parameters
+cannot overfit one spawn layout; the mutation scale decays geometrically,
+giving the shrinking exploration rate.
 """
 
 from __future__ import annotations
@@ -33,17 +33,14 @@ QUARTILE_EDGES = (0.225, 0.45, 0.675)  # even split of the [0, 0.9) range
 
 @dataclass
 class TuneConfig:
-    scenarios: list[Scenario]
+    scenario: Scenario
     mode: str = "single"
     duration: float = 20.0
     ga: GaConfig = field(default_factory=GaConfig)
     exploration_decay: float = 0.97
-    bounds: tuple = TUNE_BOUNDS  # (low, high) per simulator parameter
     initial_params: SocialForcesParams | None = None  # seeds the whole population
 
     def __post_init__(self) -> None:
-        if not self.scenarios:
-            raise ConfigError("tune needs at least one scenario")
         if self.mode not in TUNE_MODES:
             raise ConfigError(f"unknown tune mode {self.mode!r}, expected {TUNE_MODES}")
         if not 0.0 < self.exploration_decay <= 1.0:
@@ -58,8 +55,6 @@ class TuneConfig:
 class TuneResult:
     p_opt: SocialForcesParams
     best_score_history: list[float]  # non-decreasing, best score so far
-    final_score: float
-    stop_reason: str
     ga: GaResult
 
 
@@ -68,36 +63,30 @@ def tune(
     stats: ReferenceStats,
     weights: WeightVector,
 ) -> TuneResult:
-    """Search simulator parameters maximizing the mean quality score.
+    """Search simulator parameters maximizing the quality score.
 
     All agents share one parameter set.  The genomes of a generation are
-    simulated together, scenario by scenario, and their crowds are scored one
-    at a time.  Genomes producing non-finite scores (integration blow-ups) are
-    assigned the worst fitness instead of aborting the search.
+    simulated together and their crowds are scored one at a time.  Genomes
+    producing non-finite scores (integration blow-ups) are assigned the worst
+    fitness instead of aborting the search.
     """
-    active = {"scenarios": list(config.scenarios)}
+    scenario = config.scenario
 
     def evaluate(population: np.ndarray) -> np.ndarray:
-        totals = np.empty((len(population), len(active["scenarios"])))
         with np.errstate(all="ignore"):  # a blow-up ends with the worst fitness
-            for j, scenario in enumerate(active["scenarios"]):
-                for i, crowd in enumerate(
-                    simulate_population(scenario, population, config.duration)
-                ):
-                    totals[i, j] = score(crowd, stats, weights).total
-        values = 1.0 - np.mean(totals, axis=1)
+            values = 1.0 - np.array([
+                score(crowd, stats, weights).total
+                for crowd in simulate_population(scenario, population, config.duration)
+            ])
         return np.where(np.isfinite(values), values, 1.0)
 
     on_generation = None
     if config.mode == "generic":
 
         def on_generation(gen: int) -> None:
-            seeds = np.random.default_rng([config.ga.seed, gen]).integers(
-                0, 2**31, size=len(config.scenarios)
-            )
-            active["scenarios"] = [
-                replace(sc, seed=int(s)) for sc, s in zip(config.scenarios, seeds)
-            ]
+            nonlocal scenario
+            seed = np.random.default_rng([config.ga.seed, gen]).integers(0, 2**31, size=1)[0]
+            scenario = replace(config.scenario, seed=int(seed))
 
     initial = None
     if config.initial_params is not None:
@@ -109,18 +98,15 @@ def tune(
 
     result = ga_optimize(
         evaluate,
-        config.bounds,
+        TUNE_BOUNDS,
         config.ga,
         mutation_decay=config.exploration_decay,
         initial=initial,
         on_generation=on_generation,
     )
-    history = [1.0 - f for f in result.history]
     return TuneResult(
         p_opt=genome_to_params(result.best_genome),
-        best_score_history=history,
-        final_score=history[-1],
-        stop_reason=result.stop_reason,
+        best_score_history=[1.0 - f for f in result.history],
         ga=result,
     )
 

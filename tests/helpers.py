@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from crowdscore.features import TTC_HORIZON, pairwise_arrays
+from crowdscore.features import pairwise_arrays
 from crowdscore.simulator import Scenario, SocialForcesParams, simulate
 from crowdscore.trajectory import derive_kinematics
 
@@ -42,11 +42,11 @@ def linear_pair(p_a, v_a, p_b, v_b, steps=30, dt=DT, radius=0.3, personal=0.5):
     return crowd_from_positions(pos, dt, body_radii=radius, personal_radii=personal)
 
 
-def predict_pair(p_a, v_a, r_a, p_b, v_b, r_b, horizon=TTC_HORIZON):
+def predict_pair(p_a, v_a, r_a, p_b, v_b, r_b):
     """(ttc, tca, dca) of one agent pair, from the kernel on 1-element planes."""
     dp = (np.asarray(p_b, dtype=float) - np.asarray(p_a, dtype=float))[:, None]
     dv = (np.asarray(v_b, dtype=float) - np.asarray(v_a, dtype=float))[:, None]
-    _, ttc, tca, dca = pairwise_arrays(dp[0], dp[1], dv[0], dv[1], float(r_a) + float(r_b), horizon)
+    _, ttc, tca, dca = pairwise_arrays(dp[0], dp[1], dv[0], dv[1], float(r_a) + float(r_b))
     return float(ttc[0]), float(tca[0]), float(dca[0])
 
 

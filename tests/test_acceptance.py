@@ -14,7 +14,7 @@ import numpy as np
 
 import crowdscore
 from crowdscore.cli import run as cli_run
-from crowdscore.features import FEATURE_CODES, extract, pairwise_arrays
+from crowdscore.features import FEATURE_CODES, TTC_HORIZON, extract, pairwise_arrays
 from crowdscore.genetic import GaConfig
 from crowdscore.quality import (
     combine,
@@ -89,11 +89,11 @@ def test_pair_prediction_against_dense_stepping(acceptance_log):
         vel_a[slow] = rng.uniform(-2.0, 2.0, (int(slow.sum()), 2))
         vel_b[slow] = rng.uniform(-2.0, 2.0, (int(slow.sum()), 2))
 
-    radius, horizon = 0.3, 10.0
+    radius, horizon = 0.3, TTC_HORIZON
     dp = pos_b - pos_a
     dv = vel_b - vel_a
     _, ttc, tca, dca = pairwise_arrays(dp[:, 0], dp[:, 1], dv[:, 0], dv[:, 1],
-                                       radius + radius, horizon)
+                                       radius + radius)
 
     # dense reference: march the relative position on a 1e-4 s grid out to
     # 72 s (max start offset 28.3 m over min closing speed 0.4 m/s)
@@ -201,7 +201,7 @@ def test_tuning_climbs_from_poor_start(acceptance_log, golden_stats,
                                       repulsion_range=0.05, max_speed=4.0,
                                       noise_amplitude=1.5)
     config = TuneConfig(
-        scenarios=[scenario],
+        scenario=scenario,
         mode="single",
         duration=11.0,
         ga=GaConfig(population_size=32, max_generations=150,

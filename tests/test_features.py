@@ -498,7 +498,7 @@ def test_pairwise_minima_match_scalar_predictions():
                 if gap > INTERACTION_HORIZON:
                     continue
                 pair_ttc, pair_tca, pair_dca = predict_pair(P[i, t], V[i, t], r[i],
-                                                            P[j, t], V[j, t], r[j], TTC_HORIZON)
+                                                            P[j, t], V[j, t], r[j])
                 ttc[i, t] = min(ttc[i, t], pair_ttc)
                 if pair_tca < TTC_HORIZON and pair_dca < best:
                     best = pair_dca

@@ -56,6 +56,9 @@ def stats_for(mu, sigma):
     )
 
 
+FLAT_CURVE = FundamentalDiagramCurve(densities=np.array([0.25]), speeds=np.array([1.0]))
+
+
 def full_sample_map(value, n=8):
     return {c: np.full(n, value) for c in FEATURE_CODES}
 
@@ -105,7 +108,8 @@ def test_fit_reference_recovers_gaussian_parameters():
     sample_map = full_sample_map(0.0)
     sample_map["AWS"] = draws
     sample_map["LDN"] = np.abs(draws)
-    st = fit_reference(sample_map)
+    st = fit_reference(sample_map, FLAT_CURVE)
+    assert st.fd_curve is FLAT_CURVE
     assert st.mu["AWS"] == pytest.approx(1.4, abs=0.02)
     assert st.sigma["AWS"] == pytest.approx(0.2, abs=0.02)
     assert st.mu["AWS"] == pytest.approx(float(np.mean(draws)), abs=1e-12)
@@ -114,13 +118,13 @@ def test_fit_reference_recovers_gaussian_parameters():
 
 def test_fit_reference_population_sigma_and_floor():
     sample_map = full_sample_map(5.0)
-    st = fit_reference(sample_map)
+    st = fit_reference(sample_map, FLAT_CURVE)
     assert st.sigma["DGD"] == SIGMA_FLOOR  # constant samples hit the floor
     assert st.mu["DGD"] == pytest.approx(5.0)
 
     sample_map["AWS"] = np.array([0.0, 2.0])
     sample_map["LDN"] = np.array([0.1, 0.1])
-    st2 = fit_reference(sample_map)
+    st2 = fit_reference(sample_map, FLAT_CURVE)
     assert st2.mu["AWS"] == pytest.approx(1.0)
     assert st2.sigma["AWS"] == pytest.approx(1.0)  # population, not sample, std
 
@@ -129,10 +133,10 @@ def test_fit_reference_needs_two_samples_per_feature():
     sample_map = full_sample_map(1.0)
     sample_map["TTC"] = np.array([10.0])
     with pytest.raises(DataError, match="TTC"):
-        fit_reference(sample_map)
+        fit_reference(sample_map, FLAT_CURVE)
     del sample_map["TTC"]
     with pytest.raises(DataError, match="TTC"):
-        fit_reference(sample_map)
+        fit_reference(sample_map, FLAT_CURVE)
 
 
 # --- weights ---

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from crowdscore import tuning
 from crowdscore.errors import ConfigError
 from crowdscore.features import FEATURE_CODES, extract
 from crowdscore.genetic import GaConfig
 from crowdscore.quality import WeightVector, parse_reference_stats, score
-from crowdscore.simulator import Scenario, SocialForcesParams, simulate
+from crowdscore.simulator import TUNE_BOUNDS, Scenario, SocialForcesParams, simulate
 from crowdscore.tuning import TuneConfig, TuneResult, quartile, tune
 
 
@@ -30,7 +31,7 @@ TINY_SCENARIO = Scenario(kind="circle", agent_count=4, radius=3.0, seed=1)
 
 def tiny_config(**kwargs):
     defaults = dict(
-        scenarios=[TINY_SCENARIO],
+        scenario=TINY_SCENARIO,
         duration=2.5,
         ga=GaConfig(population_size=6, max_generations=4, seed=1,
                     plateau_generations=30),
@@ -58,8 +59,6 @@ def test_quartile_rejects_bad_inputs():
 
 
 def test_tune_config_validation():
-    with pytest.raises(ConfigError, match="at least one scenario"):
-        TuneConfig(scenarios=[])
     with pytest.raises(ConfigError, match="unknown tune mode"):
         tiny_config(mode="annealed")
     with pytest.raises(ConfigError, match="exploration_decay"):
@@ -74,17 +73,16 @@ def test_tune_config_validation():
 def test_zero_weights_score_one_and_stop_immediately():
     res = tune(tiny_config(), unit_stats(), WeightVector.from_vector(np.zeros(21)))
     assert res.best_score_history == [1.0]
-    assert res.final_score == 1.0
-    assert res.stop_reason == "target"
+    assert res.ga.stop_reason == "target"
 
 
-def test_collapsed_bounds_pin_the_optimum():
+def test_collapsed_bounds_pin_the_optimum(monkeypatch):
     pin = SocialForcesParams(relaxation_time=0.6, repulsion_strength=4.0,
                              repulsion_range=0.5, max_speed=3.0,
                              noise_amplitude=0.0)
-    bounds = tuple((v, v) for v in (0.6, 4.0, 0.5, 3.0, 0.0))
-    cfg = tiny_config(bounds=bounds,
-                      ga=GaConfig(population_size=4, max_generations=3, seed=0,
+    monkeypatch.setattr(tuning, "TUNE_BOUNDS",
+                        tuple((v, v) for v in (0.6, 4.0, 0.5, 3.0, 0.0)))
+    cfg = tiny_config(ga=GaConfig(population_size=4, max_generations=3, seed=0,
                                   plateau_generations=30))
     res = tune(cfg, unit_stats(), only_weight("AWS", 0.3))
     assert res.p_opt == pin
@@ -97,8 +95,7 @@ def test_history_is_non_decreasing_and_optimum_in_bounds():
     assert isinstance(res, TuneResult)
     h = res.best_score_history
     assert all(b >= a for a, b in zip(h, h[1:]))
-    assert res.final_score == h[-1]
-    for (low, high), name in zip(cfg.bounds, (
+    for (low, high), name in zip(TUNE_BOUNDS, (
             "relaxation_time", "repulsion_strength", "repulsion_range",
             "max_speed", "noise_amplitude")):
         value = getattr(res.p_opt, name)
@@ -120,6 +117,37 @@ def test_initial_params_seed_the_first_generation():
     assert res.best_score_history[0] == pytest.approx(expected, abs=1e-12)
 
 
+# Best-score history and optimum of tiny_config() under an AWS weight of 0.5,
+# recorded bit for bit: a rewrite of the fitness or of the generic reseed must
+# not move them.
+TUNE_PINS = {
+    "single": (
+        [0.882919212649409, 0.882919212649409, 0.884171668829186, 0.884171668829186],
+        SocialForcesParams(relaxation_time=1.5256928779971,
+                           repulsion_strength=4.650911583484546,
+                           repulsion_range=0.7535269129258708,
+                           max_speed=3.9614743996024773,
+                           noise_amplitude=1.44248579049568),
+    ),
+    "generic": (
+        [0.8775394549823463, 0.8839012543174833, 0.8839012543174833, 0.8839012543174833],
+        SocialForcesParams(relaxation_time=1.5256928779971,
+                           repulsion_strength=2.2432700638883194,
+                           repulsion_range=0.6433387477352839,
+                           max_speed=3.099187375346119,
+                           noise_amplitude=0.04133866986460255),
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(TUNE_PINS))
+def test_tuned_results_are_pinned(mode):
+    res = tune(tiny_config(mode=mode), unit_stats(), only_weight("AWS", 0.5))
+    history, p_opt = TUNE_PINS[mode]
+    assert res.best_score_history == history
+    assert res.p_opt == p_opt
+
+
 def test_generic_mode_resamples_scenarios_deterministically():
     weights = only_weight("AWS", 0.5)
 
@@ -139,10 +167,10 @@ def test_generic_mode_resamples_scenarios_deterministically():
 def test_collision_weight_drives_contacts_away():
     # cramped ring: weak repulsion collides, so the tuner must avoid it
     scenario = Scenario(kind="circle", agent_count=6, radius=2.5, seed=4)
-    cfg = TuneConfig(scenarios=[scenario], duration=3.0,
+    cfg = TuneConfig(scenario=scenario, duration=3.0,
                      ga=GaConfig(population_size=8, max_generations=6, seed=0,
                                  plateau_generations=30))
     res = tune(cfg, unit_stats(), only_weight("COL"))
-    assert res.final_score >= res.best_score_history[0]
+    assert res.best_score_history[-1] >= res.best_score_history[0]
     tuned = simulate(scenario, res.p_opt, cfg.duration)
     assert float(np.mean(extract(tuned)["COL"])) < 0.05
