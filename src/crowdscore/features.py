@@ -8,16 +8,21 @@ horizon so that every feature emits a fixed-size sample set.
 
 TTC, TCA, DCA, IST and IAN come from one linear-motion pair kernel,
 ``pairwise_arrays``.  It works on x and y planes (a reduction over a size-2
-axis costs more than its arithmetic) and in place, to hold few temporaries.
+axis costs more than its arithmetic), in place in scratch planes its caller
+allocates, so it allocates nothing.
 
-``extract`` runs the pairwise pass in equal chunks of timesteps on one
-worker per CPU this process may use (``usable_cpus()``), but never on more
-workers than there are steps, than get ``_WORKER_PAIRS`` pairs each, or than
-fit one step each in ``_PAIR_BUDGET``: the calling thread and plain helper
-threads, joined before it returns.  Each (t, i) reduction over the
+``extract`` runs the pairwise pass in slabs (t, i, j) of neighbour pairs:
+equal chunks of whole steps or, where one step does not fit a worker's share
+of ``_PAIR_BUDGET``, single steps in equal blocks of agent rows.  It runs on
+one worker per CPU this process may use (``usable_cpus()``), but never on
+more workers than there are slabs or than get ``_WORKER_PAIRS`` pairs each,
+of the whole pass and of the budget: the calling thread and plain helper
+threads, joined before it returns.  Each worker allocates its eight float64
+and three bool planes once, of its slab shape, and they are freed when it
+ends.  All workers together hold at most ``_PAIR_BUDGET`` pairs, or one row
+of N pairs each where that is more.  Each (t, i) reduction over the
 neighbours is computed whole by one worker, so the features are bitwise the
-same for every worker count.  All workers together hold at most
-max(``_PAIR_BUDGET``, N^2) neighbour pairs.
+same for every worker count and slab shape.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import DataError
 from .trajectory import EPS_SPEED, CrowdTrajectory
 
 # Neighbour pairs (t, i, j) the pairwise pass holds at once, over all its
-# workers: 0.5 MB per float64 array, so a chunk's planes stay near the L2 cache
+# workers: 0.5 MB per float64 array, so a slab's planes stay near the L2 cache
 # and extract's memory grows neither with the recording length nor the CPUs.
 _PAIR_BUDGET = 1 << 16
 # Neighbour pairs a worker of the pairwise pass gets at least.  Below about
@@ -208,7 +213,6 @@ def _run_workers(work, workers: int):
     A plain thread starts with a fresh ``np.errstate``, so each helper runs in
     a copy of this thread's context and computes under the caller's error
     state.  An exception raised in a helper is raised here after the join.
-    Returns what ``work(0)`` returns.
     """
     errors = []
 
@@ -225,21 +229,20 @@ def _run_workers(work, workers: int):
     try:
         for thread in helpers:
             thread.start()
-        kept = work(0)
+        work(0)
     finally:
         for thread in helpers:
             if thread.ident is not None:  # started
                 thread.join()
     if errors:
         raise errors[0]
-    return kept
 
 
-def pairwise_arrays(dx, dy, ux, uy, radius_sum):
+def pairwise_arrays(dx, dy, ux, uy, radius_sum, planes):
     """(dist, ttc, tca, dca) from relative position and velocity planes.
 
     ``dx, dy`` are the components of p_b - p_a and ``ux, uy`` those of
-    v_b - v_a, as float arrays of one shape (at least 1-D); ``radius_sum``
+    v_b - v_a, as float64 arrays of one shape (at least 1-D); ``radius_sum``
     broadcasts to that shape.  |dp|^2, |dv|^2 and dp.dv are formed once: the
     contact quadratic a t^2 + b t + c = 0 has a = |dv|^2, b = 2 dp.dv and
     c = |dp|^2 - radius_sum^2.
@@ -248,45 +251,54 @@ def pairwise_arrays(dx, dy, ux, uy, radius_sum):
     and dca the distance then (tca 0 without relative motion).  ttc is the
     smallest t >= 0 with |dp + t dv| = radius_sum, capped at TTC_HORIZON:
     overlapping discs give 0, diverging pairs and misses TTC_HORIZON.
-    """
-    dv2 = ux * ux
-    dv2 += uy * uy
-    ndot = dx * ux
-    ndot += dy * uy
-    np.negative(ndot, out=ndot)  # -dp.dv, so -b = 2 * ndot exactly
-    dist = dx * dx
-    dist += dy * dy
-    moving = dv2 > EPS_SPEED**2
 
-    tca = np.divide(ndot, dv2, out=np.zeros_like(dv2), where=moving)
+    Nothing is allocated.  ``planes`` is a pair of scratch stacks of the
+    input shape, (4, *shape) float64 and (3, *shape) bool.  dist, ttc and
+    tca are written into the first three float planes and dca into ``ux``;
+    ``dx``, ``dy``, ``uy``, the fourth float plane and the bool planes are
+    overwritten with scratch.
+    """
+    (dist, ttc, tca, dv2), (moving, hit, flag) = planes
+    tmp = tca  # free until tca is computed
+    np.multiply(ux, ux, out=dv2)
+    dv2 += np.multiply(uy, uy, out=tmp)
+    ndot = np.multiply(dx, ux, out=ttc)
+    ndot += np.multiply(dy, uy, out=tmp)
+    np.negative(ndot, out=ndot)  # -dp.dv, so -b = 2 * ndot exactly
+    np.multiply(dx, dx, out=dist)
+    dist += np.multiply(dy, dy, out=tmp)
+    np.greater(dv2, EPS_SPEED**2, out=moving)
+
+    tca.fill(0.0)
+    np.divide(ndot, dv2, out=tca, where=moving)
     np.maximum(tca, 0.0, out=tca)
-    dca = tca * ux
+    dca = np.multiply(tca, ux, out=ux)
     dca += dx
     dca *= dca
-    cy = tca * uy
+    cy = np.multiply(tca, uy, out=uy)
     cy += dy
     cy *= cy
     dca += cy
     np.sqrt(dca, out=dca)
 
-    c = dist - np.square(radius_sum)
+    c = np.subtract(dist, np.square(radius_sum, out=dy), out=dx)
     np.sqrt(dist, out=dist)
     neg_b = np.multiply(ndot, 2.0, out=ndot)
-    disc = np.multiply(dv2, 4.0, out=cy)
+    disc = np.multiply(dv2, 4.0, out=uy)
     disc *= c
-    np.subtract(neg_b * neg_b, disc, out=disc)
-    hit = disc >= 0.0
+    np.subtract(np.multiply(neg_b, neg_b, out=dy), disc, out=disc)
+    np.greater_equal(disc, 0.0, out=hit)
     hit &= moving
     root = np.maximum(disc, 0.0, out=disc)
     np.sqrt(root, out=root)
     t_hit = np.subtract(neg_b, root, out=neg_b)
     dv2 *= 2.0
     np.divide(t_hit, dv2, out=t_hit, where=moving)
-    hit &= t_hit >= 0.0
+    hit &= np.greater_equal(t_hit, 0.0, out=flag)
     np.minimum(t_hit, TTC_HORIZON, out=t_hit)
-    ttc = np.where(hit, t_hit, TTC_HORIZON)
-    ttc[c <= 0.0] = 0.0  # already overlapping
-    return dist, ttc, tca, dca
+    np.copyto(t_hit, TTC_HORIZON, where=np.logical_not(hit, out=flag))
+    np.copyto(t_hit, 0.0, where=np.less_equal(c, 0.0, out=flag))  # already overlapping
+    return dist, t_hit, tca, dca
 
 
 def _hull_area_perimeter(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,12 +363,7 @@ def _hull_area_perimeter(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.n
     return area, np.cumsum(edge, axis=1)[:, -1]
 
 
-def _anticipation(
-    ttc: np.ndarray,
-    maneuver: np.ndarray,
-    contact: np.ndarray,
-    cap: float,
-) -> np.ndarray:
+def _anticipation(ttc: np.ndarray, maneuver: np.ndarray, contact: np.ndarray) -> np.ndarray:
     """Per (agent, step) anticipation values.
 
     When a predicted collision first appears for an agent, the sample at that
@@ -364,7 +371,7 @@ def _anticipation(
     avoidance manoeuvre; 0 when it never reacts before contact or clearance.
     """
     N, T = ttc.shape
-    below = ttc < cap
+    below = ttc < TTC_HORIZON
     start = below.copy()
     start[:, 1:] &= ~below[:, :-1]
     steps = np.arange(T)
@@ -446,15 +453,14 @@ def extract(
     length_ratio = path_len / np.maximum(straight, 1e-6)
 
     # --- pairwise, per agent and step ---
-    cap = TTC_HORIZON
-    # Coordinate-major (T, N) copies: each chunk's relative planes are then
+    # Coordinate-major (T, N) copies: each slab's relative planes are then
     # built contiguous, straight from them.
     X, Y = np.ascontiguousarray(P[:, :, 0].T), np.ascontiguousarray(P[:, :, 1].T)
     VX, VY = np.ascontiguousarray(V[:, :, 0].T), np.ascontiguousarray(V[:, :, 1].T)
     body_sum = rb[:, None] + rb[None, :]
     personal_sum = rp[:, None] + rp[None, :]
 
-    # Per (t, i) reductions over the neighbours j, filled chunk by chunk.
+    # Per (t, i) reductions over the neighbours j, filled slab by slab.
     nn = np.empty((T, N))
     near = np.empty((T, N), dtype=np.intp)
     touching = np.empty((T, N), dtype=bool)
@@ -464,47 +470,69 @@ def extract(
     tca_sel = np.empty((T, N))
     dca_sel = np.empty((T, N))
 
-    # Equal chunks of at most `steps` steps, a multiple of the workers in
-    # number, so the workers share the steps evenly; worker k takes chunks k,
+    # Slabs (t, i, j) of at most `slab` pairs, rounded up to one row: equal
+    # chunks of whole steps, a multiple of the workers in number so the
+    # workers share the steps evenly, or, where one step does not fit, single
+    # steps in equal blocks of agent rows.  Worker k takes slabs k,
     # k + workers, and so on.
     workers = max(
-        1, min(usable_cpus(), T, T * N * N // _WORKER_PAIRS, _PAIR_BUDGET // (N * N))
+        1, min(usable_cpus(), T * N * N // _WORKER_PAIRS, _PAIR_BUDGET // _WORKER_PAIRS)
     )
-    steps = max(1, _PAIR_BUDGET // (workers * N * N))
-    n_chunks = workers * -(-T // (workers * steps))
+    slab = _PAIR_BUDGET // workers
+    steps = max(1, slab // (N * N))
+    n_t = min(T, workers * -(-T // (workers * steps)))
+    n_r = -(-N // max(1, slab // N))  # 1 where a step fits
+    workers = min(workers, n_t * n_r)
+    size = -(-T // n_t) * -(-N // n_r) * N
 
-    def pass_chunks(k: int) -> tuple:
-        for c in range(k, n_chunks, workers):
-            ts = slice(T * c // n_chunks, T * (c + 1) // n_chunks)
+    def pass_slabs(k: int) -> None:
+        # Float planes on 64-byte boundaries, whole cache lines apart: at the
+        # 16- and 48-byte offsets np.empty gave them, bench score-dense calls
+        # took about 3% longer on two workers.
+        line = -(-size // 8) * 8
+        raw = np.empty(8 * line + 8)
+        start = -raw.ctypes.data % 64 // 8
+        floats = raw[start : start + 8 * line].reshape(8, line)
+        flags = np.empty((3, size), dtype=bool)
+        for s in range(k, n_t * n_r, workers):
+            c, r = divmod(s, n_r)
+            ts = slice(T * c // n_t, T * (c + 1) // n_t)
+            rs = slice(N * r // n_r, N * (r + 1) // n_r)
+            shape = (ts.stop - ts.start, rs.stop - rs.start, N)
+            pairs = math.prod(shape)
+            dx, dy, ux, uy, *scratch = floats[:, :pairs].reshape(8, *shape)
+            bools = flags[:, :pairs].reshape(3, *shape)
             # [t, i, j] = p_j - p_i and v_j - v_i
-            dx = X[ts, None, :] - X[ts, :, None]
-            dy = Y[ts, None, :] - Y[ts, :, None]
-            ux = VX[ts, None, :] - VX[ts, :, None]
-            uy = VY[ts, None, :] - VY[ts, :, None]
-            dist, ttc_pair, tca_pair, dca_pair = pairwise_arrays(dx, dy, ux, uy, body_sum)
-            del dx, dy, ux, uy
-            dist.reshape(len(dist), N * N)[:, :: N + 1] = np.inf  # no self-pairs
+            np.subtract(X[ts, None, :], X[ts, rs, None], out=dx)
+            np.subtract(Y[ts, None, :], Y[ts, rs, None], out=dy)
+            np.subtract(VX[ts, None, :], VX[ts, rs, None], out=ux)
+            np.subtract(VY[ts, None, :], VY[ts, rs, None], out=uy)
+            dist, ttc_pair, tca_pair, dca_pair = pairwise_arrays(
+                dx, dy, ux, uy, body_sum[rs], (scratch, bools)
+            )
+            # no self-pairs: (i, i) lies at i - rs.start, i of each step's block
+            dist.reshape(shape[0], -1)[:, rs.start :: N + 1] = np.inf
+            neighbor, flag, miss = bools
 
-            nn[ts] = dist.min(axis=2)
-            neighbor = dist <= INTERACTION_HORIZON
-            near[ts] = (dist <= LOCAL_DENSITY_RADIUS).sum(axis=2)
-            touching[ts] = (dist < body_sum).any(axis=2)
-            np.maximum((personal_sum - dist).max(axis=2), 0.0, out=overlap[ts])
-            np.minimum.reduce(ttc_pair, axis=2, out=ttc_t[ts], where=neighbor, initial=cap)
+            np.min(dist, axis=2, out=nn[ts, rs])
+            np.sum(np.less_equal(dist, LOCAL_DENSITY_RADIUS, out=flag), axis=2, out=near[ts, rs])
+            np.any(np.less(dist, body_sum[rs], out=flag), axis=2, out=touching[ts, rs])
+            gap = np.subtract(personal_sum[rs], dist, out=dx)
+            np.maximum(gap.max(axis=2), 0.0, out=overlap[ts, rs])
+            np.less_equal(dist, INTERACTION_HORIZON, out=neighbor)
+            np.minimum.reduce(
+                ttc_pair, axis=2, out=ttc_t[ts, rs], where=neighbor, initial=TTC_HORIZON
+            )
 
-            cand = neighbor & (tca_pair < cap)
-            dca_pair[~cand] = np.inf
+            cand = np.less(tca_pair, TTC_HORIZON, out=flag)
+            cand &= neighbor
+            np.copyto(dca_pair, np.inf, where=np.logical_not(cand, out=miss))
             j_star = dca_pair.argmin(axis=2)[:, :, None]
-            has[ts] = cand.any(axis=2)
-            tca_sel[ts] = np.take_along_axis(tca_pair, j_star, axis=2)[:, :, 0]
-            dca_sel[ts] = np.take_along_axis(dca_pair, j_star, axis=2)[:, :, 0]
-        return dist, ttc_pair, tca_pair, dca_pair, neighbor, cand, j_star
+            np.any(cand, axis=2, out=has[ts, rs])
+            tca_sel[ts, rs] = np.take_along_axis(tca_pair, j_star, axis=2)[:, :, 0]
+            dca_sel[ts, rs] = np.take_along_axis(dca_pair, j_star, axis=2)[:, :, 0]
 
-    # The calling thread's last chunk is held until extract returns, as a plain
-    # loop would hold it.  Freed before the arrays below are allocated, it lets
-    # malloc shrink its heap, and those arrays then fault the pages back in: a
-    # fifth of extract's time at N = 12 (1.15 against 0.92 ms).
-    last_chunk = _run_workers(pass_chunks, workers)
+    _run_workers(pass_slabs, workers)
 
     dta = np.minimum(nn, INTERACTION_HORIZON).T
     ldn = near.T / (math.pi * LOCAL_DENSITY_RADIUS**2)
@@ -512,7 +540,7 @@ def extract(
     col = contact.astype(float)
     ovp = overlap.T
     ttc = ttc_t.T
-    tca = np.where(has, tca_sel, cap).T
+    tca = np.where(has, tca_sel, TTC_HORIZON).T
     dca = np.where(has.T, dca_sel.T, dta)
 
     if N > 1:
@@ -523,11 +551,11 @@ def extract(
     else:
         edn = np.ones((N, T))  # no neighbour: the ideal uniform-scatter ratio
 
-    ist = np.where(ttc < cap, np.exp(-ttc / IST_TAU), 0.0)
+    ist = np.where(ttc < TTC_HORIZON, np.exp(-ttc / IST_TAU), 0.0)
 
     maneuver = (avl > MANEUVER_TURN_RATE) | (np.abs(dspeed) / dt > MANEUVER_ACCEL)
     maneuver[:, 0] = False
-    ian = _anticipation(ttc, maneuver, contact, cap)
+    ian = _anticipation(ttc, maneuver, contact)
 
     # --- global, per step ---
     if curve is None:

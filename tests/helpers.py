@@ -42,11 +42,17 @@ def linear_pair(p_a, v_a, p_b, v_b, steps=30, dt=DT, radius=0.3, personal=0.5):
     return crowd_from_positions(pos, dt, body_radii=radius, personal_radii=personal)
 
 
+def pair_planes(shape):
+    """Scratch planes for ``pairwise_arrays`` on input planes of ``shape``."""
+    return np.empty((4, *shape)), np.empty((3, *shape), dtype=bool)
+
+
 def predict_pair(p_a, v_a, r_a, p_b, v_b, r_b):
     """(ttc, tca, dca) of one agent pair, from the kernel on 1-element planes."""
     dp = (np.asarray(p_b, dtype=float) - np.asarray(p_a, dtype=float))[:, None]
     dv = (np.asarray(v_b, dtype=float) - np.asarray(v_a, dtype=float))[:, None]
-    _, ttc, tca, dca = pairwise_arrays(dp[0], dp[1], dv[0], dv[1], float(r_a) + float(r_b))
+    _, ttc, tca, dca = pairwise_arrays(dp[0], dp[1], dv[0], dv[1], float(r_a) + float(r_b),
+                                       pair_planes((1,)))
     return float(ttc[0]), float(tca[0]), float(dca[0])
 
 

@@ -28,7 +28,7 @@ from crowdscore.training import degrade, train_weights
 from crowdscore.tuning import TuneConfig, tune
 
 from conftest import GOLDEN_WINDOW
-from helpers import random_walk_crowd, rigid_transform
+from helpers import pair_planes, random_walk_crowd, rigid_transform
 
 
 def test_cost_anchor_points(acceptance_log):
@@ -92,8 +92,8 @@ def test_pair_prediction_against_dense_stepping(acceptance_log):
     radius, horizon = 0.3, TTC_HORIZON
     dp = pos_b - pos_a
     dv = vel_b - vel_a
-    _, ttc, tca, dca = pairwise_arrays(dp[:, 0], dp[:, 1], dv[:, 0], dv[:, 1],
-                                       radius + radius)
+    _, ttc, tca, dca = pairwise_arrays(dp[:, 0].copy(), dp[:, 1].copy(), dv[:, 0].copy(),
+                                       dv[:, 1].copy(), radius + radius, pair_planes((n,)))
 
     # dense reference: march the relative position on a 1e-4 s grid out to
     # 72 s (max start offset 28.3 m over min closing speed 0.4 m/s)

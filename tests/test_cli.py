@@ -64,11 +64,13 @@ def test_threads_below_one_is_a_usage_error(tmp_path, workspace, capsys, threads
 def test_worker_count_changes_no_output(tmp_path, monkeypatch, capsys):
     """Every subcommand that extracts features writes the same bytes on one
     CPU and on two, on 60-agent crowds whose pairwise pass takes 3 chunks on
-    one worker and 6 on two."""
+    one worker and 6 on two, and with a budget of half a step, where it
+    takes blocks of 30 agent rows."""
 
-    def pipeline(cpus):
+    def pipeline(cpus, budget=features._PAIR_BUDGET):
         monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
-        root = tmp_path / f"cpus{cpus}"
+        monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
+        root = tmp_path / f"cpus{cpus}-pairs{budget}"
         (root / "golden").mkdir(parents=True)
         monkeypatch.chdir(root)
         circle = ["--kind", "circle", "--agents", "60", "--radius", "6.0", "--duration", "4.0"]
@@ -91,11 +93,13 @@ def test_worker_count_changes_no_output(tmp_path, monkeypatch, capsys):
                  for p in sorted(root.rglob("*")) if p.is_file()}
         return files, capsys.readouterr()
 
-    serial, threaded = pipeline(1), pipeline(2)
-    assert len(serial[0]) == 17 and set(serial[0]) == set(threaded[0])
-    for name, data in serial[0].items():
-        assert threaded[0][name] == data, name
-    assert threaded[1] == serial[1]  # stdout and stderr
+    serial = pipeline(1)
+    assert len(serial[0]) == 17
+    for other in pipeline(2), pipeline(2, budget=30 * 60):
+        assert set(other[0]) == set(serial[0])
+        for name, data in serial[0].items():
+            assert other[0][name] == data, name
+        assert other[1] == serial[1]  # stdout and stderr
 
 
 def _sample_with_x(workspace, path, value):

@@ -1,6 +1,8 @@
+import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -350,8 +352,9 @@ def test_pairwise_chunking_is_exact(monkeypatch):
     crowd = contact_crowd()
     n, steps = crowd.n_agents, crowd.n_steps
     results = []
-    # chunks of 1 step, of 6 or 7 (7 at most) and of the whole recording
-    for budget in (1, 7 * n * n, steps * n * n):
+    # slabs of 1 row of 1 step, of 2 rows, of 6 or 7 steps (7 at most) and of
+    # the whole recording
+    for budget in (1, 2 * n, 7 * n * n, steps * n * n):
         monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
         results.append(extract(crowd))
     assert np.any(results[0]["COL"] == 1.0)  # the crowd has contacts
@@ -376,22 +379,27 @@ def spread_crowd(n_agents, steps, seed=0):
 @pytest.mark.parametrize("steps", [2, 3, 110])
 def test_threaded_pairwise_pass_is_bitwise_serial(monkeypatch, n_agents, steps):
     crowd = spread_crowd(n_agents, steps)
-    # Five steps of pairs per chunk on one worker: many chunks, an odd count
-    # at three workers, and room in the budget for four, more than this
-    # host's cores.
-    monkeypatch.setattr(features, "_PAIR_BUDGET", 5 * n_agents * n_agents)
+    # Five steps of pairs per slab on one worker: many slabs, an odd count at
+    # three workers, and room in the budget for four, more than this host's
+    # cores.  Then a quarter of a step's rows, three at least: from 12 agents
+    # up one step does not fit a worker's share, and the workers split single
+    # steps into blocks of rows, an odd count of them (45) for 57 agents over
+    # 3 steps at three workers.
+    budgets = (5 * n_agents * n_agents, max(3, n_agents // 4) * n_agents)
+    monkeypatch.setattr(features, "_PAIR_BUDGET", budgets[0])
     split_any_crowd(monkeypatch, cpus=1)
     running = threading.active_count()
     serial = extract(crowd)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
-        for cpus in (2, 3, 4):
+        for budget, cpus in itertools.product(budgets, (1, 2, 3, 4)):
+            monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
             split_any_crowd(monkeypatch, cpus=cpus)
             threaded = extract(crowd)
             assert threading.active_count() == running  # every helper joined
             for code in FEATURE_CODES:
-                assert threaded[code].tobytes() == serial[code].tobytes(), (cpus, code)
+                assert threaded[code].tobytes() == serial[code].tobytes(), (budget, cpus, code)
     finally:
         sys.setswitchinterval(interval)
 
@@ -464,14 +472,17 @@ def test_workers_are_capped_by_cpus_steps_pairs_and_budget(monkeypatch):
     monkeypatch.setattr(features.threading, "Thread", CountingThread)
     small = contact_crowd()  # 9 agents over 40 steps: 3,240 pairs
     dense = spread_crowd(150, 40)  # 22,500 pairs a step, 900,000 in all
+    large = spread_crowd(300, 2)  # 90,000 pairs a step, more than the budget
     assert helpers(small)[0] == 0  # too few pairs to share
     assert helpers(dense)[0] <= features.usable_cpus() - 1
-    # On 64 CPUs the 2^16-pair budget holds two steps of the dense crowd.
+    monkeypatch.setattr(features, "usable_cpus", lambda: 2)
+    assert helpers(large)[0] == 1  # blocks of rows: a step need not fit a worker
+    # On 64 CPUs the budget caps the workers, each with 2^13 pairs of it.
     monkeypatch.setattr(features, "usable_cpus", lambda: 64)
-    assert helpers(dense)[0] == 1
+    assert helpers(dense)[0] == features._PAIR_BUDGET // features._WORKER_PAIRS - 1
     assert helpers(small)[0] == 0
     serial = extract(small)
-    # With any split allowed, the 40 steps cap the workers.
+    # With any split allowed, the slabs cap the workers: 40 single steps ...
     monkeypatch.setattr(features, "_WORKER_PAIRS", 1)
     count, capped = helpers(small)
     assert count == small.n_steps - 1
@@ -479,6 +490,31 @@ def test_workers_are_capped_by_cpus_steps_pairs_and_budget(monkeypatch):
         assert np.array_equal(capped[code], serial[code]), code
     monkeypatch.setattr(features, "usable_cpus", lambda: 3)
     assert helpers(small)[0] == 2
+    # ... or 6 slabs of one row: 3 agents over 2 steps, at 8 pairs on 64 CPUs.
+    tiny = spread_crowd(3, 2)
+    serial = extract(tiny)
+    monkeypatch.setattr(features, "usable_cpus", lambda: 64)
+    monkeypatch.setattr(features, "_PAIR_BUDGET", 8)
+    count, capped = helpers(tiny)
+    assert count == 3 * 2 - 1
+    for code in FEATURE_CODES:
+        assert np.array_equal(capped[code], serial[code]), code
+
+
+def test_pairwise_memory_stays_within_the_budget(monkeypatch):
+    """A step of 300 agents is 150 slabs of two rows at a budget of 600 pairs,
+    and extract holds one slab's planes, not a step's.  Most of the traced
+    peak left is O(N^2), not O(T N^2): the (N, N) sums of the body and the
+    personal-space radii."""
+    crowd = spread_crowd(300, 5)
+    monkeypatch.setattr(features, "_PAIR_BUDGET", 2 * crowd.n_agents)
+    tracemalloc.start()
+    try:
+        extract(crowd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_pairwise_minima_match_scalar_predictions():
@@ -629,11 +665,11 @@ def test_batched_hull_matches_monotone_chain(seed, family):
             assert (row[0][0], row[1][0]) == (area[t], perimeter[t])
 
 
-def anticipation_loop(ttc, maneuver, contact, cap):
-    """Reference: scan each run of ttc below cap until it clears or touches."""
+def anticipation_loop(ttc, maneuver, contact):
+    """Reference: scan each run of ttc below TTC_HORIZON until it clears or touches."""
     N, T = ttc.shape
     out = np.zeros((N, T))
-    below = ttc < cap
+    below = ttc < TTC_HORIZON
     for n in range(N):
         for t0 in range(T):
             if not below[n, t0] or (t0 > 0 and below[n, t0 - 1]):
@@ -656,8 +692,8 @@ def test_anticipation_matches_loop_on_random_masks():
                        rng.uniform(0.0, TTC_HORIZON, (N, T)), TTC_HORIZON)
         maneuver = rng.random((N, T)) < rng.uniform(0.0, 0.5)
         contact = rng.random((N, T)) < rng.uniform(0.0, 0.3)
-        got = features._anticipation(ttc, maneuver, contact, TTC_HORIZON)
-        assert np.array_equal(got, anticipation_loop(ttc, maneuver, contact, TTC_HORIZON))
+        got = features._anticipation(ttc, maneuver, contact)
+        assert np.array_equal(got, anticipation_loop(ttc, maneuver, contact))
 
 
 @pytest.mark.parametrize(
@@ -679,5 +715,5 @@ def test_anticipation_edge_cases(below, maneuver, contact):
 
     T = len(below)
     ttc = np.where(mask(below), np.linspace(1.0, 2.0, T), TTC_HORIZON)
-    args = (ttc, mask(maneuver), mask(contact), TTC_HORIZON)
+    args = (ttc, mask(maneuver), mask(contact))
     assert np.array_equal(features._anticipation(*args), anticipation_loop(*args))

@@ -3,7 +3,7 @@ import pytest
 
 from crowdscore.features import TTC_HORIZON, pairwise_arrays
 
-from helpers import predict_pair
+from helpers import pair_planes, predict_pair
 
 
 def rel(p_a, v_a, p_b, v_b):
@@ -110,7 +110,8 @@ def test_array_api_matches_scalar_api():
     for k, (p, v) in enumerate(edges):
         dp[:, 3, k % 3, k // 3] = p
         dv[:, 3, k % 3, k // 3] = v
-    dist, ttc, tca, dca = pairwise_arrays(dp[0], dp[1], dv[0], dv[1], 0.5)
+    dist, ttc, tca, dca = pairwise_arrays(dp[0].copy(), dp[1].copy(), dv[0].copy(),
+                                          dv[1].copy(), 0.5, pair_planes((4, 3, 3)))
     assert ttc.shape == tca.shape == dca.shape == dist.shape == (4, 3, 3)
     for idx in np.ndindex(4, 3, 3):
         p_b, v_b = dp[(slice(None),) + idx], dv[(slice(None),) + idx]
