@@ -30,10 +30,10 @@ REQUIRED_COLUMNS = ("agent_id", "t", "x", "y")
 OPTIONAL_COLUMNS = ("goal_x", "goal_y", "comfort_speed", "radius")
 
 
-# A body that only holds numbers, commas, spaces, tabs and line ends.  Other
-# whitespace is left to the row loop: loadtxt strips \x1c-\x1f around a
-# number, and float() does not.
-_NUMERIC_BODY = re.compile(rb"[0-9eE+\-., \t\r\n]*")
+# The bytes of a body that only holds numbers, commas, spaces, tabs and line
+# ends.  Other whitespace is left to the row loop: loadtxt strips \x1c-\x1f
+# around a number, and float() does not.
+_NUMERIC_BYTES = b"0123456789eE+-., \t\r\n"
 
 
 def _parse_numeric_body(data: bytes, dtype: np.dtype):
@@ -46,7 +46,11 @@ def _parse_numeric_body(data: bytes, dtype: np.dtype):
     Blank lines are skipped, as the row loop skips them.
     """
     start = data.find(b"\n") + 1
-    if not start or not _NUMERIC_BODY.fullmatch(data, start):
+    if not start:
+        return None
+    # Deleting the number bytes leaves only the header's other bytes when the
+    # body has none; only those leftovers are copied, never the body.
+    if data.translate(None, _NUMERIC_BYTES) != data[:start].translate(None, _NUMERIC_BYTES):
         return None
     try:
         with warnings.catch_warnings():
@@ -72,7 +76,7 @@ def load_trajectory_csv(path) -> CrowdTrajectory:
     the built crowd must pass ``validate``.
     """
     data = read_input(path)
-    if data.count(b"\r") != data.count(b"\r\n"):
+    if re.search(rb"\r(?!\n)", data):
         # A lone CR ends a line, which loadtxt and the header read do not see.
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data:
@@ -171,18 +175,21 @@ def load_trajectory_csv(path) -> CrowdTrajectory:
 
 
 def save_trajectory_csv(crowd: CrowdTrajectory, path) -> None:
-    """Write the full-column CSV (goals, comfort speeds and radii included)."""
-    N, T = crowd.n_agents, crowd.n_steps
+    """Write the full-column CSV (goals, comfort speeds and radii included).
+
+    The lines are those ``csv.writer`` writes, CRLF-ended; no field needs
+    quoting.  Each time and each agent's id, goal, comfort speed and radius
+    is formatted once and reused on every row that holds it.
+    """
     order = np.argsort(crowd.agent_ids, kind="stable")
-    P = crowd.positions[order]
-    per_agent = (crowd.goals[order, 0], crowd.goals[order, 1],
-                 crowd.comfort_speeds[order], crowd.body_radii[order])
-    columns = [np.tile(crowd.times(), N), P[..., 0].ravel(), P[..., 1].ravel()]
-    columns += [np.repeat(v, T) for v in per_agent]
+    times = [f",{t!r}," for t in crowd.times().tolist()]
+    per_agent = np.column_stack(
+        [crowd.goals[order], crowd.comfort_speeds[order], crowd.body_radii[order]]
+    )
     with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(REQUIRED_COLUMNS) + list(OPTIONAL_COLUMNS))
-        writer.writerows(
-            zip(np.repeat(crowd.agent_ids[order], T).tolist(),
-                *(map(repr, c.tolist()) for c in columns))
-        )
+        fh.write(",".join(REQUIRED_COLUMNS + OPTIONAL_COLUMNS) + "\r\n")
+        for agent_id, xy, values in zip(
+            crowd.agent_ids[order].tolist(), crowd.positions[order].tolist(), per_agent.tolist()
+        ):
+            tail = "".join(f",{v!r}" for v in values) + "\r\n"
+            fh.writelines(f"{agent_id}{t}{x!r},{y!r}{tail}" for t, (x, y) in zip(times, xy))

@@ -11,18 +11,18 @@ TTC, TCA, DCA, IST and IAN come from one linear-motion pair kernel,
 axis costs more than its arithmetic), in place in scratch planes its caller
 allocates, so it allocates nothing.
 
-``extract`` runs the pairwise pass in slabs (t, i, j) of neighbour pairs:
-equal chunks of whole steps or, where one step does not fit a worker's share
-of ``_PAIR_BUDGET``, single steps in equal blocks of agent rows.  It runs on
-one worker per CPU this process may use (``usable_cpus()``), but never on
-more workers than there are slabs or than get ``_WORKER_PAIRS`` pairs each,
-of the whole pass and of the budget: the calling thread and plain helper
-threads, joined before it returns.  Each worker allocates its eight float64
-and three bool planes once, of its slab shape, and they are freed when it
-ends.  All workers together hold at most ``_PAIR_BUDGET`` pairs, or one row
-of N pairs each where that is more.  Each (t, i) reduction over the
-neighbours is computed whole by one worker, so the features are bitwise the
-same for every worker count and slab shape.
+``extract`` runs the pairwise pass in slabs (t, i, j) of up to
+``_PAIR_BUDGET`` neighbour pairs: equal chunks of whole steps or, where one
+step does not fit, single steps in equal blocks of agent rows.  It runs on one
+worker per CPU this process may use (``usable_cpus()``), but never on more
+workers than there are slabs, than get ``_WORKER_PAIRS`` pairs each of the
+whole pass, or than ``_PAIR_BUDGET // _WORKER_PAIRS``: the calling thread and
+plain helper threads, joined before it returns.  Each worker allocates its
+seven float64 and four bool planes once, of its slab shape, 60 bytes a pair,
+and they are freed when it ends.  A worker holds at most ``_PAIR_BUDGET``
+pairs, or one row of N pairs where that is more.  Each (t, i) reduction over
+the neighbours is computed whole by one worker, so the features are bitwise
+the same for every worker count and slab shape.
 """
 
 from __future__ import annotations
@@ -38,14 +38,21 @@ import numpy as np
 from .errors import DataError
 from .trajectory import EPS_SPEED, CrowdTrajectory
 
-# Neighbour pairs (t, i, j) the pairwise pass holds at once, over all its
-# workers: 0.5 MB per float64 array, so a slab's planes stay near the L2 cache
-# and extract's memory grows neither with the recording length nor the CPUs.
+# Neighbour pairs (t, i, j) a worker of the pairwise pass holds at once:
+# 0.5 MB per float64 plane, so a slab's planes stay near one core's L2 cache
+# and extract's memory does not grow with the recording length.  Each worker
+# gets a whole budget, not a share of one: smaller slabs make more, shorter
+# numpy calls, around each of which the workers hand the interpreter lock to
+# each other.  At N = 150 and T = 100 on 2 vCPUs, two workers took 1.02x the
+# time of one with slabs of 11,250 pairs, 0.72x with 22,500 and 0.64x with
+# 45,000.
 _PAIR_BUDGET = 1 << 16
 # Neighbour pairs a worker of the pairwise pass gets at least.  Below about
 # this many, numpy's per-call cost and the hand-offs of the interpreter lock
 # between workers outweigh the split: at N = 12 and T = 110 (7,920 pairs per
 # worker) two workers took 1.1-1.3 ms against 0.9 ms for one, on 2 vCPUs.
+# It also caps the workers at _PAIR_BUDGET // _WORKER_PAIRS = 8, so at most
+# about 31 MB of planes are in flight on any host.
 _WORKER_PAIRS = 1 << 13
 
 # Constants of the feature definitions.
@@ -253,20 +260,18 @@ def pairwise_arrays(dx, dy, ux, uy, radius_sum, planes):
     overlapping discs give 0, diverging pairs and misses TTC_HORIZON.
 
     Nothing is allocated.  ``planes`` is a pair of scratch stacks of the
-    input shape, (4, *shape) float64 and (3, *shape) bool.  dist, ttc and
-    tca are written into the first three float planes and dca into ``ux``;
-    ``dx``, ``dy``, ``uy``, the fourth float plane and the bool planes are
+    input shape, (3, *shape) float64 and (4, *shape) bool.  dist is written
+    into ``dx``, dca into ``ux``, and ttc and tca into the first two float
+    planes; ``dy``, ``uy``, the third float plane and the bool planes are
     overwritten with scratch.
     """
-    (dist, ttc, tca, dv2), (moving, hit, flag) = planes
+    (ttc, tca, dv2), (moving, hit, flag, overlapping) = planes
     tmp = tca  # free until tca is computed
     np.multiply(ux, ux, out=dv2)
     dv2 += np.multiply(uy, uy, out=tmp)
     ndot = np.multiply(dx, ux, out=ttc)
     ndot += np.multiply(dy, uy, out=tmp)
     np.negative(ndot, out=ndot)  # -dp.dv, so -b = 2 * ndot exactly
-    np.multiply(dx, dx, out=dist)
-    dist += np.multiply(dy, dy, out=tmp)
     np.greater(dv2, EPS_SPEED**2, out=moving)
 
     tca.fill(0.0)
@@ -281,7 +286,10 @@ def pairwise_arrays(dx, dy, ux, uy, radius_sum, planes):
     dca += cy
     np.sqrt(dca, out=dca)
 
-    c = np.subtract(dist, np.square(radius_sum, out=dy), out=dx)
+    dist = np.multiply(dx, dx, out=dx)  # |dp|^2 until the sqrt below
+    dist += np.multiply(dy, dy, out=uy)
+    c = np.subtract(dist, np.square(radius_sum, out=dy), out=dy)
+    np.less_equal(c, 0.0, out=overlapping)  # already overlapping; c's plane is reused
     np.sqrt(dist, out=dist)
     neg_b = np.multiply(ndot, 2.0, out=ndot)
     disc = np.multiply(dv2, 4.0, out=uy)
@@ -297,7 +305,7 @@ def pairwise_arrays(dx, dy, ux, uy, radius_sum, planes):
     hit &= np.greater_equal(t_hit, 0.0, out=flag)
     np.minimum(t_hit, TTC_HORIZON, out=t_hit)
     np.copyto(t_hit, TTC_HORIZON, where=np.logical_not(hit, out=flag))
-    np.copyto(t_hit, 0.0, where=np.less_equal(c, 0.0, out=flag))  # already overlapping
+    np.copyto(t_hit, 0.0, where=overlapping)
     return dist, t_hit, tca, dca
 
 
@@ -421,7 +429,90 @@ def extract(
     rb = crowd.body_radii
     rp = crowd.personal_radii
 
+    # --- pairwise, per agent and step ---
+    # Coordinate-major (T, N) copies: each slab's relative planes are then
+    # built contiguous, straight from them.
+    X, Y = np.ascontiguousarray(P[:, :, 0].T), np.ascontiguousarray(P[:, :, 1].T)
+    VX, VY = np.ascontiguousarray(V[:, :, 0].T), np.ascontiguousarray(V[:, :, 1].T)
+    body_sum = rb[:, None] + rb[None, :]
+    personal_sum = rp[:, None] + rp[None, :]
+
+    # Per (t, i) reductions over the neighbours j, filled slab by slab.
+    nn = np.empty((T, N))
+    near = np.empty((T, N), dtype=np.intp)
+    touching = np.empty((T, N), dtype=bool)
+    overlap = np.empty((T, N))
+    ttc_t = np.empty((T, N))
+    has = np.empty((T, N), dtype=bool)
+    tca_sel = np.empty((T, N))
+    dca_sel = np.empty((T, N))
+
+    # Slabs (t, i, j) of at most _PAIR_BUDGET pairs each, rounded up to one
+    # row: equal chunks of whole steps, a multiple of the workers in number so
+    # the workers share the steps evenly, or, where one step does not fit,
+    # single steps in equal blocks of agent rows.  Worker k takes slabs k,
+    # k + workers, and so on.
+    workers = max(
+        1, min(usable_cpus(), T * N * N // _WORKER_PAIRS, _PAIR_BUDGET // _WORKER_PAIRS)
+    )
+    steps = max(1, _PAIR_BUDGET // (N * N))
+    n_t = min(T, workers * -(-T // (workers * steps)))
+    n_r = -(-N // max(1, _PAIR_BUDGET // N))  # 1 where a step fits
+    workers = min(workers, n_t * n_r)
+    size = -(-T // n_t) * -(-N // n_r) * N
+
+    def pass_slabs(k: int) -> None:
+        # Float planes on 64-byte boundaries, whole cache lines apart: at the
+        # 16- and 48-byte offsets np.empty gave them, bench score-dense calls
+        # took about 3% longer on two workers.
+        line = -(-size // 8) * 8
+        raw = np.empty(7 * line + 8)
+        start = -raw.ctypes.data % 64 // 8
+        floats = raw[start : start + 7 * line].reshape(7, line)
+        flags = np.empty((4, size), dtype=bool)
+        for s in range(k, n_t * n_r, workers):
+            c, r = divmod(s, n_r)
+            ts = slice(T * c // n_t, T * (c + 1) // n_t)
+            rs = slice(N * r // n_r, N * (r + 1) // n_r)
+            shape = (ts.stop - ts.start, rs.stop - rs.start, N)
+            pairs = math.prod(shape)
+            dx, dy, ux, uy, *scratch = floats[:, :pairs].reshape(7, *shape)
+            bools = flags[:, :pairs].reshape(4, *shape)
+            # [t, i, j] = p_j - p_i and v_j - v_i
+            np.subtract(X[ts, None, :], X[ts, rs, None], out=dx)
+            np.subtract(Y[ts, None, :], Y[ts, rs, None], out=dy)
+            np.subtract(VX[ts, None, :], VX[ts, rs, None], out=ux)
+            np.subtract(VY[ts, None, :], VY[ts, rs, None], out=uy)
+            dist, ttc_pair, tca_pair, dca_pair = pairwise_arrays(
+                dx, dy, ux, uy, body_sum[rs], (scratch, bools)
+            )
+            # no self-pairs: (i, i) lies at i - rs.start, i of each step's block
+            dist.reshape(shape[0], -1)[:, rs.start :: N + 1] = np.inf
+            neighbor, flag, miss, _ = bools
+
+            np.min(dist, axis=2, out=nn[ts, rs])
+            np.sum(np.less_equal(dist, LOCAL_DENSITY_RADIUS, out=flag), axis=2, out=near[ts, rs])
+            np.any(np.less(dist, body_sum[rs], out=flag), axis=2, out=touching[ts, rs])
+            gap = np.subtract(personal_sum[rs], dist, out=dy)
+            np.maximum(gap.max(axis=2), 0.0, out=overlap[ts, rs])
+            np.less_equal(dist, INTERACTION_HORIZON, out=neighbor)
+            np.minimum.reduce(
+                ttc_pair, axis=2, out=ttc_t[ts, rs], where=neighbor, initial=TTC_HORIZON
+            )
+
+            cand = np.less(tca_pair, TTC_HORIZON, out=flag)
+            cand &= neighbor
+            np.copyto(dca_pair, np.inf, where=np.logical_not(cand, out=miss))
+            j_star = dca_pair.argmin(axis=2)[:, :, None]
+            np.any(cand, axis=2, out=has[ts, rs])
+            tca_sel[ts, rs] = np.take_along_axis(tca_pair, j_star, axis=2)[:, :, 0]
+            dca_sel[ts, rs] = np.take_along_axis(dca_pair, j_star, axis=2)[:, :, 0]
+
+    _run_workers(pass_slabs, workers)
+
     # --- individual, per agent and step ---
+    # After the pass, so that these (N, T) temporaries and the workers'
+    # planes are never held at once.
     aws = S.copy()
     dcs = np.abs(S - comfort[:, None])
 
@@ -451,88 +542,6 @@ def extract(
     path_len = np.sum(np.linalg.norm(P[:, 1:] - P[:, :-1], axis=2), axis=1)
     straight = np.linalg.norm(goals - P[:, 0, :], axis=1)
     length_ratio = path_len / np.maximum(straight, 1e-6)
-
-    # --- pairwise, per agent and step ---
-    # Coordinate-major (T, N) copies: each slab's relative planes are then
-    # built contiguous, straight from them.
-    X, Y = np.ascontiguousarray(P[:, :, 0].T), np.ascontiguousarray(P[:, :, 1].T)
-    VX, VY = np.ascontiguousarray(V[:, :, 0].T), np.ascontiguousarray(V[:, :, 1].T)
-    body_sum = rb[:, None] + rb[None, :]
-    personal_sum = rp[:, None] + rp[None, :]
-
-    # Per (t, i) reductions over the neighbours j, filled slab by slab.
-    nn = np.empty((T, N))
-    near = np.empty((T, N), dtype=np.intp)
-    touching = np.empty((T, N), dtype=bool)
-    overlap = np.empty((T, N))
-    ttc_t = np.empty((T, N))
-    has = np.empty((T, N), dtype=bool)
-    tca_sel = np.empty((T, N))
-    dca_sel = np.empty((T, N))
-
-    # Slabs (t, i, j) of at most `slab` pairs, rounded up to one row: equal
-    # chunks of whole steps, a multiple of the workers in number so the
-    # workers share the steps evenly, or, where one step does not fit, single
-    # steps in equal blocks of agent rows.  Worker k takes slabs k,
-    # k + workers, and so on.
-    workers = max(
-        1, min(usable_cpus(), T * N * N // _WORKER_PAIRS, _PAIR_BUDGET // _WORKER_PAIRS)
-    )
-    slab = _PAIR_BUDGET // workers
-    steps = max(1, slab // (N * N))
-    n_t = min(T, workers * -(-T // (workers * steps)))
-    n_r = -(-N // max(1, slab // N))  # 1 where a step fits
-    workers = min(workers, n_t * n_r)
-    size = -(-T // n_t) * -(-N // n_r) * N
-
-    def pass_slabs(k: int) -> None:
-        # Float planes on 64-byte boundaries, whole cache lines apart: at the
-        # 16- and 48-byte offsets np.empty gave them, bench score-dense calls
-        # took about 3% longer on two workers.
-        line = -(-size // 8) * 8
-        raw = np.empty(8 * line + 8)
-        start = -raw.ctypes.data % 64 // 8
-        floats = raw[start : start + 8 * line].reshape(8, line)
-        flags = np.empty((3, size), dtype=bool)
-        for s in range(k, n_t * n_r, workers):
-            c, r = divmod(s, n_r)
-            ts = slice(T * c // n_t, T * (c + 1) // n_t)
-            rs = slice(N * r // n_r, N * (r + 1) // n_r)
-            shape = (ts.stop - ts.start, rs.stop - rs.start, N)
-            pairs = math.prod(shape)
-            dx, dy, ux, uy, *scratch = floats[:, :pairs].reshape(8, *shape)
-            bools = flags[:, :pairs].reshape(3, *shape)
-            # [t, i, j] = p_j - p_i and v_j - v_i
-            np.subtract(X[ts, None, :], X[ts, rs, None], out=dx)
-            np.subtract(Y[ts, None, :], Y[ts, rs, None], out=dy)
-            np.subtract(VX[ts, None, :], VX[ts, rs, None], out=ux)
-            np.subtract(VY[ts, None, :], VY[ts, rs, None], out=uy)
-            dist, ttc_pair, tca_pair, dca_pair = pairwise_arrays(
-                dx, dy, ux, uy, body_sum[rs], (scratch, bools)
-            )
-            # no self-pairs: (i, i) lies at i - rs.start, i of each step's block
-            dist.reshape(shape[0], -1)[:, rs.start :: N + 1] = np.inf
-            neighbor, flag, miss = bools
-
-            np.min(dist, axis=2, out=nn[ts, rs])
-            np.sum(np.less_equal(dist, LOCAL_DENSITY_RADIUS, out=flag), axis=2, out=near[ts, rs])
-            np.any(np.less(dist, body_sum[rs], out=flag), axis=2, out=touching[ts, rs])
-            gap = np.subtract(personal_sum[rs], dist, out=dx)
-            np.maximum(gap.max(axis=2), 0.0, out=overlap[ts, rs])
-            np.less_equal(dist, INTERACTION_HORIZON, out=neighbor)
-            np.minimum.reduce(
-                ttc_pair, axis=2, out=ttc_t[ts, rs], where=neighbor, initial=TTC_HORIZON
-            )
-
-            cand = np.less(tca_pair, TTC_HORIZON, out=flag)
-            cand &= neighbor
-            np.copyto(dca_pair, np.inf, where=np.logical_not(cand, out=miss))
-            j_star = dca_pair.argmin(axis=2)[:, :, None]
-            np.any(cand, axis=2, out=has[ts, rs])
-            tca_sel[ts, rs] = np.take_along_axis(tca_pair, j_star, axis=2)[:, :, 0]
-            dca_sel[ts, rs] = np.take_along_axis(dca_pair, j_star, axis=2)[:, :, 0]
-
-    _run_workers(pass_slabs, workers)
 
     dta = np.minimum(nn, INTERACTION_HORIZON).T
     ldn = near.T / (math.pi * LOCAL_DENSITY_RADIUS**2)

@@ -44,7 +44,7 @@ def linear_pair(p_a, v_a, p_b, v_b, steps=30, dt=DT, radius=0.3, personal=0.5):
 
 def pair_planes(shape):
     """Scratch planes for ``pairwise_arrays`` on input planes of ``shape``."""
-    return np.empty((4, *shape)), np.empty((3, *shape), dtype=bool)
+    return np.empty((3, *shape)), np.empty((4, *shape), dtype=bool)
 
 
 def predict_pair(p_a, v_a, r_a, p_b, v_b, r_b):

@@ -63,17 +63,19 @@ def test_threads_below_one_is_a_usage_error(tmp_path, workspace, capsys, threads
 
 def test_worker_count_changes_no_output(tmp_path, monkeypatch, capsys):
     """Every subcommand that extracts features writes the same bytes on one
-    CPU and on two, on 60-agent crowds whose pairwise pass takes 3 chunks on
-    one worker and 6 on two, and with a budget of half a step, where it
-    takes blocks of 30 agent rows."""
+    CPU and on two: on 60-agent crowds whose pairwise pass takes 3 chunks on
+    one worker and 4 on two, and with a budget of half a step, where it takes
+    blocks of 30 agent rows; and on 150-agent crowds at the real budget, in
+    10 chunks of 2 steps."""
 
-    def pipeline(cpus, budget=features._PAIR_BUDGET):
+    def pipeline(cpus, budget=features._PAIR_BUDGET, agents=60, radius=6.0, duration=4.0):
         monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
-        root = tmp_path / f"cpus{cpus}-pairs{budget}"
+        root = tmp_path / f"cpus{cpus}-pairs{budget}-agents{agents}"
         (root / "golden").mkdir(parents=True)
         monkeypatch.chdir(root)
-        circle = ["--kind", "circle", "--agents", "60", "--radius", "6.0", "--duration", "4.0"]
+        circle = ["--kind", "circle", "--agents", str(agents), "--radius", str(radius),
+                  "--duration", str(duration)]
         commands = [
             ["simulate", *circle, "--seed", "0", "--out", "golden/run0.csv"],
             ["simulate", *circle, "--seed", "1", "--out", "golden/run1.csv"],
@@ -93,13 +95,17 @@ def test_worker_count_changes_no_output(tmp_path, monkeypatch, capsys):
                  for p in sorted(root.rglob("*")) if p.is_file()}
         return files, capsys.readouterr()
 
-    serial = pipeline(1)
-    assert len(serial[0]) == 17
-    for other in pipeline(2), pipeline(2, budget=30 * 60):
-        assert set(other[0]) == set(serial[0])
-        for name, data in serial[0].items():
-            assert other[0][name] == data, name
-        assert other[1] == serial[1]  # stdout and stderr
+    dense = {"agents": 150, "radius": 20.0, "duration": 2.0}
+    for serial, others in (
+        (pipeline(1), [pipeline(2), pipeline(2, budget=30 * 60)]),
+        (pipeline(1, **dense), [pipeline(2, **dense)]),
+    ):
+        assert len(serial[0]) == 17
+        for other in others:
+            assert set(other[0]) == set(serial[0])
+            for name, data in serial[0].items():
+                assert other[0][name] == data, name
+            assert other[1] == serial[1]  # stdout and stderr
 
 
 def _sample_with_x(workspace, path, value):

@@ -1,4 +1,5 @@
 import codecs
+import csv
 import io
 import tracemalloc
 import warnings
@@ -68,6 +69,31 @@ def test_save_writes_agents_in_id_order_with_repr_floats(tmp_path):
             expected.append(",".join([str(crowd.agent_ids[i])]
                                      + [repr(float(v)) for v in values]))
     assert path.read_text().splitlines() == expected
+
+
+def test_save_writes_the_bytes_of_csv_writer(tmp_path):
+    """The file is byte for byte what ``csv.writer`` writes from each value's
+    ``repr``, agents in id order: unsorted ids, one above 2**53, a -0.0 and
+    extreme floats."""
+    positions = np.random.default_rng(2).normal(size=(4, 6, 2))
+    positions[1, 2, 0] = -0.0
+    positions[2, 3, 1] = 1e300
+    crowd = derive_kinematics(positions, 0.07, t0=0.35, agent_ids=[2**62 + 1, -5, 7, 0],
+                              goals=[[-0.0, 1e-300]] * 4, comfort_speeds=[1.3, 0.1, 2.0, 1 / 3],
+                              body_radii=[0.2, 0.3, 0.25, 5e-324])
+    path = tmp_path / "c.csv"
+    save_trajectory_csv(crowd, path)
+
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(csvio.REQUIRED_COLUMNS + csvio.OPTIONAL_COLUMNS)
+    for i in np.argsort(crowd.agent_ids):
+        per_agent = (*crowd.goals[i], crowd.comfort_speeds[i], crowd.body_radii[i])
+        for k, t in enumerate(crowd.times()):
+            values = (t, *crowd.positions[i, k], *per_agent)
+            writer.writerow([int(crowd.agent_ids[i])] + [repr(float(v)) for v in values])
+    assert b"-0.0," in path.read_bytes()
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_minimal_columns_get_derived_defaults(tmp_path):

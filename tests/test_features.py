@@ -379,12 +379,12 @@ def spread_crowd(n_agents, steps, seed=0):
 @pytest.mark.parametrize("steps", [2, 3, 110])
 def test_threaded_pairwise_pass_is_bitwise_serial(monkeypatch, n_agents, steps):
     crowd = spread_crowd(n_agents, steps)
-    # Five steps of pairs per slab on one worker: many slabs, an odd count at
-    # three workers, and room in the budget for four, more than this host's
-    # cores.  Then a quarter of a step's rows, three at least: from 12 agents
-    # up one step does not fit a worker's share, and the workers split single
-    # steps into blocks of rows, an odd count of them (45) for 57 agents over
-    # 3 steps at three workers.
+    # Five steps of pairs per slab: many slabs over 110 steps, fewer slabs
+    # than CPUs over 2 or 3 steps, and room in the budget for four workers,
+    # more than this host's cores.  Then a quarter of a step's rows, three at
+    # least: from 12 agents up one step does not fit a slab, and the workers
+    # split single steps into blocks of rows, an odd count of them (15) for
+    # 57 agents over 3 steps.
     budgets = (5 * n_agents * n_agents, max(3, n_agents // 4) * n_agents)
     monkeypatch.setattr(features, "_PAIR_BUDGET", budgets[0])
     split_any_crowd(monkeypatch, cpus=1)
@@ -490,31 +490,58 @@ def test_workers_are_capped_by_cpus_steps_pairs_and_budget(monkeypatch):
         assert np.array_equal(capped[code], serial[code]), code
     monkeypatch.setattr(features, "usable_cpus", lambda: 3)
     assert helpers(small)[0] == 2
-    # ... or 6 slabs of one row: 3 agents over 2 steps, at 8 pairs on 64 CPUs.
+    # ... or 4 slabs of 2 rows and of 1: 3 agents over 2 steps, at 8 pairs a
+    # slab on 64 CPUs.
     tiny = spread_crowd(3, 2)
     serial = extract(tiny)
     monkeypatch.setattr(features, "usable_cpus", lambda: 64)
     monkeypatch.setattr(features, "_PAIR_BUDGET", 8)
     count, capped = helpers(tiny)
-    assert count == 3 * 2 - 1
+    assert count == 2 * 2 - 1
     for code in FEATURE_CODES:
         assert np.array_equal(capped[code], serial[code]), code
 
 
+def test_each_worker_gets_a_slab_of_the_whole_budget(monkeypatch):
+    """On 2 CPUs, 150 agents over 4 steps go in 2 slabs of 2 whole steps,
+    45,000 pairs each: a worker's slab is not cut to its share of the budget."""
+    shapes, kernel = [], features.pairwise_arrays
+
+    def recording(*args):
+        shapes.append(args[0].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(features, "pairwise_arrays", recording)
+    monkeypatch.setattr(features, "usable_cpus", lambda: 2)
+    extract(spread_crowd(150, 4))
+    assert shapes == [(2, 150, 150)] * 2
+
+
 def test_pairwise_memory_stays_within_the_budget(monkeypatch):
-    """A step of 300 agents is 150 slabs of two rows at a budget of 600 pairs,
+    """A step of 256 agents is 128 slabs of two rows at a budget of 512 pairs,
     and extract holds one slab's planes, not a step's.  Most of the traced
     peak left is O(N^2), not O(T N^2): the (N, N) sums of the body and the
-    personal-space radii."""
-    crowd = spread_crowd(300, 5)
+    personal-space radii.  At the real budget a step is one slab of
+    _PAIR_BUDGET pairs, and each worker adds its planes, 60 bytes a pair, and
+    numpy's cast buffers of its reductions, under 128 KiB."""
+    budget = features._PAIR_BUDGET
+    crowd = spread_crowd(math.isqrt(budget), 5)  # 256 agents: a step fills a slab
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            extract(crowd)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     monkeypatch.setattr(features, "_PAIR_BUDGET", 2 * crowd.n_agents)
-    tracemalloc.start()
-    try:
-        extract(crowd)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    fixed = traced_peak()
+    assert fixed < 4 * 2**20
+    monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+        assert traced_peak() < fixed + cpus * (budget * 60 + 2**17), cpus
 
 
 def test_pairwise_minima_match_scalar_predictions():
