@@ -22,7 +22,6 @@ from .quality import (
     fit_reference_from_crowds,
     load_reference_stats,
     load_weights,
-    radar,
     save_reference_stats,
     save_weights,
     score,
@@ -59,7 +58,6 @@ __all__ = [
     "fit_reference_from_crowds",
     "load_reference_stats",
     "load_weights",
-    "radar",
     "save_reference_stats",
     "save_weights",
     "score",

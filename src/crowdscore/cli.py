@@ -10,17 +10,15 @@ be reproduced bit-for-bit.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import shlex
 import sys
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .csvio import load_trajectory_csv, save_trajectory_csv
+from .csvio import load_trajectory_csv, save_trajectory_csv, write_csv
 from .errors import ConfigError, DataError
 from .features import FD_BIN_WIDTH, FEATURE_CODES, GRANULARITY, extract
 from .genetic import GaConfig
@@ -55,17 +53,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    sp.add_argument("--seed", type=_int_at_least(0), default=0, help="random seed (default 0)")
     sp.add_argument(
-        "--threads", type=_positive_int, default=1,
+        "--threads", type=_int_at_least(1), default=1,
         help="accepted for compatibility, at least 1, and recorded in the manifest "
         "only; the pairwise feature pass sizes its workers from the CPUs the "
         "process may use",
@@ -202,7 +204,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("tune", help="search simulator parameters maximizing the score")
     _add_scenario_flags(sp)
     sp.add_argument("--mode", choices=TUNE_MODES, default="single")
-    sp.add_argument("--scenario-seed", type=int, default=None,
+    sp.add_argument("--scenario-seed", type=_int_at_least(0), default=None,
                     help="scenario seed (default: --seed)")
     sp.add_argument("--stats", required=True)
     sp.add_argument("--weights", default=None, help="weights file (default: built-in)")
@@ -247,11 +249,8 @@ def _write_manifest(args, primary_out) -> None:
 
 
 def _write_history_csv(path, column: str, values) -> None:
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", column])
-        for gen, value in enumerate(values):
-            writer.writerow([gen, repr(float(value))])
+    write_csv(path, ("generation", column),
+              (f"{gen},{float(value)!r}" for gen, value in enumerate(values)))
 
 
 def _simulate_finite(scenario: Scenario, params: SocialForcesParams, duration: float, dt: float):
@@ -318,18 +317,9 @@ def _cmd_score(args) -> None:
     quality = score(crowd, stats, weights, window=window)
 
     breakdown = args.breakdown or f"{args.trajectory}.breakdown.csv"
-    with open_output(breakdown) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "cost", "weight", "contribution"])
-        for code in FEATURE_CODES:
-            writer.writerow(
-                [
-                    code,
-                    repr(quality.per_feature_cost[code]),
-                    repr(weights.omega[code]),
-                    repr(quality.per_feature_contribution[code]),
-                ]
-            )
+    write_csv(breakdown, ("feature", "cost", "weight", "contribution"),
+              (f"{code},{quality.per_feature_cost[code]!r},{weights.omega[code]!r},"
+               f"{quality.per_feature_contribution[code]!r}" for code in FEATURE_CODES))
     _write_manifest(args, breakdown)
     print(f"S_QF={quality.total:.4f}")
 
@@ -340,22 +330,14 @@ def _cmd_features(args) -> None:
     sample_map = extract(crowd, curve)
 
     out = args.out or f"{args.trajectory}.features.csv"
-    ids, times = crowd.agent_ids, crowd.times()
-    # The agent and time columns of each granularity, in the agent-major
-    # order of the raveled samples; "" where the granularity has no such axis.
-    columns = {
-        "per-agent-time": (np.repeat(ids, len(times)).tolist(),
-                           list(map(repr, np.tile(times, len(ids)).tolist()))),
-        "per-agent": (ids.tolist(), repeat("")),
-        "per-time": (repeat(""), list(map(repr, times.tolist()))),
-    }
-    with open_output(out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "agent_id", "t", "value"])
-        for code in FEATURE_CODES:
-            agent_col, time_col = columns[GRANULARITY[code]]
-            values = sample_map[code].ravel().tolist()
-            writer.writerows(zip(repeat(code), agent_col, time_col, map(repr, values)))
+    ids, times = crowd.agent_ids.tolist(), [repr(t) for t in crowd.times().tolist()]
+    # The agent and time fields of each granularity, formatted once, in the
+    # agent-major order of the raveled samples; empty where it has no such axis.
+    keys = {"per-agent-time": [f"{a},{t}," for a in ids for t in times],
+            "per-agent": [f"{a},," for a in ids], "per-time": [f",{t}," for t in times]}
+    write_csv(out, ("feature", "agent_id", "t", "value"),
+              (f"{code},{key}{value!r}" for code in FEATURE_CODES
+               for key, value in zip(keys[GRANULARITY[code]], sample_map[code].ravel().tolist())))
     _write_manifest(args, out)
 
 

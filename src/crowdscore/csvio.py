@@ -6,6 +6,9 @@ radius; the personal radius is not stored and takes derive_kinematics'
 default, body + 0.2 m.  Floats are written with ``repr`` so a load/save round
 trip is bit-exact.
 
+``write_csv`` writes every CSV the package writes: trajectories, the score
+breakdown, the training and tuning histories and the feature dump.
+
 The loader reads a file once as bytes (``keyvalue.read_input``) and parses a
 body of plain numbers with one structured ``np.loadtxt``.  LF and CRLF files
 are parsed as read; only a file with a lone CR line end is copied, with LF
@@ -19,6 +22,7 @@ import csv
 import io
 import re
 import warnings
+from itertools import islice
 
 import numpy as np
 
@@ -174,22 +178,30 @@ def load_trajectory_csv(path) -> CrowdTrajectory:
     return crowd
 
 
+def write_csv(path, header, lines) -> None:
+    """Write the ``header`` names, then ``lines``, rows already joined by
+    commas, all CRLF-ended: the bytes of ``csv.writer`` for fields that need
+    no quoting (none holds a comma, a quote or a line end)."""
+    lines = iter(lines)
+    with open_output(path) as fh:
+        fh.write(",".join(header))
+        # In batches: one write call costs about as much as formatting a line.
+        while batch := list(islice(lines, 128)):
+            fh.write("\r\n" + "\r\n".join(batch))
+        fh.write("\r\n")
+
+
 def save_trajectory_csv(crowd: CrowdTrajectory, path) -> None:
     """Write the full-column CSV (goals, comfort speeds and radii included).
 
-    The lines are those ``csv.writer`` writes, CRLF-ended; no field needs
-    quoting.  Each time and each agent's id, goal, comfort speed and radius
-    is formatted once and reused on every row that holds it.
+    Each time and each agent's id, goal, comfort speed and radius is
+    formatted once and reused on every row that holds it.
     """
     order = np.argsort(crowd.agent_ids, kind="stable")
     times = [f",{t!r}," for t in crowd.times().tolist()]
-    per_agent = np.column_stack(
-        [crowd.goals[order], crowd.comfort_speeds[order], crowd.body_radii[order]]
-    )
-    with open_output(path) as fh:
-        fh.write(",".join(REQUIRED_COLUMNS + OPTIONAL_COLUMNS) + "\r\n")
-        for agent_id, xy, values in zip(
-            crowd.agent_ids[order].tolist(), crowd.positions[order].tolist(), per_agent.tolist()
-        ):
-            tail = "".join(f",{v!r}" for v in values) + "\r\n"
-            fh.writelines(f"{agent_id}{t}{x!r},{y!r}{tail}" for t, (x, y) in zip(times, xy))
+    per_agent = np.column_stack([crowd.goals, crowd.comfort_speeds, crowd.body_radii])[order]
+    tails = ["".join(f",{v!r}" for v in values) for values in per_agent.tolist()]
+    ids, xys = crowd.agent_ids[order].tolist(), crowd.positions[order].tolist()
+    write_csv(path, REQUIRED_COLUMNS + OPTIONAL_COLUMNS,
+              (f"{a}{t}{x!r},{y!r}{tail}" for a, xy, tail in zip(ids, xys, tails)
+               for t, (x, y) in zip(times, xy)))

@@ -42,7 +42,8 @@ def open_output(path):
     exit: ext4 flushes a file truncated to zero (or renamed over) when it is
     closed, which stalls each rewrite for tens of milliseconds.  Like
     ``open(path, "w")`` this keeps the inode, so a symlink is written through
-    and the mode is kept.  ``newline=""`` lets ``csv.writer`` stream into it.
+    and the mode is kept.  ``newline=""`` writes line ends as given, so the
+    CRLF ends of a CSV are never translated.
     If the block or the final flush raises, a regular file is truncated to
     zero before the error propagates, so no new bytes are left over an old
     tail.  Devices and pipes are never truncated.
@@ -85,9 +86,8 @@ def parse_keyvalue(text: str, source: str = "<string>") -> dict[str, str]:
     return out
 
 
-def format_keyvalue(items) -> str:
-    """Render a dict or iterable of (key, value) pairs, one line each."""
-    pairs = items.items() if hasattr(items, "items") else items
+def format_keyvalue(pairs) -> str:
+    """Render an iterable of (key, value) pairs, one line each."""
     return "".join(f"{k} = {v}\n" for k, v in pairs)
 
 

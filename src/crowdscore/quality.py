@@ -192,11 +192,6 @@ def score(
     return combine(cost_vector(sample_map, stats), weights)
 
 
-def radar(quality: QualityScore) -> list[tuple[str, float]]:
-    """Per-feature closeness to the reference (1 - cost), canonical order."""
-    return [(code, 1.0 - quality.per_feature_cost[code]) for code in FEATURE_CODES]
-
-
 # --- stats / weights files (shared line-oriented key-value grammar) ---
 
 

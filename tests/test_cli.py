@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import io
 import math
 import os
 import shutil
@@ -59,6 +60,31 @@ def test_threads_below_one_is_a_usage_error(tmp_path, workspace, capsys, threads
                 "--breakdown", str(tmp_path / "b.csv")]) == 1
     assert "--threads: must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("fit-reference", "--seed"), ("train-weights", "--seed"), ("score", "--seed"),
+    ("features", "--seed"), ("degrade", "--seed"), ("simulate", "--seed"),
+    ("tune", "--seed"), ("tune", "--scenario-seed"),
+])
+def test_a_negative_seed_is_a_usage_error(tmp_path, workspace, capsys, command, flag):
+    sample, stats = str(workspace["sample"]), str(workspace["stats"])
+    argv = {
+        "fit-reference": ["--golden", str(workspace["golden"])],
+        "train-weights": ["--golden", str(workspace["golden"]), "--auto-degrade"],
+        "score": ["--trajectory", sample, "--stats", stats,
+                  "--breakdown", str(tmp_path / "b.csv")],
+        "features": ["--trajectory", sample],
+        "degrade": ["--trajectory", sample, "--mode", "jitter"],
+        "simulate": ["--agents", "3", "--duration", "1.0"],
+        "tune": ["--agents", "3", "--duration", "1.0", "--stats", stats,
+                 "--population", "2", "--generations", "1"],
+    }[command]
+    if command != "score":
+        argv += ["--out", str(tmp_path / "out.txt")]
+    assert run([command, *argv, flag, "-1", "--manifest", str(tmp_path / "m.txt")]) == 1
+    assert f"{flag}: must be at least 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_worker_count_changes_no_output(tmp_path, monkeypatch, capsys):
@@ -525,6 +551,40 @@ def test_unwritable_output_exits_2_naming_it(tmp_path, workspace, capsys, where)
     err = capsys.readouterr().err
     assert err.startswith("crowdscore: data error: ")
     assert ("No space left on device" if where == "disk full" else str(out)) in err
+
+
+def _csv_writer_bytes(data: bytes) -> bytes:
+    """What ``csv.writer`` writes for the rows ``csv.reader`` reads from ``data``."""
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("output", ["breakdown", "train history", "tune history",
+                                    "features", "features with stats"])
+def test_each_csv_is_the_bytes_of_csv_writer(tmp_path, workspace, output):
+    sample, stats = str(workspace["sample"]), str(workspace["stats"])
+    out = tmp_path / "out.csv"
+    argv = {
+        "breakdown": _score_argv(workspace, out),
+        "train history": ["train-weights", "--golden", str(workspace["golden"]),
+                          "--auto-degrade", "--stats", stats, "--population", "6",
+                          "--generations", "3", "--out", str(tmp_path / "w.txt"),
+                          "--history", str(out)],
+        "tune history": ["tune", "--agents", "4", "--radius", "3.0", "--duration", "2.0",
+                         "--stats", stats, "--population", "4", "--generations", "2",
+                         "--out", str(tmp_path / "p.txt"), "--history", str(out)],
+        "features": ["features", "--trajectory", sample, "--out", str(out)],
+        "features with stats": ["features", "--trajectory", sample, "--stats", stats,
+                                "--out", str(out)],
+    }[output]
+    assert run(argv) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") > 2
+    assert data == _csv_writer_bytes(data)
+    if output.startswith("features"):  # per-time and per-agent rows have an empty field
+        rows = list(csv.reader(io.StringIO(data.decode())))
+        assert any(row[1] == "" for row in rows) and any(row[2] == "" for row in rows)
 
 
 def test_symlinked_breakdown_is_written_through(tmp_path, workspace):

@@ -1,6 +1,7 @@
 import codecs
 import csv
 import io
+import math
 import tracemalloc
 import warnings
 
@@ -93,6 +94,24 @@ def test_save_writes_the_bytes_of_csv_writer(tmp_path):
             values = (t, *crowd.positions[i, k], *per_agent)
             writer.writerow([int(crowd.agent_ids[i])] + [repr(float(v)) for v in values])
     assert b"-0.0," in path.read_bytes()
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("count", [0, 1, 128, 300])
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path, count):
+    """Empty, one row, one whole batch of 128 joined lines, and a part batch."""
+    fields = [repr(-0.0), repr(1e-05), repr(math.inf), repr(-math.inf), "", repr(5e-324),
+              repr(-1e300), "", repr(1 / 3)]
+    rows = [[-7 * i, fields[i % len(fields)], fields[(3 * i + 1) % len(fields)], ""]
+            for i in range(count)]
+    path = tmp_path / "w.csv"
+    path.write_bytes(b"x" * 100_000)
+    csvio.write_csv(path, ("id", "a", "b", "c"), (",".join(map(str, row)) for row in rows))
+
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["id", "a", "b", "c"])
+    writer.writerows(rows)
     assert path.read_bytes() == expected.getvalue().encode()
 
 

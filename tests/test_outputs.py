@@ -134,15 +134,24 @@ def _method(call):
     return call.func.attr if isinstance(call.func, ast.Attribute) else None
 
 
+def _csv_writer(node) -> bool:
+    """Whether ``node`` names ``csv.writer``, as an attribute or an import."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "writer" and getattr(node.value, "id", None) == "csv"
+    return (isinstance(node, ast.ImportFrom) and node.module == "csv"
+            and any(alias.name == "writer" for alias in node.names))
+
+
 def _writes(source: str):
     """(line, function) of each call in ``source`` that opens a file for
-    writing some other way than ``open_output``; function is the enclosing
-    top-level ``def`` or None."""
+    writing some other way than ``open_output``, and of each use of
+    ``csv.writer``, which ``csvio.write_csv`` replaces; function is the
+    enclosing top-level ``def`` or None."""
     found = []
     for node, scope in _walk(source):
         if isinstance(node, ast.Call) and (
             _open_mode(node) == "w" or _method(node) in ("write_text", "write_bytes")
-        ):
+        ) or _csv_writer(node):
             found.append((node.lineno, scope))
         if isinstance(node, (ast.Name, ast.Attribute)) and "O_TRUNC" in (
             getattr(node, "id", None), getattr(node, "attr", None)
@@ -167,7 +176,7 @@ def _reads(source: str):
 
 def test_the_write_scan_finds_each_other_way_to_write():
     source = (
-        "import os\n"
+        "import csv, os\n"
         "from pathlib import Path\n"
         "def f(p):\n"
         "    open(p, 'w')\n"
@@ -177,11 +186,15 @@ def test_the_write_scan_finds_each_other_way_to_write():
         "    Path(p).write_text('x')\n"
         "    Path(p).write_bytes(b'x')\n"
         "    os.open(p, os.O_WRONLY | os.O_TRUNC)\n"
+        "    csv.writer(p).writerow(['x'])\n"
+        "    from csv import reader, writer\n"
         "    open(p)\n"
         "    open(p, 'r', encoding='utf-8')\n"
         "    Path(p).open(newline='')\n"
+        "    csv.reader(p)\n"
+        "    p.writer\n"
     )
-    assert [line for line, _ in _writes(source)] == [4, 5, 6, 7, 8, 9, 10]
+    assert [line for line, _ in _writes(source)] == [4, 5, 6, 7, 8, 9, 10, 11, 12]
 
 
 def test_every_package_write_goes_through_open_output():

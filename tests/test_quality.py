@@ -26,7 +26,6 @@ from crowdscore.quality import (
     load_weights,
     parse_reference_stats,
     parse_weights,
-    radar,
     save_reference_stats,
     save_weights,
     score,
@@ -197,14 +196,6 @@ def test_quality_decreases_when_any_cost_rises():
         bumped = costs.copy()
         bumped[i] += 0.3
         assert combine(bumped, w).total <= base + 1e-15
-
-
-def test_radar_is_cost_complement_in_order():
-    w = default_weights()
-    costs = np.linspace(0.0, 1.0, 21)
-    entries = radar(combine(costs, w))
-    assert [c for c, _ in entries] == list(FEATURE_CODES)
-    assert np.allclose([v for _, v in entries], 1.0 - costs)
 
 
 @pytest.mark.parametrize("bin_width", [FD_BIN_WIDTH, 0.3])
