@@ -128,6 +128,13 @@ def _scenario(args, seed: int) -> Scenario:
     )
 
 
+# Default names of the CSVs this package writes that are not trajectories;
+# score and features write theirs next to the trajectory they read, so a crowd
+# directory skips them.
+_NOT_TRAJECTORIES = (".breakdown.csv", ".features.csv", ".history.csv")
+_SKIPPED = " (skips *.breakdown.csv, *.features.csv and *.history.csv)"
+
+
 @functools.cache  # argparse only reads a parser, and a build costs about 1 ms
 def build_parser() -> _Parser:
     parser = _Parser(prog="crowdscore",
@@ -136,7 +143,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
 
     sp = sub.add_parser("fit-reference", help="fit reference stats from golden CSVs")
-    sp.add_argument("--golden", required=True, help="directory of golden trajectory CSVs")
+    sp.add_argument("--golden", required=True,
+                    help="directory of golden trajectory CSVs" + _SKIPPED)
     sp.add_argument("--out", required=True, help="output stats file")
     sp.add_argument("--bin-width", type=float, default=FD_BIN_WIDTH,
                     help="fundamental-diagram density bin width")
@@ -144,8 +152,10 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_fit_reference)
 
     sp = sub.add_parser("train-weights", help="train feature weights on labeled crowds")
-    sp.add_argument("--golden", required=True, help="directory of golden trajectory CSVs")
-    sp.add_argument("--degraded", default=None, help="directory of degraded CSVs (target 0)")
+    sp.add_argument("--golden", required=True,
+                    help="directory of golden trajectory CSVs" + _SKIPPED)
+    sp.add_argument("--degraded", default=None,
+                    help="directory of degraded CSVs (target 0)" + _SKIPPED)
     sp.add_argument("--auto-degrade", action="store_true",
                     help="derive degraded examples from the golden crowds")
     sp.add_argument("--degrade-modes", nargs="+", choices=DEGRADE_MODES,
@@ -263,7 +273,8 @@ def _simulate_finite(scenario: Scenario, params: SocialForcesParams, duration: f
 
 
 def _load_crowd_dir(directory, what: str):
-    files = sorted(Path(directory).glob("*.csv"))
+    files = [f for f in sorted(Path(directory).glob("*.csv"))
+             if not f.name.endswith(_NOT_TRAJECTORIES)]
     if not files:
         raise DataError(f"{directory}: no {what} trajectory CSVs found")
     return [to_canonical(load_trajectory_csv(f)) for f in files]

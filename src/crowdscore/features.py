@@ -11,18 +11,20 @@ TTC, TCA, DCA, IST and IAN come from one linear-motion pair kernel,
 axis costs more than its arithmetic), in place in scratch planes its caller
 allocates, so it allocates nothing.
 
-``extract`` runs the pairwise pass in slabs (t, i, j) of up to
+``extract`` runs the pairwise pass in slabs (j, t, i) of up to
 ``_PAIR_BUDGET`` neighbour pairs: equal chunks of whole steps or, where one
-step does not fit, single steps in equal blocks of agent rows.  It runs on one
-worker per CPU this process may use (``usable_cpus()``), but never on more
-workers than there are slabs, than get ``_WORKER_PAIRS`` pairs each of the
-whole pass, or than ``_PAIR_BUDGET // _WORKER_PAIRS``: the calling thread and
-plain helper threads, joined before it returns.  Each worker allocates its
-seven float64 and four bool planes once, of its slab shape, 60 bytes a pair,
-and they are freed when it ends.  A worker holds at most ``_PAIR_BUDGET``
-pairs, or one row of N pairs where that is more.  Each (t, i) reduction over
-the neighbours is computed whole by one worker, so the features are bitwise
-the same for every worker count and slab shape.
+step does not fit, single steps in equal blocks of agent rows i.  Neighbours j
+lead, so each reduction over them is an elementwise accumulation of
+contiguous (t, i) planes, not a short reduction per (t, i) row.  A crowd gets
+a second worker only when its pairs fill more than one slab, and then one
+worker per CPU this process may use (``usable_cpus()``), but never more than
+it has slabs or than ``_MAX_WORKERS``: the calling thread and plain helper
+threads, joined before it returns.  Each worker allocates its seven float64
+and four bool planes once, of its slab shape, 60 bytes a pair, and they are
+freed when it ends.  A worker holds at most ``_PAIR_BUDGET`` pairs, or one row
+of N pairs where that is more.  Each (t, i) reduction over the neighbours is
+computed whole by one worker, so the features are bitwise the same for every
+worker count and slab shape.
 """
 
 from __future__ import annotations
@@ -38,22 +40,21 @@ import numpy as np
 from .errors import DataError
 from .trajectory import EPS_SPEED, CrowdTrajectory
 
-# Neighbour pairs (t, i, j) a worker of the pairwise pass holds at once:
+# Neighbour pairs (j, t, i) a worker of the pairwise pass holds at once:
 # 0.5 MB per float64 plane, so a slab's planes stay near one core's L2 cache
 # and extract's memory does not grow with the recording length.  Each worker
 # gets a whole budget, not a share of one: smaller slabs make more, shorter
 # numpy calls, around each of which the workers hand the interpreter lock to
 # each other.  At N = 150 and T = 100 on 2 vCPUs, two workers took 1.02x the
 # time of one with slabs of 11,250 pairs, 0.72x with 22,500 and 0.64x with
-# 45,000.
+# 45,000.  One slab is also the least work worth a second worker: at T = 110
+# on 2 vCPUs, extract on two workers took 1.09x the time of one at N = 20
+# (44,000 pairs, one slab), 0.92x at N = 28 (two slabs), 0.85x at N = 40 and
+# 0.70x at N = 150.
 _PAIR_BUDGET = 1 << 16
-# Neighbour pairs a worker of the pairwise pass gets at least.  Below about
-# this many, numpy's per-call cost and the hand-offs of the interpreter lock
-# between workers outweigh the split: at N = 12 and T = 110 (7,920 pairs per
-# worker) two workers took 1.1-1.3 ms against 0.9 ms for one, on 2 vCPUs.
-# It also caps the workers at _PAIR_BUDGET // _WORKER_PAIRS = 8, so at most
-# about 31 MB of planes are in flight on any host.
-_WORKER_PAIRS = 1 << 13
+# Workers of the pairwise pass at most, whatever the CPU count, so that at
+# most about 31 MB of planes are in flight on any host.
+_MAX_WORKERS = 8
 
 # Constants of the feature definitions.
 INTERACTION_HORIZON = 30.0  # m, neighbours beyond this are ignored
@@ -250,9 +251,10 @@ def pairwise_arrays(dx, dy, ux, uy, radius_sum, planes):
 
     ``dx, dy`` are the components of p_b - p_a and ``ux, uy`` those of
     v_b - v_a, as float64 arrays of one shape (at least 1-D); ``radius_sum``
-    broadcasts to that shape.  |dp|^2, |dv|^2 and dp.dv are formed once: the
-    contact quadratic a t^2 + b t + c = 0 has a = |dv|^2, b = 2 dp.dv and
-    c = |dp|^2 - radius_sum^2.
+    broadcasts to that shape; ``extract`` passes (j, t, i) slabs, neighbour j
+    first.  |dp|^2, |dv|^2 and dp.dv are formed once: the contact quadratic
+    a t^2 + b t + c = 0 has a = |dv|^2, b = 2 dp.dv and c = |dp|^2 -
+    radius_sum^2.
 
     dist is the current distance.  tca >= 0 is the time to closest approach
     and dca the distance then (tca 0 without relative motion).  ttc is the
@@ -273,9 +275,12 @@ def pairwise_arrays(dx, dy, ux, uy, radius_sum, planes):
     ndot += np.multiply(dy, uy, out=tmp)
     np.negative(ndot, out=ndot)  # -dp.dv, so -b = 2 * ndot exactly
     np.greater(dv2, EPS_SPEED**2, out=moving)
+    # Divisors of 1 where the pair does not move: cheaper than divisions
+    # masked by where=, and every such quotient is overwritten.
+    np.putmask(dv2, np.logical_not(moving, out=flag), 1.0)
 
-    tca.fill(0.0)
-    np.divide(ndot, dv2, out=tca, where=moving)
+    np.divide(ndot, dv2, out=tca)
+    np.putmask(tca, flag, 0.0)
     np.maximum(tca, 0.0, out=tca)
     dca = np.multiply(tca, ux, out=ux)
     dca += dx
@@ -301,11 +306,11 @@ def pairwise_arrays(dx, dy, ux, uy, radius_sum, planes):
     np.sqrt(root, out=root)
     t_hit = np.subtract(neg_b, root, out=neg_b)
     dv2 *= 2.0
-    np.divide(t_hit, dv2, out=t_hit, where=moving)
+    np.divide(t_hit, dv2, out=t_hit)
     hit &= np.greater_equal(t_hit, 0.0, out=flag)
     np.minimum(t_hit, TTC_HORIZON, out=t_hit)
-    np.copyto(t_hit, TTC_HORIZON, where=np.logical_not(hit, out=flag))
-    np.copyto(t_hit, 0.0, where=overlapping)
+    np.putmask(t_hit, np.logical_not(hit, out=flag), TTC_HORIZON)
+    np.putmask(t_hit, overlapping, 0.0)
     return dist, t_hit, tca, dca
 
 
@@ -447,18 +452,16 @@ def extract(
     tca_sel = np.empty((T, N))
     dca_sel = np.empty((T, N))
 
-    # Slabs (t, i, j) of at most _PAIR_BUDGET pairs each, rounded up to one
+    # Slabs (j, t, i) of at most _PAIR_BUDGET pairs each, rounded up to one
     # row: equal chunks of whole steps, a multiple of the workers in number so
     # the workers share the steps evenly, or, where one step does not fit,
-    # single steps in equal blocks of agent rows.  Worker k takes slabs k,
-    # k + workers, and so on.
-    workers = max(
-        1, min(usable_cpus(), T * N * N // _WORKER_PAIRS, _PAIR_BUDGET // _WORKER_PAIRS)
-    )
+    # single steps in equal blocks of agent rows.  A crowd gets as many
+    # workers as it has slabs at one worker, up to the CPUs and the cap.
+    # Worker k takes slabs k, k + workers, and so on.
     steps = max(1, _PAIR_BUDGET // (N * N))
-    n_t = min(T, workers * -(-T // (workers * steps)))
     n_r = -(-N // max(1, _PAIR_BUDGET // N))  # 1 where a step fits
-    workers = min(workers, n_t * n_r)
+    workers = min(usable_cpus(), _MAX_WORKERS, -(-T // steps) * n_r)
+    n_t = min(T, workers * -(-T // (workers * steps)))
     size = -(-T // n_t) * -(-N // n_r) * N
 
     def pass_slabs(k: int) -> None:
@@ -474,39 +477,41 @@ def extract(
             c, r = divmod(s, n_r)
             ts = slice(T * c // n_t, T * (c + 1) // n_t)
             rs = slice(N * r // n_r, N * (r + 1) // n_r)
-            shape = (ts.stop - ts.start, rs.stop - rs.start, N)
+            shape = (N, ts.stop - ts.start, rs.stop - rs.start)
             pairs = math.prod(shape)
             dx, dy, ux, uy, *scratch = floats[:, :pairs].reshape(7, *shape)
             bools = flags[:, :pairs].reshape(4, *shape)
-            # [t, i, j] = p_j - p_i and v_j - v_i
-            np.subtract(X[ts, None, :], X[ts, rs, None], out=dx)
-            np.subtract(Y[ts, None, :], Y[ts, rs, None], out=dy)
-            np.subtract(VX[ts, None, :], VX[ts, rs, None], out=ux)
-            np.subtract(VY[ts, None, :], VY[ts, rs, None], out=uy)
+            # [j, t, i] = p_j - p_i and v_j - v_i.  Each p_j is first copied
+            # along its row of i, so the subtraction runs over whole planes.
+            for plane, values in zip((dx, dy, ux, uy), (X, Y, VX, VY)):
+                plane[...] = values.T[:, ts, None]
+                np.subtract(plane, values[ts, rs], out=plane)
+            body = body_sum[:, None, rs]
             dist, ttc_pair, tca_pair, dca_pair = pairwise_arrays(
-                dx, dy, ux, uy, body_sum[rs], (scratch, bools)
+                dx, dy, ux, uy, body, (scratch, bools)
             )
-            # no self-pairs: (i, i) lies at i - rs.start, i of each step's block
-            dist.reshape(shape[0], -1)[:, rs.start :: N + 1] = np.inf
+            np.einsum("iti->ti", dist[rs])[...] = np.inf  # no self-pairs (j = i)
             neighbor, flag, miss, _ = bools
 
-            np.min(dist, axis=2, out=nn[ts, rs])
-            np.sum(np.less_equal(dist, LOCAL_DENSITY_RADIUS, out=flag), axis=2, out=near[ts, rs])
-            np.any(np.less(dist, body_sum[rs], out=flag), axis=2, out=touching[ts, rs])
-            gap = np.subtract(personal_sum[rs], dist, out=dy)
-            np.maximum(gap.max(axis=2), 0.0, out=overlap[ts, rs])
+            np.min(dist, axis=0, out=nn[ts, rs])
+            np.sum(np.less_equal(dist, LOCAL_DENSITY_RADIUS, out=flag), axis=0, out=near[ts, rs])
+            np.any(np.less(dist, body, out=flag), axis=0, out=touching[ts, rs])
+            gap = np.subtract(personal_sum[:, None, rs], dist, out=dy)
+            deepest = np.max(gap, axis=0, out=overlap[ts, rs])
+            np.maximum(deepest, 0.0, out=deepest)
             np.less_equal(dist, INTERACTION_HORIZON, out=neighbor)
-            np.minimum.reduce(
-                ttc_pair, axis=2, out=ttc_t[ts, rs], where=neighbor, initial=TTC_HORIZON
-            )
+            # TTC over the neighbours only: a pair beyond the horizon reads none
+            np.putmask(ttc_pair, np.logical_not(neighbor, out=miss), TTC_HORIZON)
+            np.min(ttc_pair, axis=0, out=ttc_t[ts, rs])
 
+            # The candidate of least DCA, the first j on ties: argmin's rule.
             cand = np.less(tca_pair, TTC_HORIZON, out=flag)
             cand &= neighbor
-            np.copyto(dca_pair, np.inf, where=np.logical_not(cand, out=miss))
-            j_star = dca_pair.argmin(axis=2)[:, :, None]
-            np.any(cand, axis=2, out=has[ts, rs])
-            tca_sel[ts, rs] = np.take_along_axis(tca_pair, j_star, axis=2)[:, :, 0]
-            dca_sel[ts, rs] = np.take_along_axis(dca_pair, j_star, axis=2)[:, :, 0]
+            np.any(cand, axis=0, out=has[ts, rs])
+            np.putmask(dca_pair, np.logical_not(cand, out=miss), np.inf)
+            least = np.min(dca_pair, axis=0, out=dca_sel[ts, rs])
+            j_star = np.equal(dca_pair, least, out=flag).argmax(axis=0)
+            tca_sel[ts, rs] = np.take_along_axis(tca_pair, j_star[None], axis=0)[0]
 
     _run_workers(pass_slabs, workers)
 

@@ -445,6 +445,29 @@ def test_empty_golden_dir_exits_2(tmp_path, capsys):
     assert "no golden trajectory CSVs" in capsys.readouterr().err
 
 
+def test_outputs_written_into_a_crowd_directory_are_skipped(tmp_path, workspace, capsys):
+    """score, features and train-weights write their default outputs next to
+    their inputs; fit-reference and train-weights on that directory still
+    read only its trajectories."""
+    golden = tmp_path / "golden"
+    shutil.copytree(workspace["golden"], golden)
+    before, after = tmp_path / "before.txt", tmp_path / "after.txt"
+    assert run(["fit-reference", "--golden", str(golden), "--out", str(before)]) == 0
+    stats = str(workspace["stats"])
+    assert run(["score", "--trajectory", str(golden / "run0.csv"), "--stats", stats]) == 0
+    assert run(["features", "--trajectory", str(golden / "run1.csv")]) == 0
+    assert run(["train-weights", "--golden", str(golden), "--auto-degrade",
+                "--population", "4", "--generations", "1",
+                "--out", str(golden / "weights.txt")]) == 0
+    assert sorted(p.name for p in golden.glob("*.csv")) == [
+        "run0.csv", "run0.csv.breakdown.csv", "run1.csv", "run1.csv.features.csv",
+        "weights.txt.history.csv",
+    ]
+    assert run(["fit-reference", "--golden", str(golden), "--out", str(after)]) == 0
+    assert after.read_bytes() == before.read_bytes()
+    capsys.readouterr()
+
+
 def test_negative_weight_file_exits_3(tmp_path, workspace, capsys):
     bad = tmp_path / "weights.txt"
     bad.write_text("".join(f"{c}.omega = 0.01\n" for c in FEATURE_CODES[:-1])

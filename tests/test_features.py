@@ -379,15 +379,17 @@ def spread_crowd(n_agents, steps, seed=0):
 @pytest.mark.parametrize("steps", [2, 3, 110])
 def test_threaded_pairwise_pass_is_bitwise_serial(monkeypatch, n_agents, steps):
     crowd = spread_crowd(n_agents, steps)
-    # Five steps of pairs per slab: many slabs over 110 steps, fewer slabs
-    # than CPUs over 2 or 3 steps, and room in the budget for four workers,
-    # more than this host's cores.  Then a quarter of a step's rows, three at
-    # least: from 12 agents up one step does not fit a slab, and the workers
-    # split single steps into blocks of rows, an odd count of them (15) for
-    # 57 agents over 3 steps.
-    budgets = (5 * n_agents * n_agents, max(3, n_agents // 4) * n_agents)
+    # Five steps of pairs per slab: many slabs over 110 steps, one over 2 or
+    # 3 steps.  One step a slab: fewer slabs than CPUs over 2 or 3 steps.
+    # Then a quarter of a step's rows, three at least: from 12 agents up one
+    # step does not fit a slab, and the workers split single steps into
+    # blocks of rows, an odd count of them (15) for 57 agents over 3 steps.
+    # Four CPUs are more than this host's cores.
+    budgets = (
+        5 * n_agents * n_agents, n_agents * n_agents, max(3, n_agents // 4) * n_agents
+    )
     monkeypatch.setattr(features, "_PAIR_BUDGET", budgets[0])
-    split_any_crowd(monkeypatch, cpus=1)
+    monkeypatch.setattr(features, "usable_cpus", lambda: 1)
     running = threading.active_count()
     serial = extract(crowd)
     interval = sys.getswitchinterval()
@@ -395,7 +397,7 @@ def test_threaded_pairwise_pass_is_bitwise_serial(monkeypatch, n_agents, steps):
     try:
         for budget, cpus in itertools.product(budgets, (1, 2, 3, 4)):
             monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
-            split_any_crowd(monkeypatch, cpus=cpus)
+            monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
             threaded = extract(crowd)
             assert threading.active_count() == running  # every helper joined
             for code in FEATURE_CODES:
@@ -405,8 +407,9 @@ def test_threaded_pairwise_pass_is_bitwise_serial(monkeypatch, n_agents, steps):
 
 
 def split_any_crowd(monkeypatch, cpus):
-    """Let extract start a worker per step, on up to ``cpus`` CPUs."""
-    monkeypatch.setattr(features, "_WORKER_PAIRS", 1)
+    """Let extract start a worker per slab of one agent row, on up to
+    ``cpus`` CPUs."""
+    monkeypatch.setattr(features, "_PAIR_BUDGET", 1)
     monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
 
 
@@ -470,31 +473,41 @@ def test_workers_are_capped_by_cpus_steps_pairs_and_budget(monkeypatch):
         return len(started), result
 
     monkeypatch.setattr(features.threading, "Thread", CountingThread)
-    small = contact_crowd()  # 9 agents over 40 steps: 3,240 pairs
-    dense = spread_crowd(150, 40)  # 22,500 pairs a step, 900,000 in all
+    small = contact_crowd()  # 9 agents over 40 steps: 3,240 pairs, one slab
+    dense = spread_crowd(150, 40)  # 22,500 pairs a step: 20 slabs of 2 steps
     large = spread_crowd(300, 2)  # 90,000 pairs a step, more than the budget
     assert helpers(small)[0] == 0  # too few pairs to share
     assert helpers(dense)[0] <= features.usable_cpus() - 1
     monkeypatch.setattr(features, "usable_cpus", lambda: 2)
     assert helpers(large)[0] == 1  # blocks of rows: a step need not fit a worker
-    # On 64 CPUs the budget caps the workers, each with 2^13 pairs of it.
+    # A crowd that fills one slab keeps one worker: bench tune's 20 agents
+    # over 110 steps (44,000 pairs); 28 agents (86,240 pairs) get two.
+    assert helpers(spread_crowd(20, 110))[0] == 0
+    assert helpers(spread_crowd(28, 110))[0] == 1
+    # On 64 CPUs the cap of 8 workers holds.
     monkeypatch.setattr(features, "usable_cpus", lambda: 64)
-    assert helpers(dense)[0] == features._PAIR_BUDGET // features._WORKER_PAIRS - 1
+    assert helpers(dense)[0] == 7
     assert helpers(small)[0] == 0
     serial = extract(small)
-    # With any split allowed, the slabs cap the workers: 40 single steps ...
-    monkeypatch.setattr(features, "_WORKER_PAIRS", 1)
+    # With one step a slab, the cap holds over 40 slabs, ...
+    monkeypatch.setattr(features, "_PAIR_BUDGET", small.n_agents**2)
     count, capped = helpers(small)
-    assert count == small.n_steps - 1
+    assert count == 7
     for code in FEATURE_CODES:
         assert np.array_equal(capped[code], serial[code]), code
     monkeypatch.setattr(features, "usable_cpus", lambda: 3)
     assert helpers(small)[0] == 2
+    # ... and with 8 steps a slab the slabs cap the workers: 5 of them.
+    monkeypatch.setattr(features, "usable_cpus", lambda: 64)
+    monkeypatch.setattr(features, "_PAIR_BUDGET", 8 * small.n_agents**2)
+    count, capped = helpers(small)
+    assert count == 5 - 1
+    for code in FEATURE_CODES:
+        assert np.array_equal(capped[code], serial[code]), code
     # ... or 4 slabs of 2 rows and of 1: 3 agents over 2 steps, at 8 pairs a
     # slab on 64 CPUs.
     tiny = spread_crowd(3, 2)
     serial = extract(tiny)
-    monkeypatch.setattr(features, "usable_cpus", lambda: 64)
     monkeypatch.setattr(features, "_PAIR_BUDGET", 8)
     count, capped = helpers(tiny)
     assert count == 2 * 2 - 1
@@ -503,8 +516,9 @@ def test_workers_are_capped_by_cpus_steps_pairs_and_budget(monkeypatch):
 
 
 def test_each_worker_gets_a_slab_of_the_whole_budget(monkeypatch):
-    """On 2 CPUs, 150 agents over 4 steps go in 2 slabs of 2 whole steps,
-    45,000 pairs each: a worker's slab is not cut to its share of the budget."""
+    """On 2 CPUs, 150 agents over 4 steps go in 2 slabs (j, t, i) of 2 whole
+    steps, 45,000 pairs each: a worker's slab is not cut to its share of the
+    budget."""
     shapes, kernel = [], features.pairwise_arrays
 
     def recording(*args):
@@ -514,7 +528,33 @@ def test_each_worker_gets_a_slab_of_the_whole_budget(monkeypatch):
     monkeypatch.setattr(features, "pairwise_arrays", recording)
     monkeypatch.setattr(features, "usable_cpus", lambda: 2)
     extract(spread_crowd(150, 4))
-    assert shapes == [(2, 150, 150)] * 2
+    assert shapes == [(150, 2, 150)] * 2
+
+
+def test_tca_and_dca_come_from_the_first_of_tied_neighbours(monkeypatch):
+    """Agent 0 stands still; agents 1 and 2 pass it at 1 m/s, both 1 m off,
+    so their DCA ties exactly at every step while agent 1 is 2 s later: TCA
+    and DCA come from agent 1, the lower index, as argmin picks.  Agents 3
+    and 4, over 150 m away, close at 2 m/s from 25 m: a closest approach
+    over 10 s ahead is no candidate, so agent 3 has none at any step."""
+    x = np.arange(3.0)  # 1 s steps: every value below is exact
+    positions = np.zeros((5, 3, 2))
+    positions[1, :, 0], positions[1, :, 1] = 4.0 - x, 1.0
+    positions[2, :, 0], positions[2, :, 1] = 2.0 - x, -1.0
+    positions[3, :, 0] = 200.0
+    positions[4, :, 0], positions[4, :, 1] = 225.0 - 2.0 * x, 0.5
+    crowd = crowd_from_positions(positions, dt=1.0)
+    n = crowd.n_agents
+    # one slab on one worker; one row, two rows or one step a slab on two
+    for budget, cpus in ((features._PAIR_BUDGET, 1), (1, 2), (2 * n, 2), (n * n, 2)):
+        monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+        f = extract(crowd)
+        assert f["TCA"][0].tolist() == [4.0, 3.0, 2.0], (budget, cpus)
+        assert f["DCA"][0].tolist() == [1.0, 1.0, 1.0], (budget, cpus)
+        assert f["TCA"][3].tolist() == [TTC_HORIZON] * 3, (budget, cpus)
+        assert f["DCA"][3].tolist() == f["DTA"][3].tolist(), (budget, cpus)
+        assert np.all(f["DTA"][3] < INTERACTION_HORIZON)
 
 
 def test_pairwise_memory_stays_within_the_budget(monkeypatch):

@@ -117,6 +117,40 @@ def test_initial_params_seed_the_first_generation():
     assert res.best_score_history[0] == pytest.approx(expected, abs=1e-12)
 
 
+def test_a_blown_up_crowd_gets_the_worst_fitness_and_the_search_goes_on(monkeypatch):
+    """The first crowd of every simulated generation leaves for infinity
+    halfway through: its score is NaN, so its genome gets fitness 1.0, and
+    the other genomes are scored as usual."""
+    simulate_population, ga_optimize = tuning.simulate_population, tuning.ga_optimize
+    fitness_values = []
+
+    def blowing_up(scenario, genomes, duration):
+        for k, crowd in enumerate(simulate_population(scenario, genomes, duration)):
+            if k == 0:
+                positions = crowd.positions.copy()
+                positions[0, crowd.n_steps // 2 :] = np.inf
+                crowd = crowd.with_positions(positions, crowd.dt)
+            yield crowd
+
+    def recording_ga(fitness, *args, **kwargs):
+        def recorded(population):
+            values = fitness(population)
+            fitness_values.append(values)
+            return values
+
+        return ga_optimize(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(tuning, "simulate_population", blowing_up)
+    monkeypatch.setattr(tuning, "ga_optimize", recording_ga)
+    res = tune(tiny_config(), unit_stats(), only_weight("AWS", 0.5))
+    assert len(fitness_values) == res.ga.generations
+    for values in fitness_values:
+        assert values[0] == 1.0
+        assert np.all(values[1:] < 1.0)
+    assert res.ga.stop_reason == "max-generations"
+    assert 0.0 < res.best_score_history[-1] <= 1.0
+
+
 # Best-score history and optimum of tiny_config() under an AWS weight of 0.5,
 # recorded bit for bit: a rewrite of the fitness or of the generic reseed must
 # not move them.
