@@ -22,7 +22,7 @@ from .csvio import load_trajectory_csv, save_trajectory_csv, write_csv
 from .errors import ConfigError, DataError
 from .features import FD_BIN_WIDTH, FEATURE_CODES, GRANULARITY, extract
 from .genetic import GaConfig
-from .keyvalue import format_keyvalue, open_output
+from .keyvalue import write_keyvalue
 from .quality import (
     default_weights,
     fit_reference_from_crowds,
@@ -40,7 +40,8 @@ from .simulator import (
     save_params,
     simulate,
 )
-from .training import DEGRADE_MODES, build_training_set, degrade, train_weights
+from .training import (AUTO_DEGRADE_MODES, DEGRADE_MODES, build_training_set, degrade,
+                       train_weights)
 from .trajectory import CANONICAL_DT, to_canonical
 from .tuning import TUNE_MODES, TuneConfig, quartile, tune
 
@@ -78,29 +79,21 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_ga_flags(sp: argparse.ArgumentParser) -> None:
+    """The GA's budget; its other settings keep their ``GaConfig`` defaults."""
     d = GaConfig()
-    sp.add_argument("--population", type=int, default=d.population_size)
-    sp.add_argument("--generations", type=int, default=d.max_generations)
-    sp.add_argument("--crossover-rate", type=float, default=d.crossover_rate)
-    sp.add_argument("--mutation-rate", type=float, default=d.mutation_rate)
-    sp.add_argument("--mutation-scale", type=float, default=d.mutation_scale)
-    sp.add_argument("--elitism", type=int, default=d.elitism_count)
-    sp.add_argument("--plateau", type=int, default=d.plateau_generations)
-    sp.add_argument("--plateau-epsilon", type=float, default=d.plateau_epsilon)
+    low = d.elitism_count + 1
+    sp.add_argument("--population", type=_int_at_least(low), default=d.population_size,
+                    help=f"genomes per generation, at least {low} (default %(default)s)")
+    sp.add_argument("--generations", type=_int_at_least(1), default=d.max_generations,
+                    help="generation limit (default %(default)s)")
+    sp.add_argument("--plateau", type=_int_at_least(1), default=d.plateau_generations,
+                    help="stop when this many generations improve the best fitness by "
+                    f"less than {d.plateau_epsilon:g} (default %(default)s)")
 
 
 def _ga_config(args) -> GaConfig:
-    return GaConfig(
-        population_size=args.population,
-        max_generations=args.generations,
-        crossover_rate=args.crossover_rate,
-        mutation_rate=args.mutation_rate,
-        mutation_scale=args.mutation_scale,
-        elitism_count=args.elitism,
-        seed=args.seed,
-        plateau_generations=args.plateau,
-        plateau_epsilon=args.plateau_epsilon,
-    )
+    return GaConfig(population_size=args.population, max_generations=args.generations,
+                    seed=args.seed, plateau_generations=args.plateau)
 
 
 def _add_scenario_flags(sp: argparse.ArgumentParser) -> None:
@@ -157,10 +150,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--degraded", default=None,
                     help="directory of degraded CSVs (target 0)" + _SKIPPED)
     sp.add_argument("--auto-degrade", action="store_true",
-                    help="derive degraded examples from the golden crowds")
-    sp.add_argument("--degrade-modes", nargs="+", choices=DEGRADE_MODES,
-                    default=["no-avoidance", "jitter"],
-                    help="modes used by --auto-degrade")
+                    help="derive degraded examples from the golden crowds "
+                    f"(modes: {', '.join(AUTO_DEGRADE_MODES)})")
     sp.add_argument("--stats", default=None,
                     help="reference stats file (default: fitted from the golden set)")
     sp.add_argument("--initial-weights", default=None,
@@ -219,8 +210,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--stats", required=True)
     sp.add_argument("--weights", default=None, help="weights file (default: built-in)")
     sp.add_argument("--duration", type=float, default=20.0)
-    sp.add_argument("--decay", type=float, default=0.97,
-                    help="per-generation mutation-scale decay")
     sp.add_argument("--initial-params", default=None,
                     help="parameter file seeding the whole starting population")
     sp.add_argument("--out", required=True, help="output parameter file")
@@ -243,7 +232,6 @@ def _write_manifest(args, primary_out) -> None:
     items = [
         ("subcommand", args.command),
         ("argv", shlex.join(args.argv_full)),
-        ("seed", str(getattr(args, "seed", 0))),
         ("version", __version__),
     ]
     skip = {"func", "command", "argv_full", "manifest"}
@@ -254,8 +242,7 @@ def _write_manifest(args, primary_out) -> None:
         if value is None:
             continue
         items.append((f"flag.{key.replace('_', '-')}", str(value)))
-    with open_output(path) as fh:
-        fh.write(format_keyvalue(items))
+    write_keyvalue(path, items)
 
 
 def _write_history_csv(path, column: str, values) -> None:
@@ -302,7 +289,7 @@ def _cmd_train_weights(args) -> None:
         degraded.extend(_load_crowd_dir(args.degraded, "degraded"))
     if args.auto_degrade:
         for i, crowd in enumerate(golden):
-            for m, mode in enumerate(args.degrade_modes):
+            for m, mode in enumerate(AUTO_DEGRADE_MODES):
                 degraded.append(degrade(crowd, mode, seed=args.seed + 97 * i + m))
     if not degraded:
         raise DataError(
@@ -377,7 +364,6 @@ def _cmd_tune(args) -> None:
         mode=args.mode,
         duration=args.duration,
         ga=_ga_config(args),
-        exploration_decay=args.decay,
         initial_params=load_params(args.initial_params) if args.initial_params else None,
     )
     result = tune(config, stats, weights)

@@ -4,7 +4,8 @@ Grammar shared by the stats/weights files and the simulator parameter file:
 one ``key = value`` per line, ``#`` starts a comment, blank lines ignored.
 Callers validate the key set; this module only handles the syntax.
 ``read_input`` and ``decode_input`` read every input file of the package, and
-``open_output`` writes every output file.
+``open_output`` writes every output file; ``write_keyvalue`` writes every
+key-value file through it.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ def parse_keyvalue(text: str, source: str = "<string>") -> dict[str, str]:
     return out
 
 
-def format_keyvalue(pairs) -> str:
-    """Render an iterable of (key, value) pairs, one line each."""
-    return "".join(f"{k} = {v}\n" for k, v in pairs)
+def write_keyvalue(path, pairs) -> None:
+    """Write an iterable of (key, value) pairs to ``path``, one ``key = value`` line each."""
+    with open_output(path) as fh:
+        fh.write("".join(f"{k} = {v}\n" for k, v in pairs))
 
 
 def parse_float(key: str, value: str, source: str = "<string>") -> float:

@@ -22,8 +22,7 @@ from .features import (
     fd_gap,
     fundamental_diagram_curve,
 )
-from .keyvalue import (decode_input, format_keyvalue, open_output, parse_float, parse_keyvalue,
-                       read_input)
+from .keyvalue import decode_input, parse_float, parse_keyvalue, read_input, write_keyvalue
 from .trajectory import CrowdTrajectory, to_canonical
 
 SIGMA_FLOOR = 1e-3  # feature units, keeps the Gaussian denominator sane
@@ -228,7 +227,7 @@ def parse_reference_stats(text: str, source: str = "<stats>") -> ReferenceStats:
     return ReferenceStats(mu=mu, sigma=sigma, fd_curve=curve)
 
 
-def format_reference_stats(stats: ReferenceStats) -> str:
+def save_reference_stats(stats: ReferenceStats, path) -> None:
     items = []
     for code in FEATURE_CODES:
         mu, sigma = stats.require(code)
@@ -236,16 +235,11 @@ def format_reference_stats(stats: ReferenceStats) -> str:
         items.append((f"{code}.sigma", repr(sigma)))
     if stats.fd_curve is not None:
         items.append(("FDG.curve", stats.fd_curve.serialize()))
-    return format_keyvalue(items)
+    write_keyvalue(path, items)
 
 
 def load_reference_stats(path) -> ReferenceStats:
     return parse_reference_stats(decode_input(read_input(path), path), source=str(path))
-
-
-def save_reference_stats(stats: ReferenceStats, path) -> None:
-    with open_output(path) as fh:
-        fh.write(format_reference_stats(stats))
 
 
 def parse_weights(text: str, source: str = "<weights>") -> WeightVector:
@@ -262,19 +256,12 @@ def parse_weights(text: str, source: str = "<weights>") -> WeightVector:
     return WeightVector(omega)
 
 
-def format_weights(weights: WeightVector) -> str:
-    return format_keyvalue(
-        (f"{code}.omega", repr(weights.omega[code])) for code in FEATURE_CODES
-    )
-
-
 def load_weights(path) -> WeightVector:
     return parse_weights(decode_input(read_input(path), path), source=str(path))
 
 
 def save_weights(weights: WeightVector, path) -> None:
-    with open_output(path) as fh:
-        fh.write(format_weights(weights))
+    write_keyvalue(path, ((f"{code}.omega", repr(weights.omega[code])) for code in FEATURE_CODES))
 
 
 def default_weights() -> WeightVector:

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import features
 from .errors import ConfigError, DataError
-from .keyvalue import (decode_input, format_keyvalue, open_output, parse_float, parse_keyvalue,
-                       read_input)
+from .keyvalue import decode_input, parse_float, parse_keyvalue, read_input, write_keyvalue
 from .trajectory import CANONICAL_DT, DEFAULT_BODY_RADIUS, CrowdTrajectory, derive_kinematics
 
 GOAL_RADIUS = 0.3  # m, agents inside hold position
@@ -381,14 +380,9 @@ def parse_params(text: str, source: str = "<params>") -> SocialForcesParams:
     return SocialForcesParams(**values)
 
 
-def format_params(params: SocialForcesParams) -> str:
-    return format_keyvalue((name, repr(getattr(params, name))) for name in PARAM_NAMES)
-
-
 def load_params(path) -> SocialForcesParams:
     return parse_params(decode_input(read_input(path), path), source=str(path))
 
 
 def save_params(params: SocialForcesParams, path) -> None:
-    with open_output(path) as fh:
-        fh.write(format_params(params))
+    write_keyvalue(path, ((name, repr(getattr(params, name))) for name in PARAM_NAMES))

@@ -20,6 +20,7 @@ from .quality import ReferenceStats, WeightVector, cost_vector
 from .trajectory import CrowdTrajectory
 
 DEGRADE_MODES = ("no-avoidance", "jitter", "speed-scale", "freeze")
+AUTO_DEGRADE_MODES = ("no-avoidance", "jitter")  # train-weights --auto-degrade
 
 JITTER_AMPLITUDE = 0.3  # rad per step, default heading noise
 SPEED_SCALE_FACTOR = 3.0  # default multiplier, far outside the walkable range

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, outputs, reproducibility."""
 
+import argparse
 import codecs
 import csv
 import io
@@ -16,11 +17,12 @@ import pytest
 
 import crowdscore
 from crowdscore import features
-from crowdscore.cli import run
+from crowdscore.cli import build_parser, run
 from crowdscore.csvio import load_trajectory_csv
 from crowdscore.features import FEATURE_CODES
 from crowdscore.quality import default_weights, load_weights, save_weights
 from crowdscore.simulator import SocialForcesParams, load_params, save_params
+from crowdscore.training import AUTO_DEGRADE_MODES
 
 
 @pytest.fixture(scope="module")
@@ -78,13 +80,73 @@ def test_a_negative_seed_is_a_usage_error(tmp_path, workspace, capsys, command, 
         "degrade": ["--trajectory", sample, "--mode", "jitter"],
         "simulate": ["--agents", "3", "--duration", "1.0"],
         "tune": ["--agents", "3", "--duration", "1.0", "--stats", stats,
-                 "--population", "2", "--generations", "1"],
+                 "--population", "4", "--generations", "1"],
     }[command]
     if command != "score":
         argv += ["--out", str(tmp_path / "out.txt")]
     assert run([command, *argv, flag, "-1", "--manifest", str(tmp_path / "m.txt")]) == 1
     assert f"{flag}: must be at least 0, got -1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def _ga_argv(command, workspace, tmp_path):
+    """A runnable train-weights or tune argv that writes only into tmp_path."""
+    stats = str(workspace["stats"])
+    argv = {"train-weights": ["--golden", str(workspace["golden"]), "--auto-degrade",
+                              "--stats", stats],
+            "tune": ["--agents", "3", "--duration", "1.0", "--stats", stats]}[command]
+    return [command, *argv, "--population", "4", "--generations", "1",
+            "--out", str(tmp_path / "out.txt")]
+
+
+@pytest.mark.parametrize("command", ["train-weights", "tune"])
+@pytest.mark.parametrize("flag,value,low", [
+    ("--population", "2", 3), ("--generations", "0", 1), ("--plateau", "0", 1),
+])
+def test_ga_flags_below_their_bound_are_usage_errors(tmp_path, workspace, capsys,
+                                                     command, flag, value, low):
+    # --population must leave room for the GaConfig default of 2 elite genomes
+    assert run(_ga_argv(command, workspace, tmp_path) + [flag, value]) == 1
+    assert f"{flag}: must be at least {low}, got {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (command, flag, value) for command in ("train-weights", "tune")
+    for flag, value in (("--crossover-rate", "0.5"), ("--mutation-rate", "0.2"),
+                        ("--mutation-scale", "0.2"), ("--elitism", "1"),
+                        ("--plateau-epsilon", "0.001"))
+] + [("tune", "--decay", "0.9"), ("train-weights", "--degrade-modes", "jitter")])
+def test_removed_ga_flags_are_unrecognized(tmp_path, workspace, capsys, command, flag, value):
+    assert run(_ga_argv(command, workspace, tmp_path) + [flag, value]) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_subcommand_has_its_pinned_options():
+    """A flag added or removed anywhere must come with an edit here."""
+    common = {"--help", "--seed", "--threads", "--manifest"}
+    scenario = {"--kind", "--agents", "--radius", "--area", "--angle", "--density"}
+    ga = {"--population", "--generations", "--plateau"}
+    expected = {
+        "fit-reference": common | {"--golden", "--out", "--bin-width"},
+        "train-weights": common | ga | {"--golden", "--degraded", "--auto-degrade", "--stats",
+                                        "--initial-weights", "--out", "--history"},
+        "score": common | {"--trajectory", "--stats", "--weights", "--window", "--breakdown"},
+        "features": common | {"--trajectory", "--stats", "--out"},
+        "degrade": common | {"--trajectory", "--mode", "--amplitude", "--factor", "--fraction",
+                             "--out"},
+        "simulate": common | scenario | {"--params", "--duration", "--dt", "--out"},
+        "tune": common | scenario | ga | {"--mode", "--scenario-seed", "--stats", "--weights",
+                                          "--duration", "--initial-params", "--out",
+                                          "--history", "--out-trajectory"},
+    }
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    found = {name: {option for action in sp._actions for option in action.option_strings
+                    if option.startswith("--")}
+             for name, sp in subparsers.choices.items()}
+    assert found == expected
 
 
 def test_worker_count_changes_no_output(tmp_path, monkeypatch, capsys):
@@ -254,7 +316,7 @@ def test_degrade_overflow_exits_2(tmp_path, workspace, capsys):
     (["simulate", "--agents", "3", "--duration", "1e308", "--dt", "1e-300"], 3,
      "yields inf steps"),
     (["tune", "--agents", "3", "--duration", "1e308", "--population", "4",
-      "--generations", "1", "--elitism", "1"], 3, "yields inf steps"),
+      "--generations", "1"], 3, "yields inf steps"),
     (["score", "--window", "1e308", "1e308"], 2, "covers fewer than 2 steps"),
     (["simulate", "--agents", "3", "--duration", "1", "--radius", "1e308"], 3,
      "simulated positions are not finite"),
@@ -267,7 +329,7 @@ def test_degrade_overflow_exits_2(tmp_path, workspace, capsys):
       "--generations", "2"], 3, "simulated positions are not finite"),
     (["simulate", "--agents", "3", "--duration", "1e12"], 3, "yields 10000000000000 steps"),
     (["tune", "--agents", "3", "--duration", "1e12", "--population", "4",
-      "--generations", "1", "--elitism", "1"], 3, "yields 10000000000000 steps"),
+      "--generations", "1"], 3, "yields 10000000000000 steps"),
 ], ids=["simulate-steps", "tune-steps", "score-window", "circle-radius", "crossing-radius",
         "random-density", "bin-width", "tune-radius", "simulate-history", "tune-history"])
 def test_overflowing_values_exit_cleanly(tmp_path, workspace, capsys, argv, code, message):
@@ -502,6 +564,28 @@ def test_train_weights_auto_degrade(tmp_path, workspace, capsys):
     assert fits == sorted(fits, reverse=True) or all(
         b <= a for a, b in zip(fits, fits[1:])
     )
+
+
+def test_auto_degrade_is_the_degrade_subcommand_at_the_same_seeds(tmp_path, workspace):
+    """--auto-degrade trains on what `degrade --mode M --seed S + 97 i + m`
+    writes for the i-th golden file and the m-th of its modes, in that order."""
+    degraded = tmp_path / "degraded"
+    degraded.mkdir()
+    seed = 5
+    golden = sorted(workspace["golden"].glob("*.csv"))
+    for i, path in enumerate(golden):
+        for m, mode in enumerate(AUTO_DEGRADE_MODES):
+            assert run(["degrade", "--trajectory", str(path), "--mode", mode,
+                        "--seed", str(seed + 97 * i + m),
+                        "--out", str(degraded / f"{i:03d}-{m}.csv")]) == 0
+    budget = ["--golden", str(workspace["golden"]), "--stats", str(workspace["stats"]),
+              "--population", "6", "--generations", "3", "--seed", str(seed)]
+    auto, given = tmp_path / "auto.txt", tmp_path / "given.txt"
+    assert run(["train-weights", *budget, "--auto-degrade", "--out", str(auto)]) == 0
+    assert run(["train-weights", *budget, "--degraded", str(degraded), "--out", str(given)]) == 0
+    assert auto.read_bytes() == given.read_bytes()
+    assert (Path(f"{auto}.history.csv").read_bytes()
+            == Path(f"{given}.history.csv").read_bytes())
 
 
 def test_degrade_cli_scales_speeds(tmp_path, workspace):

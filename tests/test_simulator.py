@@ -15,7 +15,6 @@ from crowdscore.simulator import (
     CrowdSetup,
     Scenario,
     SocialForcesParams,
-    format_params,
     genome_to_params,
     load_params,
     make_scenario,
@@ -378,8 +377,6 @@ def test_params_file_round_trip(tmp_path):
     path = tmp_path / "params.txt"
     save_params(p, path)
     assert load_params(path) == p
-    text = format_params(p)
-    assert parse_params(text) == p
     assert parse_params("") == SocialForcesParams()
     with pytest.raises(DataError, match="unknown parameter"):
         parse_params("gravity = 9.8\n")
