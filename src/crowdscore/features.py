@@ -12,19 +12,36 @@ axis costs more than its arithmetic), in place in scratch planes its caller
 allocates, so it allocates nothing.
 
 ``extract`` runs the pairwise pass in slabs (j, t, i) of up to
-``_PAIR_BUDGET`` neighbour pairs: equal chunks of whole steps or, where one
-step does not fit, single steps in equal blocks of agent rows i.  Neighbours j
-lead, so each reduction over them is an elementwise accumulation of
-contiguous (t, i) planes, not a short reduction per (t, i) row.  A crowd gets
-a second worker only when its pairs fill more than one slab, and then one
-worker per CPU this process may use (``usable_cpus()``), but never more than
-it has slabs or than ``_MAX_WORKERS``: the calling thread and plain helper
-threads, joined before it returns.  Each worker allocates its seven float64
-and four bool planes once, of its slab shape, 60 bytes a pair, and they are
-freed when it ends.  A worker holds at most ``_PAIR_BUDGET`` pairs, or one row
-of N pairs where that is more.  Each (t, i) reduction over the neighbours is
-computed whole by one worker, so the features are bitwise the same for every
-worker count and slab shape.
+``_PAIR_BUDGET`` neighbour pairs.  Neighbours j lead, so each reduction over
+them is an elementwise accumulation of contiguous (t, i) planes, not a short
+reduction per (t, i) row.  A crowd whose pairs fit one slab is one slab of
+every pair, both ways round.  A larger crowd of at least twice
+``_BLOCK_ROWS`` agents, or one whose step of N^2 pairs does not fit a slab,
+is cut into equal row blocks [r0, r1) of agents i, and block m's slab holds
+only the neighbours j >= r0.  The kernel's outputs are bitwise symmetric in
+(i, j), so a pair with j past the block is reduced over j into agent i and
+over i into agent j, and the kernel sees each such pair once.
+
+The (T, N) reductions (min, max, sum, or) merge block by block, in ascending
+order, so an agent meets its neighbours in ascending j; the DCA candidate
+keeps the first j on ties, argmin's rule, as a later block replaces it only
+when strictly nearer.  The steps are cut into equal time chunks, each owned
+whole by one worker, which runs every block of it in turn.  Each block's slab
+takes as many of the chunk's steps as fit the pairs of one slab of all N rows
+(whole steps, or one step's rows in equal blocks where a step does not fit),
+so no slab is larger than without blocks.
+
+A crowd gets a second worker only when its pairs fill more than one slab,
+and then one worker per CPU this process may use (``usable_cpus()``), but
+never more than it has slabs or steps or than ``_MAX_WORKERS``: the calling
+thread and plain helper threads, joined before it returns.  Each worker
+allocates its seven float64 and four bool planes once, 60 bytes a pair, and
+they are freed when it ends.  A worker holds at most ``_PAIR_BUDGET`` pairs,
+or one row of N pairs where that is more.  Each (t, i) reduction is computed
+by the one worker that owns its step, and its merges are exact in any
+grouping (min, max, or, integer sums, the first j of least DCA), so the
+features are bitwise the same for every worker count, slab shape and block
+count.
 """
 
 from __future__ import annotations
@@ -42,7 +59,9 @@ from .trajectory import EPS_SPEED, CrowdTrajectory
 
 # Neighbour pairs (j, t, i) a worker of the pairwise pass holds at once:
 # 0.5 MB per float64 plane, so a slab's planes stay near one core's L2 cache
-# and extract's memory does not grow with the recording length.  Each worker
+# and extract's memory does not grow with the recording length.  A row
+# block's slab (below) holds no more pairs than the slab of whole steps of
+# all N rows that this budget gives, so blocks add no memory.  Each worker
 # gets a whole budget, not a share of one: smaller slabs make more, shorter
 # numpy calls, around each of which the workers hand the interpreter lock to
 # each other.  At N = 150 and T = 100 on 2 vCPUs, two workers took 1.02x the
@@ -52,6 +71,16 @@ from .trajectory import EPS_SPEED, CrowdTrajectory
 # (44,000 pairs, one slab), 0.92x at N = 28 (two slabs), 0.85x at N = 40 and
 # 0.70x at N = 150.
 _PAIR_BUDGET = 1 << 16
+# Agent rows per block of the pairwise pass: a crowd that fills more than one
+# slab is cut into N // _BLOCK_ROWS blocks, each holding only its neighbours
+# from its first row on.  With blocks of fewer rows the numpy calls cost more
+# than the pairs they save.  Against one block, extract on 2 vCPUs (medians
+# of 12 alternated runs) took, at N = 150 and T = 100, 0.88-0.90x the time
+# with 2 blocks of 75 rows, 0.85-0.89x with 3 of 50, 0.88-0.92x with 4 or 5
+# (0.82x with 3 on one worker); 0.92x at N = 100 with 2 blocks of 50, and
+# 1.02x at N = 75 with 2 of 37 or 38; at N = 300, 0.90x with 6 blocks of 50
+# against the 2 that its 90,000 pairs a step need.
+_BLOCK_ROWS = 50
 # Workers of the pairwise pass at most, whatever the CPU count, so that at
 # most about 31 MB of planes are in flight on any host.
 _MAX_WORKERS = 8
@@ -204,6 +233,11 @@ def _alternation_flags(delta: np.ndarray, threshold: float) -> np.ndarray:
     flags = np.zeros(delta.shape, dtype=bool)
     flags[:, 2:] = flip & big[:, 2:] & big[:, 1:-1]
     return flags
+
+
+def _norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Length of (x, y), bitwise ``np.linalg.norm`` over a size-2 last axis."""
+    return np.sqrt(x * x + y * y)
 
 
 def usable_cpus() -> int:
@@ -418,7 +452,10 @@ def extract(
     from this crowd's own density/speed pairs.
 
     The pairwise pass runs on up to ``usable_cpus()`` workers; the result
-    does not depend on their number.
+    does not depend on their number.  A (t, i) whose DCA is NaN, which only a
+    NaN velocity reaches (a blown-up crowd scored under
+    ``np.errstate(all="ignore")``), gets a NaN TCA too: no neighbour is the
+    nearest then, whatever block held the NaN pair.
     """
     N, T = crowd.n_agents, crowd.n_steps
     if T < 2:
@@ -442,7 +479,7 @@ def extract(
     body_sum = rb[:, None] + rb[None, :]
     personal_sum = rp[:, None] + rp[None, :]
 
-    # Per (t, i) reductions over the neighbours j, filled slab by slab.
+    # Per (t, i) reductions over the neighbours j, filled block by block.
     nn = np.empty((T, N))
     near = np.empty((T, N), dtype=np.intp)
     touching = np.empty((T, N), dtype=bool)
@@ -452,19 +489,29 @@ def extract(
     tca_sel = np.empty((T, N))
     dca_sel = np.empty((T, N))
 
-    # Slabs (j, t, i) of at most _PAIR_BUDGET pairs each, rounded up to one
-    # row: equal chunks of whole steps, a multiple of the workers in number so
-    # the workers share the steps evenly, or, where one step does not fit,
-    # single steps in equal blocks of agent rows.  A crowd gets as many
-    # workers as it has slabs at one worker, up to the CPUs and the cap.
-    # Worker k takes slabs k, k + workers, and so on.
-    steps = max(1, _PAIR_BUDGET // (N * N))
-    n_r = -(-N // max(1, _PAIR_BUDGET // N))  # 1 where a step fits
-    workers = min(usable_cpus(), _MAX_WORKERS, -(-T // steps) * n_r)
-    n_t = min(T, workers * -(-T // (workers * steps)))
-    size = -(-T // n_t) * -(-N // n_r) * N
+    # Row blocks [r0, r1) of agents i, each in slabs (j, t, i) against the
+    # neighbours j >= r0 only.  One block where every pair fits one slab,
+    # else N // _BLOCK_ROWS blocks, or more where a block's step of rows
+    # would not fit a slab.  A block's slab takes as many steps (its span) as
+    # fit the pairs of a slab of all N rows: whole steps of N^2 pairs, or,
+    # where a step does not fit, one step's rows in equal parts.  The steps
+    # go in equal chunks of up to the longest span, a multiple of the workers
+    # in number; worker w takes chunks w, w + workers, and so on, and runs
+    # each block over the chunk in turn, in slabs of up to its span.  A crowd
+    # gets as many workers as it has slabs at one worker, up to the CPUs, the
+    # steps and the cap.
+    rows = max(1, _PAIR_BUDGET // N)  # (t, i) rows of N pairs in a slab
+    cap = N * (rows // N * N or -(-N // -(-N // rows)))
+    blocks = 1 if N * T <= rows else max(N // _BLOCK_ROWS, -(-N // rows))
+    bounds = [N * m // blocks for m in range(blocks + 1)]
+    widths = [(N - r0) * (r1 - r0) for r0, r1 in zip(bounds, bounds[1:])]
+    spans = [min(T, max(1, cap // width)) for width in widths]
+    slabs = sum(-(-T // span) for span in spans)
+    workers = min(usable_cpus(), _MAX_WORKERS, T, slabs)
+    n_t = min(T, workers * -(-T // (workers * max(spans))))
+    size = max(width * span for width, span in zip(widths, spans))
 
-    def pass_slabs(k: int) -> None:
+    def pass_chunks(w: int) -> None:
         # Float planes on 64-byte boundaries, whole cache lines apart: at the
         # 16- and 48-byte offsets np.empty gave them, bench score-dense calls
         # took about 3% longer on two workers.
@@ -473,47 +520,81 @@ def extract(
         start = -raw.ctypes.data % 64 // 8
         floats = raw[start : start + 7 * line].reshape(7, line)
         flags = np.empty((4, size), dtype=bool)
-        for s in range(k, n_t * n_r, workers):
-            c, r = divmod(s, n_r)
-            ts = slice(T * c // n_t, T * (c + 1) // n_t)
-            rs = slice(N * r // n_r, N * (r + 1) // n_r)
-            shape = (N, ts.stop - ts.start, rs.stop - rs.start)
-            pairs = math.prod(shape)
-            dx, dy, ux, uy, *scratch = floats[:, :pairs].reshape(7, *shape)
-            bools = flags[:, :pairs].reshape(4, *shape)
-            # [j, t, i] = p_j - p_i and v_j - v_i.  Each p_j is first copied
-            # along its row of i, so the subtraction runs over whole planes.
-            for plane, values in zip((dx, dy, ux, uy), (X, Y, VX, VY)):
-                plane[...] = values.T[:, ts, None]
-                np.subtract(plane, values[ts, rs], out=plane)
-            body = body_sum[:, None, rs]
-            dist, ttc_pair, tca_pair, dca_pair = pairwise_arrays(
-                dx, dy, ux, uy, body, (scratch, bools)
-            )
-            np.einsum("iti->ti", dist[rs])[...] = np.inf  # no self-pairs (j = i)
-            neighbor, flag, miss, _ = bools
+        for c in range(w, n_t, workers):
+            t0, t1 = T * c // n_t, T * (c + 1) // n_t
+            for r0, r1, span in zip(bounds, bounds[1:], spans):
+                subs = -(-(t1 - t0) // span)
+                for s in range(subs):
+                    ts = slice(t0 + (t1 - t0) * s // subs, t0 + (t1 - t0) * (s + 1) // subs)
+                    block_slab(ts, r0, r1, floats, flags)
 
-            np.min(dist, axis=0, out=nn[ts, rs])
-            np.sum(np.less_equal(dist, LOCAL_DENSITY_RADIUS, out=flag), axis=0, out=near[ts, rs])
-            np.any(np.less(dist, body, out=flag), axis=0, out=touching[ts, rs])
-            gap = np.subtract(personal_sum[:, None, rs], dist, out=dy)
-            deepest = np.max(gap, axis=0, out=overlap[ts, rs])
-            np.maximum(deepest, 0.0, out=deepest)
-            np.less_equal(dist, INTERACTION_HORIZON, out=neighbor)
-            # TTC over the neighbours only: a pair beyond the horizon reads none
-            np.putmask(ttc_pair, np.logical_not(neighbor, out=miss), TTC_HORIZON)
-            np.min(ttc_pair, axis=0, out=ttc_t[ts, rs])
+    def block_slab(ts, r0, r1, floats, flags):
+        rs, b, merge = slice(r0, r1), r1 - r0, r0 > 0
+        shape = (N - r0, ts.stop - ts.start, b)
+        pairs = math.prod(shape)
+        dx, dy, ux, uy, *scratch = floats[:, :pairs].reshape(7, *shape)
+        bools = flags[:, :pairs].reshape(4, *shape)
+        # [j, t, i] = p_j - p_i and v_j - v_i.  Each p_j is first copied
+        # along its row of i, so the subtraction runs over whole planes.
+        for plane, values in zip((dx, dy, ux, uy), (X, Y, VX, VY)):
+            plane[...] = values.T[r0:, ts, None]
+            np.subtract(plane, values[ts, rs], out=plane)
+        body = body_sum[r0:, None, rs]
+        dist, ttc_pair, tca_pair, dca_pair = pairwise_arrays(
+            dx, dy, ux, uy, body, (scratch, bools)
+        )
+        np.einsum("iti->ti", dist[:b])[...] = np.inf  # no self-pairs (j = i)
+        neighbor, flag, miss, _ = bools
 
-            # The candidate of least DCA, the first j on ties: argmin's rule.
-            cand = np.less(tca_pair, TTC_HORIZON, out=flag)
-            cand &= neighbor
-            np.any(cand, axis=0, out=has[ts, rs])
-            np.putmask(dca_pair, np.logical_not(cand, out=miss), np.inf)
-            least = np.min(dca_pair, axis=0, out=dca_sel[ts, rs])
-            j_star = np.equal(dca_pair, least, out=flag).argmax(axis=0)
-            tca_sel[ts, rs] = np.take_along_axis(tca_pair, j_star[None], axis=0)[0]
+        # A pair with j past the block is in the slab once and feeds both of
+        # its agents' reductions: over the rows j into the block's agents i,
+        # and over the block's i into agents j.  The pair kernel's
+        # outputs are bitwise symmetric in (i, j).  Block 0 writes each
+        # agent's first part and the later blocks merge into it, so the
+        # reductions need no identity.
+        sides = [(0, slice(None), lambda acc: acc[ts, rs])]
+        if r1 < N:
+            sides.append((2, slice(b, None), lambda acc: acc[ts, r1:].T))
 
-    _run_workers(pass_slabs, workers)
+        def fold(ufunc, pair_values, acc):
+            for axis, part, view in sides:
+                out = view(acc)
+                if merge:
+                    ufunc(out, ufunc.reduce(pair_values[part], axis=axis, dtype=out.dtype), out=out)
+                else:
+                    ufunc.reduce(pair_values[part], axis=axis, out=out)
+
+        fold(np.minimum, dist, nn)
+        fold(np.add, np.less_equal(dist, LOCAL_DENSITY_RADIUS, out=flag), near)
+        fold(np.logical_or, np.less(dist, body, out=flag), touching)
+        fold(np.maximum, np.subtract(personal_sum[r0:, None, rs], dist, out=dy), overlap)
+        np.less_equal(dist, INTERACTION_HORIZON, out=neighbor)
+        # TTC over the neighbours only: a pair beyond the horizon reads none
+        np.putmask(ttc_pair, np.logical_not(neighbor, out=miss), TTC_HORIZON)
+        fold(np.minimum, ttc_pair, ttc_t)
+
+        # The candidate of least DCA, the first j on ties: argmin's rule.
+        # Blocks reach an agent in ascending order of j, so a later block's
+        # candidate replaces the earlier one only if strictly nearer.
+        cand = np.less(tca_pair, TTC_HORIZON, out=flag)
+        cand &= neighbor
+        fold(np.logical_or, cand, has)
+        np.putmask(dca_pair, np.logical_not(cand, out=miss), np.inf)
+        for axis, part, view in sides:
+            dca, best, chosen = dca_pair[part], view(dca_sel), view(tca_sel)
+            least = np.minimum.reduce(dca, axis=axis, out=best if not merge else None)
+            first = np.equal(dca, np.expand_dims(least, axis), out=flag[part]).argmax(axis=axis)
+            nearest = np.take_along_axis(tca_pair[part], np.expand_dims(first, axis), axis=axis)
+            if merge:
+                np.copyto(chosen, nearest.squeeze(axis), where=least < best)
+                np.minimum(best, least, out=best)  # NaN stays NaN
+            else:
+                chosen[...] = nearest.squeeze(axis)
+
+    _run_workers(pass_chunks, workers)
+    np.maximum(overlap, 0.0, out=overlap)
+    # A NaN DCA names no nearest neighbour, whichever block held the NaN.
+    np.putmask(tca_sel, np.isnan(dca_sel), np.nan)
 
     # --- individual, per agent and step ---
     # After the pass, so that these (N, T) temporaries and the workers'
@@ -521,10 +602,13 @@ def extract(
     aws = S.copy()
     dcs = np.abs(S - comfort[:, None])
 
-    to_goal = goals[:, None, :] - P
-    goal_dist = np.linalg.norm(to_goal, axis=2)
-    dot = np.sum(V * to_goal, axis=2)
-    crs = V[:, :, 0] * to_goal[:, :, 1] - V[:, :, 1] * to_goal[:, :, 0]
+    # On x and y planes: a norm or sum over a size-2 axis is a + b, bitwise,
+    # but costs more than its arithmetic.
+    px, py, vx, vy = P[:, :, 0], P[:, :, 1], V[:, :, 0], V[:, :, 1]
+    gx, gy = goals[:, 0, None] - px, goals[:, 1, None] - py
+    goal_dist = _norm(gx, gy)
+    dot = vx * gx + vy * gy
+    crs = vx * gy - vy * gx
     dgd = np.where((S > EPS_SPEED) & (goal_dist > EPS_SPEED), np.abs(np.arctan2(crs, dot)), 0.0)
 
     dhead = np.zeros((N, T))
@@ -532,7 +616,7 @@ def extract(
     avl = np.abs(dhead) / dt
 
     accel = np.zeros((N, T))
-    accel[:, 1:] = np.linalg.norm(V[:, 1:] - V[:, :-1], axis=2) / dt
+    accel[:, 1:] = _norm(np.diff(vx), np.diff(vy)) / dt
     ine = accel
 
     dspeed = np.zeros((N, T))
@@ -544,7 +628,7 @@ def extract(
     d_init = goal_dist[:, 0]
     d_final = goal_dist[:, -1]
     glr = np.where(d_init > EPS_SPEED, np.maximum(0.0, 1.0 - d_final / np.maximum(d_init, EPS_SPEED)), 1.0)
-    path_len = np.sum(np.linalg.norm(P[:, 1:] - P[:, :-1], axis=2), axis=1)
+    path_len = np.sum(_norm(np.diff(px), np.diff(py)), axis=1)
     straight = np.linalg.norm(goals - P[:, 0, :], axis=1)
     length_ratio = path_len / np.maximum(straight, 1e-6)
 

@@ -348,19 +348,75 @@ def contact_crowd(seed=3, n_agents=9, steps=40):
     )
 
 
+def one_block(monkeypatch, crowd):
+    """extract on one slab that holds every pair of the crowd both ways."""
+    with monkeypatch.context() as patch:
+        patch.setattr(features, "_PAIR_BUDGET", crowd.n_agents**2 * crowd.n_steps)
+        patch.setattr(features, "_BLOCK_ROWS", crowd.n_agents + 1)
+        patch.setattr(features, "usable_cpus", lambda: 1)
+        return extract(crowd)
+
+
+def assert_bitwise(expected, got, *context):
+    for code in FEATURE_CODES:
+        assert got[code].tobytes() == expected[code].tobytes(), (*context, code)
+
+
+def slab_shapes(monkeypatch):
+    """The (j, t, i) shapes extract passes to the pair kernel, appended as it runs."""
+    shapes, kernel = [], features.pairwise_arrays
+
+    def recording(*args):
+        shapes.append(args[0].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(features, "pairwise_arrays", recording)
+    return shapes
+
+
 def test_pairwise_chunking_is_exact(monkeypatch):
     crowd = contact_crowd()
     n, steps = crowd.n_agents, crowd.n_steps
-    results = []
-    # slabs of 1 row of 1 step, of 2 rows, of 6 or 7 steps (7 at most) and of
-    # the whole recording
-    for budget in (1, 2 * n, 7 * n * n, steps * n * n):
+    whole = one_block(monkeypatch, crowd)
+    assert np.any(whole["COL"] == 1.0)  # the crowd has contacts
+    # slabs of 1 row of 1 step, of 2 rows, of 6 or 7 steps (7 at most), and
+    # then blocks of 1 to 4 rows (2 to 9 blocks) against the neighbours past
+    # them, for budgets of 1 row to 5,000 pairs on 1 to 4 CPUs
+    for budget in (1, 2 * n, 7 * n * n):
         monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
-        results.append(extract(crowd))
-    assert np.any(results[0]["COL"] == 1.0)  # the crowd has contacts
-    for other in results[1:]:
-        for code in FEATURE_CODES:
-            assert np.array_equal(results[0][code], other[code]), code
+        assert_bitwise(whole, extract(crowd), budget)
+    for rows, budget, cpus in itertools.product(
+        (1, 2, 4), (1, 13, 2 * n, 3 * n, 5000, 7 * n * n), (1, 2, 3, 4)
+    ):
+        monkeypatch.setattr(features, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+        assert_bitwise(whole, extract(crowd), rows, budget, cpus)
+
+
+@pytest.mark.parametrize(
+    "n_agents,steps,blocks",
+    [
+        (99, 6, [(99, 99)]),  # 58,806 pairs: one slab of them all
+        (99, 8, [(99, 99)]),  # one block: under twice _BLOCK_ROWS agents
+        (100, 8, [(100, 50), (50, 50)]),  # two blocks of 50 rows
+        (150, 8, [(150, 50), (100, 50), (50, 50)]),
+    ],
+)
+def test_row_blocks_start_at_twice_the_block_rows(monkeypatch, n_agents, steps, blocks):
+    """Block m of rows i runs against neighbours j from its first row on, and
+    no slab holds more pairs than the slab of whole steps a block of all N
+    rows would have."""
+    crowd = spread_crowd(n_agents, steps)
+    whole = one_block(monkeypatch, crowd)
+    shapes = slab_shapes(monkeypatch)
+    step_slab = n_agents**2 * (features._PAIR_BUDGET // n_agents**2)
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+        shapes.clear()
+        assert_bitwise(whole, extract(crowd), cpus)
+        assert sorted({(j, i) for j, _, i in shapes}, reverse=True) == blocks
+        assert max(map(math.prod, shapes)) <= step_slab
 
 
 def spread_crowd(n_agents, steps, seed=0):
@@ -385,23 +441,25 @@ def test_threaded_pairwise_pass_is_bitwise_serial(monkeypatch, n_agents, steps):
     # step does not fit a slab, and the workers split single steps into
     # blocks of rows, an odd count of them (15) for 57 agents over 3 steps.
     # Four CPUs are more than this host's cores.
+    # Each budget runs with the real block rows (3 blocks of 150 agents) and
+    # with blocks of 3 rows, up to 50 of them, against one serial block.
     budgets = (
         5 * n_agents * n_agents, n_agents * n_agents, max(3, n_agents // 4) * n_agents
     )
-    monkeypatch.setattr(features, "_PAIR_BUDGET", budgets[0])
-    monkeypatch.setattr(features, "usable_cpus", lambda: 1)
     running = threading.active_count()
-    serial = extract(crowd)
+    serial = one_block(monkeypatch, crowd)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
-        for budget, cpus in itertools.product(budgets, (1, 2, 3, 4)):
+        for rows, budget, cpus in itertools.product(
+            (features._BLOCK_ROWS, 3), budgets, (1, 2, 3, 4)
+        ):
+            monkeypatch.setattr(features, "_BLOCK_ROWS", rows)
             monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
             monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
             threaded = extract(crowd)
             assert threading.active_count() == running  # every helper joined
-            for code in FEATURE_CODES:
-                assert threaded[code].tobytes() == serial[code].tobytes(), (budget, cpus, code)
+            assert_bitwise(serial, threaded, rows, budget, cpus)
     finally:
         sys.setswitchinterval(interval)
 
@@ -479,7 +537,12 @@ def test_workers_are_capped_by_cpus_steps_pairs_and_budget(monkeypatch):
     assert helpers(small)[0] == 0  # too few pairs to share
     assert helpers(dense)[0] <= features.usable_cpus() - 1
     monkeypatch.setattr(features, "usable_cpus", lambda: 2)
-    assert helpers(large)[0] == 1  # blocks of rows: a step need not fit a worker
+    # six blocks of 50 rows in each step: a step need not fit a worker, but
+    # a worker owns whole steps, so 2 steps keep 2 workers on 4 CPUs
+    assert helpers(large)[0] == 1
+    monkeypatch.setattr(features, "usable_cpus", lambda: 4)
+    assert helpers(large)[0] == 1
+    monkeypatch.setattr(features, "usable_cpus", lambda: 2)
     # A crowd that fills one slab keeps one worker: bench tune's 20 agents
     # over 110 steps (44,000 pairs); 28 agents (86,240 pairs) get two.
     assert helpers(spread_crowd(20, 110))[0] == 0
@@ -504,31 +567,26 @@ def test_workers_are_capped_by_cpus_steps_pairs_and_budget(monkeypatch):
     assert count == 5 - 1
     for code in FEATURE_CODES:
         assert np.array_equal(capped[code], serial[code]), code
-    # ... or 4 slabs of 2 rows and of 1: 3 agents over 2 steps, at 8 pairs a
-    # slab on 64 CPUs.
+    # ... or the steps do: 3 agents over 2 steps, at 8 pairs a slab on 64
+    # CPUs, go in blocks of 1 and 2 rows, 3 slabs, but on 2 workers.
     tiny = spread_crowd(3, 2)
     serial = extract(tiny)
     monkeypatch.setattr(features, "_PAIR_BUDGET", 8)
     count, capped = helpers(tiny)
-    assert count == 2 * 2 - 1
+    assert count == 2 - 1
     for code in FEATURE_CODES:
         assert np.array_equal(capped[code], serial[code]), code
 
 
 def test_each_worker_gets_a_slab_of_the_whole_budget(monkeypatch):
-    """On 2 CPUs, 150 agents over 4 steps go in 2 slabs (j, t, i) of 2 whole
-    steps, 45,000 pairs each: a worker's slab is not cut to its share of the
-    budget."""
-    shapes, kernel = [], features.pairwise_arrays
-
-    def recording(*args):
-        shapes.append(args[0].shape)
-        return kernel(*args)
-
-    monkeypatch.setattr(features, "pairwise_arrays", recording)
+    """On 2 CPUs, 150 agents over 12 steps go in 2 chunks of 6 steps, one a
+    worker, each in 3 blocks of 50 rows: block 0's slab (j, t, i) holds
+    45,000 pairs, as many as 2 whole steps, so a worker's slab is not cut to
+    its share of the budget."""
+    shapes = slab_shapes(monkeypatch)
     monkeypatch.setattr(features, "usable_cpus", lambda: 2)
-    extract(spread_crowd(150, 4))
-    assert shapes == [(150, 2, 150)] * 2
+    extract(spread_crowd(150, 12))
+    assert sorted(shapes) == sorted([(150, 6, 50), (100, 6, 50), (50, 6, 50)] * 2)
 
 
 def test_tca_and_dca_come_from_the_first_of_tied_neighbours(monkeypatch):
@@ -543,18 +601,61 @@ def test_tca_and_dca_come_from_the_first_of_tied_neighbours(monkeypatch):
     positions[2, :, 0], positions[2, :, 1] = 2.0 - x, -1.0
     positions[3, :, 0] = 200.0
     positions[4, :, 0], positions[4, :, 1] = 225.0 - 2.0 * x, 0.5
-    crowd = crowd_from_positions(positions, dt=1.0)
-    n = crowd.n_agents
-    # one slab on one worker; one row, two rows or one step a slab on two
-    for budget, cpus in ((features._PAIR_BUDGET, 1), (1, 2), (2 * n, 2), (n * n, 2)):
+    n = len(positions)
+    # The same crowd with the still agent last (4) and agent 3 at 2: in
+    # blocks of one row, or of rows [0, 1), [1, 3) and [3, 5) at 2n pairs a
+    # slab, agent 4 meets the tied agents 0 and 1 in two blocks, and the
+    # earlier block must win.
+    for order, still, far in (([0, 1, 2, 3, 4], 0, 3), ([1, 2, 3, 4, 0], 4, 2)):
+        crowd = crowd_from_positions(positions[order], dt=1.0)
+        # one slab on one worker; one row, two rows or one step a slab on
+        # two; then blocks of 1 to 3 rows for one step a slab
+        for budget, cpus, rows in (
+            (features._PAIR_BUDGET, 1, features._BLOCK_ROWS),
+            (1, 2, features._BLOCK_ROWS),
+            (2 * n, 2, features._BLOCK_ROWS),
+            (n * n, 2, features._BLOCK_ROWS),
+            (n * n, 1, 1),
+            (n * n, 2, 1),
+            (3 * n, 1, 2),
+            (n * n, 3, 1),
+        ):
+            monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
+            monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(features, "_BLOCK_ROWS", rows)
+            f = extract(crowd)
+            setting = (order, budget, cpus, rows)
+            assert f["TCA"][still].tolist() == [4.0, 3.0, 2.0], setting
+            assert f["DCA"][still].tolist() == [1.0, 1.0, 1.0], setting
+            assert f["TCA"][far].tolist() == [TTC_HORIZON] * 3, setting
+            assert f["DCA"][far].tolist() == f["DTA"][far].tolist(), setting
+            assert np.all(f["DTA"][far] < INTERACTION_HORIZON)
+
+
+def test_a_nan_dca_gets_a_nan_tca(monkeypatch):
+    """A NaN velocity, which only a blown-up crowd scored under
+    np.errstate(all="ignore") reaches, makes that agent's pairs NaN candidates
+    (TCA 0, DCA 0 * NaN + dx): the DCA of every agent near it stays NaN, and
+    its TCA reads NaN whatever block held the NaN pair.  Other steps keep
+    their values."""
+    crowd = contact_crowd()
+    velocities = crowd.velocities.copy()
+    velocities[5, 7] = np.nan
+    broken = replace(crowd, velocities=velocities)
+    clean = extract(crowd)
+    with np.errstate(all="ignore"):
+        whole = one_block(monkeypatch, broken)
+    assert np.all(np.isnan(whole["DCA"][:, 7])) and np.all(np.isnan(whole["TCA"][:, 7]))
+    others = np.arange(crowd.n_steps) != 7
+    for code in ("TCA", "DCA", "TTC"):
+        assert np.array_equal(whole[code][:, others], clean[code][:, others]), code
+    for rows, budget in itertools.product((1, 2, 4), (1, 13, 5000)):
+        monkeypatch.setattr(features, "_BLOCK_ROWS", rows)
         monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
-        monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
-        f = extract(crowd)
-        assert f["TCA"][0].tolist() == [4.0, 3.0, 2.0], (budget, cpus)
-        assert f["DCA"][0].tolist() == [1.0, 1.0, 1.0], (budget, cpus)
-        assert f["TCA"][3].tolist() == [TTC_HORIZON] * 3, (budget, cpus)
-        assert f["DCA"][3].tolist() == f["DTA"][3].tolist(), (budget, cpus)
-        assert np.all(f["DTA"][3] < INTERACTION_HORIZON)
+        with np.errstate(all="ignore"):
+            blocked = extract(broken)
+        for code in FEATURE_CODES:
+            assert np.array_equal(blocked[code], whole[code], equal_nan=True), (rows, budget, code)
 
 
 def test_pairwise_memory_stays_within_the_budget(monkeypatch):
