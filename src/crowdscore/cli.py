@@ -21,7 +21,7 @@ from . import __version__
 from .csvio import load_trajectory_csv, save_trajectory_csv, write_csv
 from .errors import ConfigError, DataError
 from .features import FD_BIN_WIDTH, FEATURE_CODES, GRANULARITY, extract
-from .genetic import GaConfig
+from .genetic import ELITES, PLATEAU_EPSILON, GaConfig
 from .keyvalue import write_keyvalue
 from .quality import (
     default_weights,
@@ -79,16 +79,16 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_ga_flags(sp: argparse.ArgumentParser) -> None:
-    """The GA's budget; its other settings keep their ``GaConfig`` defaults."""
+    """The GA's budget; its breeding settings are constants of ``genetic``."""
     d = GaConfig()
-    low = d.elitism_count + 1
+    low = ELITES + 1
     sp.add_argument("--population", type=_int_at_least(low), default=d.population_size,
                     help=f"genomes per generation, at least {low} (default %(default)s)")
     sp.add_argument("--generations", type=_int_at_least(1), default=d.max_generations,
                     help="generation limit (default %(default)s)")
     sp.add_argument("--plateau", type=_int_at_least(1), default=d.plateau_generations,
                     help="stop when this many generations improve the best fitness by "
-                    f"less than {d.plateau_epsilon:g} (default %(default)s)")
+                    f"less than {PLATEAU_EPSILON:g} (default %(default)s)")
 
 
 def _ga_config(args) -> GaConfig:

@@ -5,6 +5,14 @@ crossover, per-gene Gaussian mutation clamped to bounds, elitism.  The
 reported history tracks the best fitness seen so far, so it is non-increasing
 even when the fitness landscape is resampled between generations.
 
+``GaConfig`` holds what a workflow sets: the budget and the seed.  The
+breeding settings, shared by training and tuning, are module constants:
+``CROSSOVER_RATE``, ``MUTATION_RATE``, ``MUTATION_SCALE`` (of each gene's
+range), ``ELITES`` and the ``PLATEAU_EPSILON`` of the plateau stop.  Only the
+per-generation decay of the mutation scale differs (1 for training,
+``tuning.EXPLORATION_DECAY`` for tuning), so it is the ``mutation_decay``
+argument of ``ga_optimize``.
+
 The order and sizes of the RNG draws are part of the output contract: for a
 seed they fix the best genome, the history and every file written from them.
 Each child pair draws both its tournaments with one ``integers(0, P, size=6)``
@@ -20,7 +28,7 @@ benchmark.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,46 +36,33 @@ import numpy as np
 from .errors import ConfigError
 
 TOURNAMENT_SIZE = 3  # genomes drawn per parent selection
+CROSSOVER_RATE = 0.9  # chance that a child pair swaps genes
+MUTATION_RATE = 0.1  # chance that a gene mutates
+MUTATION_SCALE = 0.1  # mutation step, as a fraction of each gene's range
+ELITES = 2  # best genomes carried unchanged into the next generation
+PLATEAU_EPSILON = 1e-4  # least improvement over the plateau window
 
 
 @dataclass
 class GaConfig:
     population_size: int = 64
     max_generations: int = 300
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.1
-    mutation_scale: float = 0.1  # fraction of each gene's range
-    elitism_count: int = 2
     seed: int = 0
     plateau_generations: int = 30
-    plateau_epsilon: float = 1e-4
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
-        if self.population_size < 2:
-            raise ConfigError(f"population_size must be >= 2, got {self.population_size}")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ConfigError(f"crossover_rate must be in [0,1], got {self.crossover_rate}")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ConfigError(f"mutation_rate must be in [0,1], got {self.mutation_rate}")
-        if not 0.0 <= self.mutation_scale < math.inf:
-            raise ConfigError(f"mutation_scale must be finite and >= 0, got {self.mutation_scale}")
-        if not 0 <= self.elitism_count < self.population_size:
-            raise ConfigError(
-                f"elitism_count must be in [0, population_size), got {self.elitism_count}"
-            )
-        if self.max_generations < 1:
-            raise ConfigError(f"max_generations must be >= 1, got {self.max_generations}")
-        if self.plateau_generations < 1:
-            raise ConfigError(
-                f"plateau_generations must be >= 1, got {self.plateau_generations}"
-            )
-        if not 0.0 <= self.plateau_epsilon < math.inf:
-            raise ConfigError(
-                f"plateau_epsilon must be finite and >= 0, got {self.plateau_epsilon}"
-            )
+        for name, low in (("population_size", ELITES + 1), ("max_generations", 1),
+                          ("seed", 0), ("plateau_generations", 1)):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -161,7 +156,7 @@ def ga_optimize(
         init = _check_initial(initial, n_genes)[:pop_size]
         population[: len(init)] = np.clip(init, low, high)
 
-    scale = cfg.mutation_scale
+    scale = MUTATION_SCALE
     best_genome = population[0].copy()
     best_fit = np.inf
     history: list[float] = []
@@ -184,7 +179,7 @@ def ga_optimize(
             stop_reason = "target"
             break
         p = cfg.plateau_generations
-        if len(history) > p and history[-1 - p] - history[-1] < cfg.plateau_epsilon:
+        if len(history) > p and history[-1 - p] - history[-1] < PLATEAU_EPSILON:
             stop_reason = "plateau"
             break
         if gen == cfg.max_generations - 1:
@@ -192,7 +187,7 @@ def ga_optimize(
 
         # Draw everything in the order of the output contract (see the module
         # docstring), then breed the whole generation from the draws at once.
-        n_children = pop_size - cfg.elitism_count
+        n_children = pop_size - ELITES
         fit_of = fits.tolist().__getitem__
         picks, swaps, masks, noise = [], [], [], []
         while len(masks) < n_children:
@@ -200,12 +195,12 @@ def ga_optimize(
             drawn = integers(0, pop_size, size=2 * TOURNAMENT_SIZE).tolist()
             picks.append(min(drawn[:TOURNAMENT_SIZE], key=fit_of))
             picks.append(min(drawn[TOURNAMENT_SIZE:], key=fit_of))
-            if random() < cfg.crossover_rate:
+            if random() < CROSSOVER_RATE:
                 swaps.append(random(n_genes) < 0.5)
             else:
                 swaps.append(no_swap)
             for _ in range(min(2, n_children - len(masks))):
-                masks.append(random(n_genes) < cfg.mutation_rate)
+                masks.append(random(n_genes) < MUTATION_RATE)
                 k = np.count_nonzero(masks[-1])
                 if k:
                     noise.append(standard_normal(k))
@@ -217,7 +212,7 @@ def ga_optimize(
             children[rows, cols] += np.concatenate(noise) * (scale * span[cols])
             hit = np.unique(rows)  # each mutated child is clamped whole
             children[hit] = np.minimum(np.maximum(children[hit], low), high)
-        population = np.concatenate([population[order[: cfg.elitism_count]], children])
+        population = np.concatenate([population[order[:ELITES]], children])
         scale *= mutation_decay
 
     return GaResult(

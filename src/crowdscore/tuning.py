@@ -3,8 +3,8 @@
 The tuner runs the genetic engine over the social-forces parameter box
 ``TUNE_BOUNDS`` with fitness 1 - quality score of the simulated scenario.
 Generic mode re-seeds the scenario every generation so the winning parameters
-cannot overfit one spawn layout; the mutation scale decays geometrically,
-giving the shrinking exploration rate.
+cannot overfit one spawn layout; the mutation scale shrinks by
+``EXPLORATION_DECAY`` each generation, giving the shrinking exploration rate.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ TUNE_MODES = ("single", "generic")
 
 QUARTILE_EDGES = (0.225, 0.45, 0.675)  # even split of the [0, 0.9) range
 
+EXPLORATION_DECAY = 0.97  # per-generation factor on the GA's mutation scale
+
 
 @dataclass
 class TuneConfig:
@@ -37,16 +39,11 @@ class TuneConfig:
     mode: str = "single"
     duration: float = 20.0
     ga: GaConfig = field(default_factory=GaConfig)
-    exploration_decay: float = 0.97
     initial_params: SocialForcesParams | None = None  # seeds the whole population
 
     def __post_init__(self) -> None:
         if self.mode not in TUNE_MODES:
             raise ConfigError(f"unknown tune mode {self.mode!r}, expected {TUNE_MODES}")
-        if not 0.0 < self.exploration_decay <= 1.0:
-            raise ConfigError(
-                f"exploration_decay must be in (0,1], got {self.exploration_decay}"
-            )
         if not 0 < self.duration < math.inf:
             raise ConfigError(f"duration must be finite and > 0, got {self.duration}")
 
@@ -100,7 +97,7 @@ def tune(
         evaluate,
         TUNE_BOUNDS,
         config.ga,
-        mutation_decay=config.exploration_decay,
+        mutation_decay=EXPLORATION_DECAY,
         initial=initial,
         on_generation=on_generation,
     )

@@ -205,7 +205,7 @@ def test_tuning_climbs_from_poor_start(acceptance_log, golden_stats,
         mode="single",
         duration=11.0,
         ga=GaConfig(population_size=32, max_generations=150,
-                    plateau_generations=60, mutation_scale=0.15, seed=0),
+                    plateau_generations=60, seed=0),
         initial_params=drunk_walker,
     )
     result = tune(config, golden_stats, table_weights)

@@ -105,7 +105,7 @@ def _ga_argv(command, workspace, tmp_path):
 ])
 def test_ga_flags_below_their_bound_are_usage_errors(tmp_path, workspace, capsys,
                                                      command, flag, value, low):
-    # --population must leave room for the GaConfig default of 2 elite genomes
+    # --population must leave room for the genetic.ELITES = 2 elite genomes
     assert run(_ga_argv(command, workspace, tmp_path) + [flag, value]) == 1
     assert f"{flag}: must be at least {low}, got {value}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

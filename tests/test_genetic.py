@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crowdscore.errors import ConfigError
-from crowdscore.genetic import GaConfig, GaResult, _evaluate, ga_optimize
+from crowdscore.genetic import ELITES, GaConfig, GaResult, _evaluate, ga_optimize
 
 
 CENTER = np.array([1.2, -0.7, 2.4, 0.3])
@@ -23,7 +23,7 @@ def sphere_row(x):
 
 def test_sphere_convergence():
     cfg = GaConfig(population_size=64, max_generations=200, seed=3,
-                   plateau_epsilon=0.0, plateau_generations=50)
+                   plateau_generations=200)  # the plateau stop never fires
     res = ga_optimize(sphere, BOUNDS4, cfg, mutation_decay=0.97)
     assert res.best_fitness < 1e-3
     assert np.allclose(res.best_genome, CENTER, atol=0.05)
@@ -60,13 +60,15 @@ def test_population_stays_inside_bounds():
         return sphere(pop)
 
     bounds = [(-1.0, 1.0), (0.0, 0.5), (2.0, 3.0), (-4.0, -3.5)]
-    ga_optimize(spy, bounds, GaConfig(population_size=16, max_generations=20,
-                                      seed=2, mutation_scale=0.5))
+    ga_optimize(spy, bounds, GaConfig(population_size=16, max_generations=20, seed=2))
     arr = np.concatenate(seen)
     low = np.array([b[0] for b in bounds])
     high = np.array([b[1] for b in bounds])
     assert np.all(arr >= low - 1e-12)
     assert np.all(arr <= high + 1e-12)
+    # the optimum lies outside the box, so some mutations overshoot a bound
+    # and are clamped onto it (uniform draws and crossover never land there)
+    assert np.any((arr == low) | (arr == high))
 
 
 def test_collapsed_bounds_pin_every_gene():
@@ -105,14 +107,6 @@ def test_initial_block_seeds_whole_population():
     assert np.all(np.concatenate(seen)[:12] == 2.0)
 
 
-def test_zero_mutation_from_uniform_start_freezes_history():
-    block = np.tile(np.array([0.5, 0.5, 0.5, 0.5]), (10, 1))
-    cfg = GaConfig(population_size=10, max_generations=12, seed=1,
-                   mutation_rate=0.0, plateau_generations=50)
-    res = ga_optimize(sphere, BOUNDS4, cfg, initial=block)
-    assert all(v == res.history[0] for v in res.history)
-
-
 def test_target_hit_stops_immediately():
     calls = []
 
@@ -129,7 +123,7 @@ def test_target_hit_stops_immediately():
 
 def test_plateau_stops_after_window():
     cfg = GaConfig(population_size=8, max_generations=100, seed=0,
-                   plateau_generations=5, plateau_epsilon=1e-4)
+                   plateau_generations=5)
     res = ga_optimize(lambda pop: np.ones(len(pop)), BOUNDS4, cfg)
     assert res.stop_reason == "plateau"
     assert res.generations == 6  # plateau window plus the generation that trips it
@@ -154,27 +148,20 @@ def test_on_generation_sees_consecutive_indices():
 
 
 def test_config_validation_errors():
-    with pytest.raises(ConfigError):
-        GaConfig(population_size=1)
-    with pytest.raises(ConfigError):
-        GaConfig(crossover_rate=1.5)
-    with pytest.raises(ConfigError):
-        GaConfig(mutation_rate=-0.1)
-    with pytest.raises(ConfigError):
-        GaConfig(mutation_scale=-0.5)
-    with pytest.raises(ConfigError):
-        GaConfig(elitism_count=8, population_size=8)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="population_size must be >= 3"):
+        GaConfig(population_size=ELITES)
+    with pytest.raises(ConfigError, match="max_generations must be >= 1"):
         GaConfig(max_generations=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="plateau_generations must be >= 1"):
         GaConfig(plateau_generations=0)
-    for name in ("mutation_scale", "plateau_epsilon"):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ConfigError, match="finite"):
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        GaConfig(seed=-1)
+    for name in ("population_size", "max_generations", "seed", "plateau_generations"):
+        for bad in (2.5, 8.0, "8", None):
+            with pytest.raises(ConfigError, match=f"{name} must be an integer"):
                 GaConfig(**{name: bad})
-    for name in ("crossover_rate", "mutation_rate"):
-        with pytest.raises(ConfigError):
-            GaConfig(**{name: float("nan")})
+    # numpy integers are integers
+    assert GaConfig(population_size=np.int64(8), seed=np.uint32(1)).population_size == 8
 
 
 def test_bad_bounds_and_decay_errors():
@@ -228,11 +215,14 @@ def _unseen_rows(batch, previous):
 
 
 def test_memo_spans_one_generation_and_resets_on_new_landscape():
-    # Mutations far wider than the box clip genes to its corners, so genomes
-    # also come back after a generation away.
-    cfg = GaConfig(population_size=12, max_generations=15, seed=5,
-                   elitism_count=3, mutation_rate=0.5, mutation_scale=5.0,
+    # The first population is the 16 corners of a box around the optimum, all
+    # equally fit.  Each gene takes one of two values, so children made by
+    # crossover alone recreate earlier rows: genomes also come back after a
+    # generation away.
+    cfg = GaConfig(population_size=16, max_generations=15, seed=5,
                    plateau_generations=50)
+    bits = np.array([[(i >> gene) & 1 for gene in range(4)] for i in range(16)])
+    corners = CENTER + (2.0 * bits - 1.0)
     fresh_batches = []  # one batch per generation: on_generation clears the memo
 
     def fresh_spy(pop):
@@ -245,8 +235,9 @@ def test_memo_spans_one_generation_and_resets_on_new_landscape():
         memo_rows.extend(pop.copy())
         return sphere(pop)
 
-    fresh = ga_optimize(fresh_spy, BOUNDS4, cfg, on_generation=lambda gen: None)
-    memo = ga_optimize(memo_spy, BOUNDS4, cfg)
+    fresh = ga_optimize(fresh_spy, BOUNDS4, cfg, initial=corners,
+                        on_generation=lambda gen: None)
+    memo = ga_optimize(memo_spy, BOUNDS4, cfg, initial=corners)
     assert fresh.history == memo.history
     assert len(fresh_batches) == cfg.max_generations
 
@@ -287,7 +278,7 @@ def test_fitness_of_the_wrong_shape_is_rejected():
 @pytest.mark.parametrize("hook", [None, lambda gen: None])
 def test_population_contract_matches_per_row_evaluation(hook):
     cfg = GaConfig(population_size=16, max_generations=60, seed=11,
-                   plateau_generations=8, plateau_epsilon=1e-3)
+                   plateau_generations=8)
     per_row_calls = []
 
     def per_row(x):
@@ -317,8 +308,7 @@ def tied_fitness(pop):
     return np.where(pop[:, 1] > 2.0, np.inf, f)
 
 
-PIN_BASE = dict(population_size=7, max_generations=20, elitism_count=2,
-                plateau_generations=100, seed=5)
+PIN_BASE = dict(population_size=7, max_generations=20, plateau_generations=100, seed=5)
 
 # name: (config overrides, keyword arguments, sha256 prefix of every block
 #        sent to fitness, best genome bytes, best fitness, history)
@@ -327,31 +317,10 @@ STREAM_PINS = {
         {}, {}, "cadc51f71f413360",
         "32013087c564f63f84440bd42f56d1bf32a7f06bee74fc3f98347d03584707c0", 12.0,
         [28, 28, 28, 19, 19, 19, 19, 17, 17, 17, 16, 16, 14, 14, 14, 13, 13, 12, 12, 12]),
-    "no-crossover": (
-        {"crossover_rate": 0.0}, {}, "275cf397c2f3ee03",
-        "54bec82850e60240dd36c1b83023f6bf0abb660393300b40a6c8493be63bf5bf", 6.0,
-        [28, 25, 25, 25, 24, 24, 20, 20, 20, 20, 20, 18, 14, 14, 12, 12, 9, 9, 9, 6]),
-    "always-crossover": (
-        {"crossover_rate": 1.0}, {}, "573b3edac6133821",
-        "59f73c1e75dcf83f8d33cc331d93efbfd88c5f477440094038e0bbbb0f24f3bf", 4.0,
-        [28, 28, 28, 27, 27, 26, 26, 21, 20, 20, 19, 18, 17, 17, 17, 17, 17, 9, 4, 4]),
-    "no-mutation": (
-        {"mutation_rate": 0.0}, {}, "287da6fb4b7f6179",
-        "68e9f2136fcae13f16b8c7cfab4802c0e4894a233245fc3f1e8698b4716e11c0", 26.0,
-        [28, 28] + [26] * 18),
-    "always-mutate": (
-        {"mutation_rate": 1.0}, {}, "49432975915983b9",
-        "350cf1e03934f53fa8b0d9f23e9bcd3f32998c1b03000940d21067d25044dc3f", 2.0,
-        [28, 24, 12, 12, 6, 4, 4, 3] + [2] * 12),
-    "no-elitism": (
-        {"elitism_count": 0, "population_size": 8}, {}, "0293aa983a92d787",
-        "68e9f2136fcae13f104f0a52a0b3abbf22746b92f4810040a47aafb19e2806c0", 11.0,
-        [28, 28, 19, 17, 15, 14, 14, 14, 12, 12, 12, 12, 12, 12, 11, 11, 11, 11, 11, 11]),
     "decay": (
-        {"population_size": 10, "mutation_scale": 0.3}, {"mutation_decay": 0.8},
-        "320612b2cae9677c",
-        "f280583ac78ef03f5ca521ffa03ceabf53354331a9840440f01fd4b448efe13f", 1.0,
-        [28, 12, 7, 7, 6, 6, 5, 4, 3, 2] + [1] * 10),
+        {"population_size": 10}, {"mutation_decay": 0.8}, "dec47963f0374404",
+        "d8a75e8f3cb4f43f82c26355eb2ce6bf2d8e87f5decf0440e5b8491bca19f73f", 2.0,
+        [28, 12, 4, 4, 4, 4, 4, 4, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2]),
     "initial": (
         {}, {"initial": [[0.0, 0.0, 0.0, 0.0], [9.0, 3.0, 2.0, -9.0], [2.0, -1.0, 3.0, 1.0]]},
         "e48cb3e59bc34a91",

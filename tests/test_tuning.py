@@ -1,5 +1,7 @@
 """Parameter tuning: score maximization loop, quartile labels, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,13 +63,20 @@ def test_quartile_rejects_bad_inputs():
 def test_tune_config_validation():
     with pytest.raises(ConfigError, match="unknown tune mode"):
         tiny_config(mode="annealed")
-    with pytest.raises(ConfigError, match="exploration_decay"):
-        tiny_config(exploration_decay=0.0)
     with pytest.raises(ConfigError, match="duration"):
         tiny_config(duration=0.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="duration must be finite"):
             tiny_config(duration=bad)
+
+
+def test_config_fields_are_pinned():
+    # A workflow sets the budget, the seed and the scenario; the GA's breeding
+    # settings and the tune decay are constants, so a new field is a new knob.
+    assert [f.name for f in dataclasses.fields(GaConfig)] == [
+        "population_size", "max_generations", "seed", "plateau_generations"]
+    assert [f.name for f in dataclasses.fields(TuneConfig)] == [
+        "scenario", "mode", "duration", "ga", "initial_params"]
 
 
 def test_zero_weights_score_one_and_stop_immediately():
