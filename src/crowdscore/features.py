@@ -32,7 +32,7 @@ takes as many of the chunk's steps as fit the pairs of one slab of all N rows
 so no slab is larger than without blocks.
 
 A crowd gets a second worker only when its pairs fill more than one slab,
-and then one worker per CPU this process may use (``usable_cpus()``), but
+and then one worker per CPU this thread may use (``usable_cpus()``), but
 never more than it has slabs or steps or than ``_MAX_WORKERS``: the calling
 thread and plain helper threads, joined before it returns.  Each worker
 allocates its seven float64 and four bool planes once, 60 bytes a pair, and
@@ -241,7 +241,9 @@ def _norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs the calling thread may run on, read from its CPU
+    affinity: ``tuning.tune`` narrows that to one CPU for each share of a
+    generation it scores."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity

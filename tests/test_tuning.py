@@ -1,17 +1,20 @@
 """Parameter tuning: score maximization loop, quartile labels, determinism."""
 
 import dataclasses
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from crowdscore import tuning
-from crowdscore.errors import ConfigError
+from crowdscore.errors import ConfigError, DataError
 from crowdscore.features import FEATURE_CODES, extract
-from crowdscore.genetic import GaConfig
+from crowdscore.genetic import GaConfig, ga_optimize
 from crowdscore.quality import WeightVector, parse_reference_stats, score
 from crowdscore.simulator import TUNE_BOUNDS, Scenario, SocialForcesParams, simulate
-from crowdscore.tuning import TuneConfig, TuneResult, quartile, tune
+from crowdscore.tuning import TUNE_MODES, TuneConfig, TuneResult, quartile, tune
 
 
 def unit_stats():
@@ -126,38 +129,163 @@ def test_initial_params_seed_the_first_generation():
     assert res.best_score_history[0] == pytest.approx(expected, abs=1e-12)
 
 
-def test_a_blown_up_crowd_gets_the_worst_fitness_and_the_search_goes_on(monkeypatch):
-    """The first crowd of every simulated generation leaves for infinity
-    halfway through: its score is NaN, so its genome gets fitness 1.0, and
-    the other genomes are scored as usual."""
-    simulate_population, ga_optimize = tuning.simulate_population, tuning.ga_optimize
-    fitness_values = []
+def share_cpus(monkeypatch, shares):
+    """Make the tuner cut each generation into ``shares`` shares, all pinned
+    to one CPU this process may use, so any share count runs on any host."""
+    cpu = min(os.sched_getaffinity(0))
+    monkeypatch.setattr(tuning, "_cpus", lambda: [cpu] * shares)
 
-    def blowing_up(scenario, genomes, duration):
-        for k, crowd in enumerate(simulate_population(scenario, genomes, duration)):
-            if k == 0:
-                positions = crowd.positions.copy()
-                positions[0, crowd.n_steps // 2 :] = np.inf
-                crowd = crowd.with_positions(positions, crowd.dt)
-            yield crowd
 
-    def recording_ga(fitness, *args, **kwargs):
+def recording_ga(monkeypatch, blocks, fitness_values):
+    """Route tune's GA through a wrapper that records each block sent to the
+    fitness and the values it got back."""
+
+    def recording(fitness, *args, **kwargs):
         def recorded(population):
+            blocks.append(population.copy())
             values = fitness(population)
             fitness_values.append(values)
             return values
 
         return ga_optimize(recorded, *args, **kwargs)
 
+    monkeypatch.setattr(tuning, "ga_optimize", recording)
+
+
+def count_forks(monkeypatch):
+    """Count the calls to ``os.fork``, in the returned list."""
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_and_affinity(before):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == before
+
+
+@pytest.fixture(autouse=True)
+def affinity():
+    """Each test here leaves no child process and the CPU affinity it found;
+    the fixture's value is that affinity."""
+    found = os.sched_getaffinity(0)
+    yield found
+    assert_no_child_and_affinity(found)
+
+
+def test_a_blown_up_crowd_gets_the_worst_fitness_and_the_search_goes_on(monkeypatch, affinity):
+    """The crowd of each generation's first genome, picked by its row, leaves
+    for infinity halfway through: its score is NaN, so its genome gets fitness
+    1.0, and the other genomes are scored as usual, whichever share each
+    genome lands in (1 share, then 2)."""
+    simulate_population = tuning.simulate_population
+
+    def blowing_up(scenario, genomes, duration):
+        crowds = simulate_population(scenario, genomes, duration)
+        for row, crowd in zip(genomes, crowds):
+            if row.tobytes() == blocks[-1][0].tobytes():
+                positions = crowd.positions.copy()
+                positions[0, crowd.n_steps // 2 :] = np.inf
+                crowd = crowd.with_positions(positions, crowd.dt)
+            yield crowd
+
     monkeypatch.setattr(tuning, "simulate_population", blowing_up)
-    monkeypatch.setattr(tuning, "ga_optimize", recording_ga)
-    res = tune(tiny_config(), unit_stats(), only_weight("AWS", 0.5))
-    assert len(fitness_values) == res.ga.generations
-    for values in fitness_values:
-        assert values[0] == 1.0
-        assert np.all(values[1:] < 1.0)
-    assert res.ga.stop_reason == "max-generations"
-    assert 0.0 < res.best_score_history[-1] <= 1.0
+    for shares in (1, 2):
+        blocks, fitness_values = [], []
+        share_cpus(monkeypatch, shares)
+        recording_ga(monkeypatch, blocks, fitness_values)
+        res = tune(tiny_config(), unit_stats(), only_weight("AWS", 0.5))
+        assert_no_child_and_affinity(affinity)
+        assert len(fitness_values) == res.ga.generations
+        for values in fitness_values:
+            assert values[0] == 1.0
+            assert np.all(values[1:] < 1.0)
+        assert res.ga.stop_reason == "max-generations"
+        assert 0.0 < res.best_score_history[-1] <= 1.0
+
+
+@pytest.mark.parametrize("mode", TUNE_MODES)
+def test_results_do_not_depend_on_the_share_count(monkeypatch, mode, affinity):
+    forks = count_forks(monkeypatch)
+    runs = []
+    for shares in (1, 2, 3):
+        share_cpus(monkeypatch, shares)
+        blocks, fitness_values = [], []
+        recording_ga(monkeypatch, blocks, fitness_values)
+        forks.clear()
+        res = tune(tiny_config(mode=mode), unit_stats(), only_weight("AWS", 0.5))
+        assert_no_child_and_affinity(affinity)
+        assert bool(forks) == (shares > 1)
+        runs.append((
+            [block.tobytes() for block in blocks],
+            [np.asarray(values).tobytes() for values in fitness_values],
+            np.asarray(res.ga.history).tobytes(),
+            res.ga.best_genome.tobytes(),
+            res.best_score_history,
+        ))
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("share", [0, 1])
+def test_an_error_in_a_share_is_raised_by_tune(monkeypatch, share, affinity):
+    """A genome makes ``score`` raise, in the caller's share 0 or in the
+    forked share 1.  In share 0 the caller raises while its child hangs on a
+    genome, and kills the child as it unwinds; in share 1 the child fails and
+    the caller scores that share again itself, raising the same error.
+    Either way no child outlives the call and the caller's CPU affinity is
+    restored."""
+    real_score, simulate_population = tuning.score, tuning.simulate_population
+    blocks, current = [], {}
+
+    def tracking(scenario, genomes, duration):
+        crowds = simulate_population(scenario, genomes, duration)
+        for row, crowd in zip(genomes, crowds):
+            current["row"] = row.tobytes()
+            yield crowd
+
+    def failing_score(crowd, stats, weights):
+        first, last = blocks[0][0].tobytes(), blocks[0][-1].tobytes()
+        if current["row"] == (last if share else first):
+            raise DataError("genome refused")
+        if current["row"] == last:  # in the child, while the caller raises
+            time.sleep(60)
+        return real_score(crowd, stats, weights)
+
+    share_cpus(monkeypatch, 2)
+    recording_ga(monkeypatch, blocks, [])
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(tuning, "simulate_population", tracking)
+    monkeypatch.setattr(tuning, "score", failing_score)
+    start = time.perf_counter()
+    with pytest.raises(DataError, match="genome refused"):
+        tune(tiny_config(), unit_stats(), only_weight("AWS", 0.5))
+    assert time.perf_counter() - start < 30
+    assert forks == [1]
+    assert_no_child_and_affinity(affinity)
+
+
+def test_tune_never_forks_while_another_thread_runs(monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called while another thread runs")
+
+    share_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        res = tune(tiny_config(), unit_stats(), only_weight("AWS", 0.5))
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert res.best_score_history == TUNE_PINS["single"][0]
 
 
 # Best-score history and optimum of tiny_config() under an AWS weight of 0.5,
