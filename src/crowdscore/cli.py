@@ -70,8 +70,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--threads", type=_int_at_least(1), default=1,
         help="accepted for compatibility, at least 1, and recorded in the manifest "
-        "only; tune scores each generation and the pairwise feature pass sizes "
-        "its workers on the CPUs the process may use",
+        "only; tune's generations and the pairwise feature pass run one forked "
+        "worker per CPU the process may use",
     )
     sp.add_argument(
         "--manifest", default=None, help="manifest path (default: <output>.manifest.txt)"

@@ -33,22 +33,24 @@ so no slab is larger than without blocks.
 
 A crowd gets a second worker only when its pairs fill more than one slab,
 and then one worker per CPU this thread may use (``usable_cpus()``), but
-never more than it has slabs or steps or than ``_MAX_WORKERS``: the calling
-thread and plain helper threads, joined before it returns.  Each worker
-allocates its seven float64 and four bool planes once, 60 bytes a pair, and
-they are freed when it ends.  A worker holds at most ``_PAIR_BUDGET`` pairs,
-or one row of N pairs where that is more.  Each (t, i) reduction is computed
-by the one worker that owns its step, and its merges are exact in any
-grouping (min, max, or, integer sums, the first j of least DCA), so the
-features are bitwise the same for every worker count, slab shape and block
-count.
+never more than it has slabs or steps or than ``_MAX_WORKERS``.  The workers
+are the shares of ``run_shares``: the caller and forked children, each
+pinned to its own CPU, writing the (T, N) reductions into shared memory.
+Each worker allocates its seven float64 and four bool planes once, 60 bytes
+a pair, and they are freed when it ends.  A worker holds at most
+``_PAIR_BUDGET`` pairs, or one row of N pairs where that is more.  Each
+(t, i) reduction is computed by the one worker that owns its step, and its
+merges are exact in any grouping (min, max, or, integer sums, the first j of
+least DCA), so the features are bitwise the same for every worker count,
+slab shape and block count.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
+import mmap
 import os
+import signal
 import threading
 from dataclasses import dataclass
 
@@ -63,13 +65,12 @@ from .trajectory import EPS_SPEED, CrowdTrajectory
 # block's slab (below) holds no more pairs than the slab of whole steps of
 # all N rows that this budget gives, so blocks add no memory.  Each worker
 # gets a whole budget, not a share of one: smaller slabs make more, shorter
-# numpy calls, around each of which the workers hand the interpreter lock to
-# each other.  At N = 150 and T = 100 on 2 vCPUs, two workers took 1.02x the
-# time of one with slabs of 11,250 pairs, 0.72x with 22,500 and 0.64x with
-# 45,000.  One slab is also the least work worth a second worker: at T = 110
-# on 2 vCPUs, extract on two workers took 1.09x the time of one at N = 20
-# (44,000 pairs, one slab), 0.92x at N = 28 (two slabs), 0.85x at N = 40 and
-# 0.70x at N = 150.
+# numpy calls.  At N = 150 and T = 100 on 2 vCPUs, two thread workers took
+# 1.02x the time of one with slabs of 11,250 pairs, 0.72x with 22,500 and
+# 0.64x with 45,000.  One slab is also the least work worth a second worker:
+# at T = 110 on 2 vCPUs, extract on two workers took 1.09x the time of one at
+# N = 20 (44,000 pairs, one slab), 0.92x at N = 28 (two slabs), 0.85x at
+# N = 40 and 0.70x at N = 150.
 _PAIR_BUDGET = 1 << 16
 # Agent rows per block of the pairwise pass: a crowd that fills more than one
 # slab is cut into N // _BLOCK_ROWS blocks, each holding only its neighbours
@@ -242,44 +243,70 @@ def _norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def usable_cpus() -> int:
     """The number of CPUs the calling thread may run on, read from its CPU
-    affinity: ``tuning.tune`` narrows that to one CPU for each share of a
-    generation it scores."""
+    affinity; 1 without one (off Linux), where ``run_shares`` forks nothing."""
     try:
         return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
+    except AttributeError:
+        return 1
 
 
-def _run_workers(work, workers: int):
-    """Run ``work(k)`` for k in range(workers): k = 0 on this thread, the rest
-    on helper threads, all joined before this returns.
+def shared_empty(shape, dtype=float) -> np.ndarray:
+    """An array in anonymous shared memory: the writes of a forked share of
+    ``run_shares`` to it are seen by its caller."""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, max(1, size)))
 
-    A plain thread starts with a fresh ``np.errstate``, so each helper runs in
-    a copy of this thread's context and computes under the caller's error
-    state.  An exception raised in a helper is raised here after the join.
+
+def run_shares(work, k: int) -> None:
+    """Run ``work(s)`` for the shares s in range(k) at once.
+
+    Share 0 runs here, pinned to the caller's first CPU; each other share
+    runs in a forked child pinned to the next CPU round the caller's
+    affinity, which inherits the caller's state (``np.errstate`` too) and
+    returns its results in ``shared_empty`` arrays.  Every child is reaped
+    and the caller's affinity restored before this returns.  A share whose
+    fork or child fails runs again here, where ``work``, being deterministic,
+    raises its error; if share 0 raises, the children are killed.  Without
+    ``os.fork`` or CPU affinity, or while another Python thread is alive
+    (forking under it is unsafe), the shares run here one by one.
     """
-    errors = []
-
-    def helper(k):
-        try:
-            work(k)
-        except BaseException as exc:  # raised again in the caller below
-            errors.append(exc)
-
-    helpers = [
-        threading.Thread(target=contextvars.copy_context().run, args=(helper, k))
-        for k in range(1, workers)
-    ]
+    forkable = hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
+    if k < 2 or not forkable or threading.active_count() > 1:
+        for s in range(k):
+            work(s)
+        return
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    children, rerun = {}, []
     try:
-        for thread in helpers:
-            thread.start()
+        for s in range(1, k):
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the share runs here
+                rerun.append(s)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    os.sched_setaffinity(0, {cpus[s % len(cpus)]})
+                    work(s)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[s] = pid
+        os.sched_setaffinity(0, {cpus[0]})
         work(0)
+    except BaseException:
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        for thread in helpers:
-            if thread.ident is not None:  # started
-                thread.join()
-    if errors:
-        raise errors[0]
+        os.sched_setaffinity(0, mask)
+        for s, pid in children.items():
+            if os.waitpid(pid, 0)[1]:
+                rerun.append(s)
+    for s in sorted(rerun):
+        work(s)
 
 
 def pairwise_arrays(dx, dy, ux, uy, radius_sum, planes):
@@ -481,16 +508,6 @@ def extract(
     body_sum = rb[:, None] + rb[None, :]
     personal_sum = rp[:, None] + rp[None, :]
 
-    # Per (t, i) reductions over the neighbours j, filled block by block.
-    nn = np.empty((T, N))
-    near = np.empty((T, N), dtype=np.intp)
-    touching = np.empty((T, N), dtype=bool)
-    overlap = np.empty((T, N))
-    ttc_t = np.empty((T, N))
-    has = np.empty((T, N), dtype=bool)
-    tca_sel = np.empty((T, N))
-    dca_sel = np.empty((T, N))
-
     # Row blocks [r0, r1) of agents i, each in slabs (j, t, i) against the
     # neighbours j >= r0 only.  One block where every pair fits one slab,
     # else N // _BLOCK_ROWS blocks, or more where a block's step of rows
@@ -512,6 +529,19 @@ def extract(
     workers = min(usable_cpus(), _MAX_WORKERS, T, slabs)
     n_t = min(T, workers * -(-T // (workers * max(spans))))
     size = max(width * span for width, span in zip(widths, spans))
+
+    # Per (t, i) reductions over the neighbours j, filled block by block, in
+    # shared memory for forked workers (a fresh mapping's page faults would
+    # slow a one-worker extract).
+    empty = shared_empty if workers > 1 else np.empty
+    nn = empty((T, N))
+    near = empty((T, N), np.intp)
+    touching = empty((T, N), bool)
+    overlap = empty((T, N))
+    ttc_t = empty((T, N))
+    has = empty((T, N), bool)
+    tca_sel = empty((T, N))
+    dca_sel = empty((T, N))
 
     def pass_chunks(w: int) -> None:
         # Float planes on 64-byte boundaries, whole cache lines apart: at the
@@ -593,7 +623,7 @@ def extract(
             else:
                 chosen[...] = nearest.squeeze(axis)
 
-    _run_workers(pass_chunks, workers)
+    run_shares(pass_chunks, workers)
     np.maximum(overlap, 0.0, out=overlap)
     # A NaN DCA names no nearest neighbour, whichever block held the NaN.
     np.putmask(tca_sel, np.isnan(dca_sel), np.nan)

@@ -10,9 +10,6 @@ cannot overfit one spawn layout; the mutation scale shrinks by
 from __future__ import annotations
 
 import math
-import os
-import signal
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,9 +64,10 @@ def tune(
     """Search simulator parameters maximizing the quality score.
 
     All agents share one parameter set.  The new genomes of a generation are
-    cut into contiguous shares, one per usable CPU (see ``_in_shares``); the
-    genomes of a share are simulated together and their crowds scored one at
-    a time.  Genomes producing non-finite scores (integration blow-ups) are
+    cut into contiguous shares, one per usable CPU, each run in the caller or
+    a forked child pinned to its CPU (see ``_in_shares``); the genomes of a
+    share are simulated together and their crowds scored one at a time.
+    Genomes producing non-finite scores (integration blow-ups) are
     assigned the worst fitness instead of aborting the search.
     """
     scenario = config.scenario
@@ -113,88 +111,25 @@ def tune(
     )
 
 
-def _cpus() -> list[int]:
-    """The CPUs this thread may run on, in ascending order."""
-    return sorted(os.sched_getaffinity(0))
-
-
 def _in_shares(evaluate, population: np.ndarray) -> np.ndarray:
-    """``evaluate(population)``, computed in k contiguous shares at once.
-
-    k is the least of the rows, ``_cpus()`` and ``features._MAX_WORKERS``.
-    Shares 1..k-1 each run in a forked child pinned to its own CPU; share 0
-    runs here, pinned to the first CPU until the children are reaped, so each
-    crowd's pairwise pass gets one worker and no CPU runs two.  With fewer
-    than 2 rows, without ``os.fork`` or CPU affinity, or while another Python
-    thread is alive (forking under it is unsafe), k is 1 and this is a plain
-    call.  A child that fails or sends a short payload has its share run again
-    here: ``evaluate`` is deterministic, so its error is raised here with a
-    normal traceback.  If this caller raises, it kills its children first.
-    Each crowd is ``simulate`` of its row bit for bit whatever share it lands
-    in, so the values do not depend on k.  Forked, not spawned: a fresh
-    interpreter's imports would cost more than a generation's scoring.
+    """``evaluate(population)``, computed in k contiguous shares at once by
+    ``features.run_shares``, k the least of the rows, ``usable_cpus()`` and
+    ``features._MAX_WORKERS``.  Each share is pinned to one CPU, so each
+    crowd's pairwise pass gets one worker and no CPU runs two.  Each crowd is
+    ``simulate`` of its row bit for bit whatever share it lands in, so the
+    values do not depend on k.
     """
-    forkable = hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
-    if len(population) < 2 or not forkable or threading.active_count() > 1:
+    k = min(len(population), features.usable_cpus(), features._MAX_WORKERS)
+    if k < 2:
         return evaluate(population)
-    cpus = _cpus()[: min(len(population), features._MAX_WORKERS)]
-    if len(cpus) < 2:
-        return evaluate(population)
+    bounds = [len(population) * s // k for s in range(k + 1)]
+    values = features.shared_empty(len(population))
 
-    shares = np.array_split(population, len(cpus))
-    mask = os.sched_getaffinity(0)
-    children = []  # (pid, read end of its pipe), in share order
-    payloads, failed = [], []
-    try:
-        for cpu, share in zip(cpus[1:], shares[1:]):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _child(evaluate, share, cpu, write)
-            os.close(write)
-            children.append((pid, read))
-        os.sched_setaffinity(0, {cpus[0]})
-        values = [evaluate(shares[0])]
-        for _, read in children:
-            chunks = []
-            while chunk := os.read(read, 1 << 16):
-                chunks.append(chunk)
-            payloads.append(b"".join(chunks))
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.sched_setaffinity(0, mask)
-        for pid, read in children:
-            os.close(read)
-            failed.append(os.waitpid(pid, 0)[1] != 0)
-    for share, payload, fail in zip(shares[1:], payloads, failed):
-        if fail or len(payload) != 8 * len(share):
-            values.append(evaluate(share))
-        else:
-            values.append(np.frombuffer(payload))
-    return np.concatenate(values)
+    def share(s: int) -> None:
+        values[bounds[s] : bounds[s + 1]] = evaluate(population[bounds[s] : bounds[s + 1]])
 
-
-def _child(evaluate, share: np.ndarray, cpu: int, write: int) -> None:
-    """Body of a forked share: pin to ``cpu``, write ``evaluate(share)`` as
-    float64 bytes to the pipe end ``write`` and leave, exit status 0 only when
-    all of it was written.  Nothing it raises reaches the caller's code."""
-    status = 1
-    try:
-        os.sched_setaffinity(0, {cpu})
-        payload = memoryview(np.asarray(evaluate(share), dtype=np.float64).tobytes())
-        while payload:
-            payload = payload[os.write(write, payload) :]
-        status = 0
-    finally:
-        os._exit(status)
+    features.run_shares(share, k)
+    return np.array(values)
 
 
 def quartile(score: float) -> str:

@@ -6,10 +6,14 @@ every seed used here (asserted in the acceptance suite) and give the reference
 statistics that the scoring, training and tuning tests build on.
 """
 
+import os
+
 import pytest
 
 from crowdscore.quality import default_weights, fit_reference_from_crowds
 from crowdscore.simulator import Scenario, SocialForcesParams, simulate
+
+from helpers import assert_no_child_and_affinity
 
 GOLDEN_PARAMS = SocialForcesParams(
     relaxation_time=0.8,
@@ -25,6 +29,15 @@ HELDOUT_SEEDS = tuple(range(500, 505))
 # Scoring window in seconds: skips the standing-start ramp and the final
 # goal-hold tail so the stats describe the cruising-and-crossing phase.
 GOLDEN_WINDOW = (2.5, 9.0)
+
+
+@pytest.fixture
+def affinity():
+    """The CPU affinity a test found; the test must leave no child process
+    and that affinity again (modules that fork use it on every test)."""
+    found = os.sched_getaffinity(0)
+    yield found
+    assert_no_child_and_affinity(found)
 
 
 def golden_sim(seed):

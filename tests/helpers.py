@@ -4,15 +4,24 @@ Crowd fixtures are built from position arrays through derive_kinematics so the
 tests exercise the same ingestion path as CSV loading.
 """
 
+import os
 from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 
 from crowdscore.features import pairwise_arrays
 from crowdscore.simulator import Scenario, SocialForcesParams, simulate
 from crowdscore.trajectory import derive_kinematics
 
 DT = 0.1
+
+
+def assert_no_child_and_affinity(before):
+    """No child process is left, and the CPU affinity is ``before`` again."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == before
 
 
 def crowd_from_positions(positions, dt=DT, **per_agent):

@@ -3,6 +3,7 @@
 import argparse
 import codecs
 import csv
+import errno
 import io
 import math
 import os
@@ -194,6 +195,37 @@ def test_worker_count_changes_no_output(tmp_path, monkeypatch, capsys):
             for name, data in serial[0].items():
                 assert other[0][name] == data, name
             assert other[1] == serial[1]  # stdout and stderr
+
+
+def test_a_refused_fork_runs_its_share_in_the_caller(tmp_path, workspace, monkeypatch, capsys,
+                                                     affinity):
+    """With ``os.fork`` refusing every call (EAGAIN, as when the process limit
+    is reached), tune on 2 CPUs runs each share of its generations and of its
+    60-agent pairwise passes in the calling process: it exits 0 and writes
+    the bytes of a run whose forks succeed.  The refusing fork starts no
+    process."""
+    monkeypatch.setattr(features, "usable_cpus", lambda: 2)
+
+    def tune(name):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert run(["tune", "--kind", "circle", "--agents", "60", "--radius", "6.0",
+                    "--duration", "4.0", "--stats", str(workspace["stats"]),
+                    "--population", "4", "--generations", "2", "--out", "params.txt"]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(Path().iterdir())}
+        return files, capsys.readouterr()
+
+    forked = tune("forked")
+    refused = []
+
+    def refusing_fork():
+        refused.append(1)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", refusing_fork)
+    assert tune("refused") == forked
+    assert len(forked[0]) == 4  # params, history, best CSV, manifest
+    assert refused
 
 
 def _sample_with_x(workspace, path, value):

@@ -1,7 +1,6 @@
 import itertools
 import math
-import sys
-import threading
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -21,6 +20,7 @@ from crowdscore.features import (
 )
 
 from helpers import (
+    assert_no_child_and_affinity,
     colliding_crowd,
     crowd_from_positions,
     linear_pair,
@@ -29,6 +29,9 @@ from helpers import (
     rigid_transform,
     straight_crowd,
 )
+
+# Every test here must leave no child process and the CPU affinity it found.
+pytestmark = pytest.mark.usefixtures("affinity")
 
 
 def test_feature_table_is_complete():
@@ -362,8 +365,15 @@ def assert_bitwise(expected, got, *context):
         assert got[code].tobytes() == expected[code].tobytes(), (*context, code)
 
 
+def serial_shares(work, k):
+    """Stands in for ``features.run_shares``: every share in this process."""
+    for share in range(k):
+        work(share)
+
+
 def slab_shapes(monkeypatch):
-    """The (j, t, i) shapes extract passes to the pair kernel, appended as it runs."""
+    """The (j, t, i) shapes extract passes to the pair kernel, appended as it
+    runs; its workers run in this process, so each of their slabs is seen."""
     shapes, kernel = [], features.pairwise_arrays
 
     def recording(*args):
@@ -371,6 +381,7 @@ def slab_shapes(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(features, "pairwise_arrays", recording)
+    monkeypatch.setattr(features, "run_shares", serial_shares)
     return shapes
 
 
@@ -433,35 +444,30 @@ def spread_crowd(n_agents, steps, seed=0):
 
 @pytest.mark.parametrize("n_agents", [1, 2, 12, 57, 150])
 @pytest.mark.parametrize("steps", [2, 3, 110])
-def test_threaded_pairwise_pass_is_bitwise_serial(monkeypatch, n_agents, steps):
+def test_threaded_pairwise_pass_is_bitwise_serial(monkeypatch, n_agents, steps, affinity):
     crowd = spread_crowd(n_agents, steps)
     # Five steps of pairs per slab: many slabs over 110 steps, one over 2 or
     # 3 steps.  One step a slab: fewer slabs than CPUs over 2 or 3 steps.
     # Then a quarter of a step's rows, three at least: from 12 agents up one
     # step does not fit a slab, and the workers split single steps into
     # blocks of rows, an odd count of them (15) for 57 agents over 3 steps.
-    # Four CPUs are more than this host's cores.
-    # Each budget runs with the real block rows (3 blocks of 150 agents) and
-    # with blocks of 3 rows, up to 50 of them, against one serial block.
+    # Four CPUs are more than this host's cores: the forked workers are
+    # pinned round the CPUs there are.  Each budget runs with the real block
+    # rows (3 blocks of 150 agents) and with blocks of 3 rows, up to 50 of
+    # them, against one serial block.
     budgets = (
         5 * n_agents * n_agents, n_agents * n_agents, max(3, n_agents // 4) * n_agents
     )
-    running = threading.active_count()
     serial = one_block(monkeypatch, crowd)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    try:
-        for rows, budget, cpus in itertools.product(
-            (features._BLOCK_ROWS, 3), budgets, (1, 2, 3, 4)
-        ):
-            monkeypatch.setattr(features, "_BLOCK_ROWS", rows)
-            monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
-            monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
-            threaded = extract(crowd)
-            assert threading.active_count() == running  # every helper joined
-            assert_bitwise(serial, threaded, rows, budget, cpus)
-    finally:
-        sys.setswitchinterval(interval)
+    for rows, budget, cpus in itertools.product(
+        (features._BLOCK_ROWS, 3), budgets, (1, 2, 3, 4)
+    ):
+        monkeypatch.setattr(features, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+        forked = extract(crowd)
+        assert_no_child_and_affinity(affinity)  # every worker reaped
+        assert_bitwise(serial, forked, rows, budget, cpus)
 
 
 def split_any_crowd(monkeypatch, cpus):
@@ -471,100 +477,120 @@ def split_any_crowd(monkeypatch, cpus):
     monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
 
 
-def fail_off_thread(fail):
-    """``pairwise_arrays`` that first calls ``fail()`` on any thread but this one."""
-    caller, kernel = threading.current_thread(), features.pairwise_arrays
+def test_forked_workers_compute_under_the_callers_error_state(monkeypatch):
+    """The pair kernel overflows in the forked workers only, and records in
+    shared memory whether that raised: it does under the caller's
+    ``np.errstate(over="raise")`` and not under ``over="ignore"``."""
+    caller, kernel = os.getpid(), features.pairwise_arrays
+    raised = features.shared_empty(2, bool)  # [ignored, raised], any worker
 
-    def wrapped(*args):
-        if threading.current_thread() is not caller:
-            fail()
+    def overflowing(*args):
+        if os.getpid() != caller:
+            try:
+                np.float64(1e308) * 10.0
+            except FloatingPointError:
+                raised[1] = True
+            else:
+                raised[0] = True
         return kernel(*args)
 
-    return wrapped
-
-
-def test_helper_threads_compute_under_the_callers_error_state(monkeypatch):
-    def overflow():
-        np.float64(1e308) * 10.0
-
     split_any_crowd(monkeypatch, cpus=2)
-    monkeypatch.setattr(features, "pairwise_arrays", fail_off_thread(overflow))
+    monkeypatch.setattr(features, "pairwise_arrays", overflowing)
     crowd = contact_crowd()
-    with np.errstate(over="ignore"):
-        extract(crowd)
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        extract(crowd)
+    for state, seen in (("ignore", [True, False]), ("raise", [False, True])):
+        raised[:] = False
+        with np.errstate(over=state):
+            extract(crowd)
+        assert raised.tolist() == seen, state
 
 
-def test_an_exception_in_a_helper_is_raised_in_the_caller(monkeypatch):
-    def boom():
-        raise RuntimeError("helper failed")
+def test_an_exception_in_a_forked_worker_is_raised_in_the_caller(monkeypatch):
+    """Worker 1 fails wherever it runs: its child exits, and the caller runs
+    that share again and raises the error.  ``tries`` counts both runs."""
+    run_shares = features.run_shares
+    tries = features.shared_empty(1, np.intp)
+    tries[0] = 0
+
+    def failing_share(work, k):
+        def share(s):
+            if s == 1:
+                tries[0] += 1
+                raise RuntimeError("worker failed")
+            work(s)
+
+        run_shares(share, k)
 
     split_any_crowd(monkeypatch, cpus=4)
-    monkeypatch.setattr(features, "pairwise_arrays", fail_off_thread(boom))
-    running = threading.active_count()
-    with pytest.raises(RuntimeError, match="helper failed"):
+    monkeypatch.setattr(features, "run_shares", failing_share)
+    with pytest.raises(RuntimeError, match="worker failed"):
         extract(contact_crowd())
-    assert threading.active_count() == running
+    assert tries[0] == 2  # in its child, then in the caller
+
+
+def test_without_cpu_affinity_one_cpu_is_counted_and_nothing_forks(monkeypatch):
+    """Off Linux there is no CPU affinity: ``usable_cpus()`` reads 1, and
+    shares that ``run_shares`` gets all the same run here, one by one."""
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert features.usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_setaffinity")
+
+    def no_fork():
+        raise AssertionError("os.fork called without CPU affinity")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    pids = []
+    features.run_shares(lambda share: pids.append((share, os.getpid())), 3)
+    assert pids == [(share, os.getpid()) for share in range(3)]
 
 
 def test_workers_are_capped_by_cpus_steps_pairs_and_budget(monkeypatch):
-    started = []
+    counts = []
 
-    class CountingThread:
-        """Stands in for threading.Thread: runs its target when started."""
+    def counting_shares(work, k):
+        counts.append(k)
+        serial_shares(work, k)
 
-        def __init__(self, target, args):
-            self.target, self.args, self.ident = target, args, None
-
-        def start(self):
-            started.append(self)
-            self.ident = len(started)
-            self.target(*self.args)
-
-        def join(self):
-            pass
-
-    def helpers(crowd):
-        started.clear()
+    def workers(crowd):
+        counts.clear()
         result = extract(crowd)
-        return len(started), result
+        assert len(counts) == 1
+        return counts[0], result
 
-    monkeypatch.setattr(features.threading, "Thread", CountingThread)
+    monkeypatch.setattr(features, "run_shares", counting_shares)
     small = contact_crowd()  # 9 agents over 40 steps: 3,240 pairs, one slab
     dense = spread_crowd(150, 40)  # 22,500 pairs a step: 20 slabs of 2 steps
     large = spread_crowd(300, 2)  # 90,000 pairs a step, more than the budget
-    assert helpers(small)[0] == 0  # too few pairs to share
-    assert helpers(dense)[0] <= features.usable_cpus() - 1
+    assert workers(small)[0] == 1  # too few pairs to share
+    assert workers(dense)[0] <= features.usable_cpus()
     monkeypatch.setattr(features, "usable_cpus", lambda: 2)
     # six blocks of 50 rows in each step: a step need not fit a worker, but
     # a worker owns whole steps, so 2 steps keep 2 workers on 4 CPUs
-    assert helpers(large)[0] == 1
+    assert workers(large)[0] == 2
     monkeypatch.setattr(features, "usable_cpus", lambda: 4)
-    assert helpers(large)[0] == 1
+    assert workers(large)[0] == 2
     monkeypatch.setattr(features, "usable_cpus", lambda: 2)
     # A crowd that fills one slab keeps one worker: bench tune's 20 agents
     # over 110 steps (44,000 pairs); 28 agents (86,240 pairs) get two.
-    assert helpers(spread_crowd(20, 110))[0] == 0
-    assert helpers(spread_crowd(28, 110))[0] == 1
+    assert workers(spread_crowd(20, 110))[0] == 1
+    assert workers(spread_crowd(28, 110))[0] == 2
     # On 64 CPUs the cap of 8 workers holds.
     monkeypatch.setattr(features, "usable_cpus", lambda: 64)
-    assert helpers(dense)[0] == 7
-    assert helpers(small)[0] == 0
+    assert workers(dense)[0] == 8
+    assert workers(small)[0] == 1
     serial = extract(small)
     # With one step a slab, the cap holds over 40 slabs, ...
     monkeypatch.setattr(features, "_PAIR_BUDGET", small.n_agents**2)
-    count, capped = helpers(small)
-    assert count == 7
+    count, capped = workers(small)
+    assert count == 8
     for code in FEATURE_CODES:
         assert np.array_equal(capped[code], serial[code]), code
     monkeypatch.setattr(features, "usable_cpus", lambda: 3)
-    assert helpers(small)[0] == 2
+    assert workers(small)[0] == 3
     # ... and with 8 steps a slab the slabs cap the workers: 5 of them.
     monkeypatch.setattr(features, "usable_cpus", lambda: 64)
     monkeypatch.setattr(features, "_PAIR_BUDGET", 8 * small.n_agents**2)
-    count, capped = helpers(small)
-    assert count == 5 - 1
+    count, capped = workers(small)
+    assert count == 5
     for code in FEATURE_CODES:
         assert np.array_equal(capped[code], serial[code]), code
     # ... or the steps do: 3 agents over 2 steps, at 8 pairs a slab on 64
@@ -572,8 +598,8 @@ def test_workers_are_capped_by_cpus_steps_pairs_and_budget(monkeypatch):
     tiny = spread_crowd(3, 2)
     serial = extract(tiny)
     monkeypatch.setattr(features, "_PAIR_BUDGET", 8)
-    count, capped = helpers(tiny)
-    assert count == 2 - 1
+    count, capped = workers(tiny)
+    assert count == 2
     for code in FEATURE_CODES:
         assert np.array_equal(capped[code], serial[code]), code
 
@@ -664,9 +690,28 @@ def test_pairwise_memory_stays_within_the_budget(monkeypatch):
     peak left is O(N^2), not O(T N^2): the (N, N) sums of the body and the
     personal-space radii.  At the real budget a step is one slab of
     _PAIR_BUDGET pairs, and each worker adds its planes, 60 bytes a pair, and
-    numpy's cast buffers of its reductions, under 128 KiB."""
+    numpy's cast buffers of its reductions, under 128 KiB: the caller to its
+    own peak, and each forked worker to what it inherited, as it records in
+    shared memory."""
     budget = features._PAIR_BUDGET
+    worker = budget * 60 + 2**17
     crowd = spread_crowd(math.isqrt(budget), 5)  # 256 agents: a step fills a slab
+    caller, run_shares, forked = os.getpid(), features.run_shares, []
+
+    def traced_shares(work, k):
+        grown = features.shared_empty(k, np.int64)
+        grown[:] = -1
+
+        def share(s):
+            if os.getpid() == caller:
+                return work(s)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            work(s)
+            grown[s] = tracemalloc.get_traced_memory()[1] - start
+
+        run_shares(share, k)
+        forked.append(grown[1:].tolist())
 
     def traced_peak():
         tracemalloc.start()
@@ -680,9 +725,13 @@ def test_pairwise_memory_stays_within_the_budget(monkeypatch):
     fixed = traced_peak()
     assert fixed < 4 * 2**20
     monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
+    monkeypatch.setattr(features, "run_shares", traced_shares)
     for cpus in (1, 2, 4):
         monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
-        assert traced_peak() < fixed + cpus * (budget * 60 + 2**17), cpus
+        forked.clear()
+        assert traced_peak() < fixed + worker, cpus
+        assert len(forked) == 1 and len(forked[0]) == cpus - 1, cpus
+        assert all(0 < grown < worker for grown in forked[0]), (cpus, forked)
 
 
 def test_pairwise_minima_match_scalar_predictions():

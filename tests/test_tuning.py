@@ -8,13 +8,18 @@ import time
 import numpy as np
 import pytest
 
-from crowdscore import tuning
+from crowdscore import features, tuning
 from crowdscore.errors import ConfigError, DataError
 from crowdscore.features import FEATURE_CODES, extract
 from crowdscore.genetic import GaConfig, ga_optimize
 from crowdscore.quality import WeightVector, parse_reference_stats, score
 from crowdscore.simulator import TUNE_BOUNDS, Scenario, SocialForcesParams, simulate
 from crowdscore.tuning import TUNE_MODES, TuneConfig, TuneResult, quartile, tune
+
+from helpers import assert_no_child_and_affinity
+
+# Every test here must leave no child process and the CPU affinity it found.
+pytestmark = pytest.mark.usefixtures("affinity")
 
 
 def unit_stats():
@@ -130,10 +135,10 @@ def test_initial_params_seed_the_first_generation():
 
 
 def share_cpus(monkeypatch, shares):
-    """Make the tuner cut each generation into ``shares`` shares, all pinned
-    to one CPU this process may use, so any share count runs on any host."""
-    cpu = min(os.sched_getaffinity(0))
-    monkeypatch.setattr(tuning, "_cpus", lambda: [cpu] * shares)
+    """Make the tuner cut each generation into ``shares`` shares; they are
+    pinned round the CPUs this process may use, so any count runs on any
+    host."""
+    monkeypatch.setattr(features, "usable_cpus", lambda: shares)
 
 
 def recording_ga(monkeypatch, blocks, fitness_values):
@@ -162,21 +167,6 @@ def count_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return forks
-
-
-def assert_no_child_and_affinity(before):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert os.sched_getaffinity(0) == before
-
-
-@pytest.fixture(autouse=True)
-def affinity():
-    """Each test here leaves no child process and the CPU affinity it found;
-    the fixture's value is that affinity."""
-    found = os.sched_getaffinity(0)
-    yield found
-    assert_no_child_and_affinity(found)
 
 
 def test_a_blown_up_crowd_gets_the_worst_fitness_and_the_search_goes_on(monkeypatch, affinity):
