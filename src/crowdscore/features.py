@@ -12,10 +12,10 @@ axis costs more than its arithmetic), in place in scratch planes its caller
 allocates, so it allocates nothing.
 
 ``extract`` runs the pairwise pass in slabs (j, t, i) of up to
-``_PAIR_BUDGET`` neighbour pairs.  Neighbours j lead, so each reduction over
-them is an elementwise accumulation of contiguous (t, i) planes, not a short
-reduction per (t, i) row.  A crowd whose pairs fit one slab is one slab of
-every pair, both ways round.  A larger crowd of at least twice
+``shares.PAIR_BUDGET`` neighbour pairs.  Neighbours j lead, so each reduction
+over them is an elementwise accumulation of contiguous (t, i) planes, not a
+short reduction per (t, i) row.  A crowd whose pairs fit one slab is one
+slab of every pair, both ways round.  A larger crowd of at least twice
 ``_BLOCK_ROWS`` agents, or one whose step of N^2 pairs does not fit a slab,
 is cut into equal row blocks [r0, r1) of agents i, and block m's slab holds
 only the neighbours j >= r0.  The kernel's outputs are bitwise symmetric in
@@ -31,47 +31,27 @@ takes as many of the chunk's steps as fit the pairs of one slab of all N rows
 (whole steps, or one step's rows in equal blocks where a step does not fit),
 so no slab is larger than without blocks.
 
-A crowd gets a second worker only when its pairs fill more than one slab,
-and then one worker per CPU this thread may use (``usable_cpus()``), but
-never more than it has slabs or steps or than ``_MAX_WORKERS``.  The workers
-are the shares of ``run_shares``: the caller and forked children, each
-pinned to its own CPU, writing the (T, N) reductions into shared memory.
-Each worker allocates its seven float64 and four bool planes once, 60 bytes
-a pair, and they are freed when it ends.  A worker holds at most
-``_PAIR_BUDGET`` pairs, or one row of N pairs where that is more.  Each
-(t, i) reduction is computed by the one worker that owns its step, and its
-merges are exact in any grouping (min, max, or, integer sums, the first j of
-least DCA), so the features are bitwise the same for every worker count,
-slab shape and block count.
+A crowd gets a second worker only when its pairs fill more than one slab;
+its workers are the shares of ``shares.run_shares``, each a contiguous run
+of time chunks.  Each allocates its seven float64 and four bool planes once,
+60 bytes a pair, for at most ``shares.PAIR_BUDGET`` pairs or one row of N.
+Each (t, i) reduction is computed by the one worker that owns its step, and
+its merges are exact in any grouping (min, max, or, integer sums, the first
+j of least DCA), so the features are bitwise the same for every worker
+count, slab shape and block count.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
-import os
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import shares
 from .errors import DataError
 from .trajectory import EPS_SPEED, CrowdTrajectory
 
-# Neighbour pairs (j, t, i) a worker of the pairwise pass holds at once:
-# 0.5 MB per float64 plane, so a slab's planes stay near one core's L2 cache
-# and extract's memory does not grow with the recording length.  A row
-# block's slab (below) holds no more pairs than the slab of whole steps of
-# all N rows that this budget gives, so blocks add no memory.  Each worker
-# gets a whole budget, not a share of one: smaller slabs make more, shorter
-# numpy calls.  At N = 150 and T = 100 on 2 vCPUs, two thread workers took
-# 1.02x the time of one with slabs of 11,250 pairs, 0.72x with 22,500 and
-# 0.64x with 45,000.  One slab is also the least work worth a second worker:
-# at T = 110 on 2 vCPUs, extract on two workers took 1.09x the time of one at
-# N = 20 (44,000 pairs, one slab), 0.92x at N = 28 (two slabs), 0.85x at
-# N = 40 and 0.70x at N = 150.
-_PAIR_BUDGET = 1 << 16
 # Agent rows per block of the pairwise pass: a crowd that fills more than one
 # slab is cut into N // _BLOCK_ROWS blocks, each holding only its neighbours
 # from its first row on.  With blocks of fewer rows the numpy calls cost more
@@ -82,9 +62,6 @@ _PAIR_BUDGET = 1 << 16
 # 1.02x at N = 75 with 2 of 37 or 38; at N = 300, 0.90x with 6 blocks of 50
 # against the 2 that its 90,000 pairs a step need.
 _BLOCK_ROWS = 50
-# Workers of the pairwise pass at most, whatever the CPU count, so that at
-# most about 31 MB of planes are in flight on any host.
-_MAX_WORKERS = 8
 
 # Constants of the feature definitions.
 INTERACTION_HORIZON = 30.0  # m, neighbours beyond this are ignored
@@ -239,74 +216,6 @@ def _alternation_flags(delta: np.ndarray, threshold: float) -> np.ndarray:
 def _norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Length of (x, y), bitwise ``np.linalg.norm`` over a size-2 last axis."""
     return np.sqrt(x * x + y * y)
-
-
-def usable_cpus() -> int:
-    """The number of CPUs the calling thread may run on, read from its CPU
-    affinity; 1 without one (off Linux), where ``run_shares`` forks nothing."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
-def shared_empty(shape, dtype=float) -> np.ndarray:
-    """An array in anonymous shared memory: the writes of a forked share of
-    ``run_shares`` to it are seen by its caller."""
-    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, max(1, size)))
-
-
-def run_shares(work, k: int) -> None:
-    """Run ``work(s)`` for the shares s in range(k) at once.
-
-    Share 0 runs here, pinned to the caller's first CPU; each other share
-    runs in a forked child pinned to the next CPU round the caller's
-    affinity, which inherits the caller's state (``np.errstate`` too) and
-    returns its results in ``shared_empty`` arrays.  Every child is reaped
-    and the caller's affinity restored before this returns.  A share whose
-    fork or child fails runs again here, where ``work``, being deterministic,
-    raises its error; if share 0 raises, the children are killed.  Without
-    ``os.fork`` or CPU affinity, or while another Python thread is alive
-    (forking under it is unsafe), the shares run here one by one.
-    """
-    forkable = hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
-    if k < 2 or not forkable or threading.active_count() > 1:
-        for s in range(k):
-            work(s)
-        return
-    mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
-    children, rerun = {}, []
-    try:
-        for s in range(1, k):
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the share runs here
-                rerun.append(s)
-                continue
-            if pid == 0:
-                status = 1
-                try:
-                    os.sched_setaffinity(0, {cpus[s % len(cpus)]})
-                    work(s)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children[s] = pid
-        os.sched_setaffinity(0, {cpus[0]})
-        work(0)
-    except BaseException:
-        for pid in children.values():
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.sched_setaffinity(0, mask)
-        for s, pid in children.items():
-            if os.waitpid(pid, 0)[1]:
-                rerun.append(s)
-    for s in sorted(rerun):
-        work(s)
 
 
 def pairwise_arrays(dx, dy, ux, uy, radius_sum, planes):
@@ -480,8 +389,8 @@ def extract(
     measured against ``curve``, or, when it is None, against a curve fitted
     from this crowd's own density/speed pairs.
 
-    The pairwise pass runs on up to ``usable_cpus()`` workers; the result
-    does not depend on their number.  A (t, i) whose DCA is NaN, which only a
+    The pairwise pass runs on as many workers as ``shares.workers`` grants;
+    the result does not depend on their number.  A (t, i) whose DCA is NaN, which only a
     NaN velocity reaches (a blown-up crowd scored under
     ``np.errstate(all="ignore")``), gets a NaN TCA too: no neighbour is the
     nearest then, whatever block held the NaN pair.
@@ -515,25 +424,25 @@ def extract(
     # fit the pairs of a slab of all N rows: whole steps of N^2 pairs, or,
     # where a step does not fit, one step's rows in equal parts.  The steps
     # go in equal chunks of up to the longest span, a multiple of the workers
-    # in number; worker w takes chunks w, w + workers, and so on, and runs
-    # each block over the chunk in turn, in slabs of up to its span.  A crowd
-    # gets as many workers as it has slabs at one worker, up to the CPUs, the
-    # steps and the cap.
-    rows = max(1, _PAIR_BUDGET // N)  # (t, i) rows of N pairs in a slab
+    # in number; each worker takes a contiguous run of them and runs each
+    # block over each chunk in turn, in slabs of up to its span.  A crowd
+    # gets as many workers as it has slabs at one worker, up to the steps and
+    # what ``shares.workers`` grants.
+    rows = max(1, shares.PAIR_BUDGET // N)  # (t, i) rows of N pairs in a slab
     cap = N * (rows // N * N or -(-N // -(-N // rows)))
     blocks = 1 if N * T <= rows else max(N // _BLOCK_ROWS, -(-N // rows))
-    bounds = [N * m // blocks for m in range(blocks + 1)]
+    bounds = shares.cut(N, blocks)
     widths = [(N - r0) * (r1 - r0) for r0, r1 in zip(bounds, bounds[1:])]
     spans = [min(T, max(1, cap // width)) for width in widths]
     slabs = sum(-(-T // span) for span in spans)
-    workers = min(usable_cpus(), _MAX_WORKERS, T, slabs)
+    workers = shares.workers(min(T, slabs))
     n_t = min(T, workers * -(-T // (workers * max(spans))))
     size = max(width * span for width, span in zip(widths, spans))
 
     # Per (t, i) reductions over the neighbours j, filled block by block, in
     # shared memory for forked workers (a fresh mapping's page faults would
     # slow a one-worker extract).
-    empty = shared_empty if workers > 1 else np.empty
+    empty = shares.shared_empty if workers > 1 else np.empty
     nn = empty((T, N))
     near = empty((T, N), np.intp)
     touching = empty((T, N), bool)
@@ -543,7 +452,7 @@ def extract(
     tca_sel = empty((T, N))
     dca_sel = empty((T, N))
 
-    def pass_chunks(w: int) -> None:
+    def pass_chunks(lo: int, hi: int) -> None:
         # Float planes on 64-byte boundaries, whole cache lines apart: at the
         # 16- and 48-byte offsets np.empty gave them, bench score-dense calls
         # took about 3% longer on two workers.
@@ -552,7 +461,7 @@ def extract(
         start = -raw.ctypes.data % 64 // 8
         floats = raw[start : start + 7 * line].reshape(7, line)
         flags = np.empty((4, size), dtype=bool)
-        for c in range(w, n_t, workers):
+        for c in range(lo, hi):
             t0, t1 = T * c // n_t, T * (c + 1) // n_t
             for r0, r1, span in zip(bounds, bounds[1:], spans):
                 subs = -(-(t1 - t0) // span)
@@ -623,7 +532,7 @@ def extract(
             else:
                 chosen[...] = nearest.squeeze(axis)
 
-    run_shares(pass_chunks, workers)
+    shares.run_shares(pass_chunks, n_t, workers)
     np.maximum(overlap, 0.0, out=overlap)
     # A NaN DCA names no nearest neighbour, whichever block held the NaN.
     np.putmask(tca_sel, np.isnan(dca_sel), np.nan)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import features
+from . import shares
 from .errors import ConfigError, DataError
 from .keyvalue import decode_input, parse_float, parse_keyvalue, read_input, write_keyvalue
 from .trajectory import CANONICAL_DT, DEFAULT_BODY_RADIUS, CrowdTrajectory, derive_kinematics
@@ -228,7 +228,7 @@ def repulsion_forces(
     """Summed pairwise repulsion accelerations of P crowds, shaped like ``p`` (2, P, N).
 
     ``strength`` and ``reach`` are the (P, 1) repulsion_strength and range.
-    Above ``features._PAIR_BUDGET`` pairs the agents i go in blocks of rows;
+    Above ``shares.PAIR_BUDGET`` pairs the agents i go in blocks of rows;
     each row sums over j in the same order either way.
     """
     n = p.shape[2]
@@ -236,7 +236,7 @@ def repulsion_forces(
     if n < 2 or active == 0:
         return np.zeros_like(p)
     scale, reach = strength[..., None], reach[..., None]
-    rows = max(1, features._PAIR_BUDGET // p[0].size)  # p[0] is (P, N)
+    rows = max(1, shares.PAIR_BUDGET // p[0].size)  # p[0] is (P, N)
     forces = np.empty_like(p)
     for start in range(0, n, rows):
         i = slice(start, start + rows)
@@ -312,7 +312,7 @@ def simulate_population(
 
     Each row is a ``params_to_genome`` parameter set.  Yields the trajectories
     one at a time, in order; each equals ``simulate`` of its row bit for bit.
-    The rows are stepped together in chunks of at most ``features._PAIR_BUDGET``
+    The rows are stepped together in chunks of at most ``shares.PAIR_BUDGET``
     agent pairs.
     """
     genomes = np.asarray(genomes, dtype=float)
@@ -337,7 +337,7 @@ def simulate_population(
         raise ConfigError(f"max_speed {slowest} below the largest comfort speed {max_comfort:.3f}")
 
     n = scenario.agent_count
-    chunk = max(1, features._PAIR_BUDGET // (n * n))
+    chunk = max(1, shares.PAIR_BUDGET // (n * n))
     for start in range(0, len(genomes), chunk):
         block = genomes[start : start + chunk]
         count = len(block)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import features
+from . import shares
 from .errors import ConfigError
 from .genetic import GaConfig, GaResult, ga_optimize
 from .quality import ReferenceStats, WeightVector, score
@@ -63,21 +63,24 @@ def tune(
 ) -> TuneResult:
     """Search simulator parameters maximizing the quality score.
 
-    All agents share one parameter set.  The new genomes of a generation are
-    cut into contiguous shares, one per usable CPU, each run in the caller or
-    a forked child pinned to its CPU (see ``_in_shares``); the genomes of a
-    share are simulated together and their crowds scored one at a time.
+    All agents share one parameter set.  The new genomes of a generation go
+    in the contiguous shares of ``shares.run_shares``; a share's genomes are
+    simulated together, each crowd bitwise its ``simulate``, and scored one
+    at a time, each pairwise pass on the one CPU its share is pinned to.
     Genomes producing non-finite scores (integration blow-ups) are
     assigned the worst fitness instead of aborting the search.
     """
     scenario = config.scenario
 
     def evaluate(population: np.ndarray) -> np.ndarray:
+        values = shares.shared_empty(len(population))
+
+        def share(lo: int, hi: int) -> None:
+            crowds = simulate_population(scenario, population[lo:hi], config.duration)
+            values[lo:hi] = [1.0 - score(crowd, stats, weights).total for crowd in crowds]
+
         with np.errstate(all="ignore"):  # a blow-up ends with the worst fitness
-            values = 1.0 - np.array([
-                score(crowd, stats, weights).total
-                for crowd in simulate_population(scenario, population, config.duration)
-            ])
+            shares.run_shares(share, len(population), shares.workers(len(population)))
         return np.where(np.isfinite(values), values, 1.0)
 
     on_generation = None
@@ -97,7 +100,7 @@ def tune(
         )
 
     result = ga_optimize(
-        lambda population: _in_shares(evaluate, population),
+        evaluate,
         TUNE_BOUNDS,
         config.ga,
         mutation_decay=EXPLORATION_DECAY,
@@ -109,27 +112,6 @@ def tune(
         best_score_history=[1.0 - f for f in result.history],
         ga=result,
     )
-
-
-def _in_shares(evaluate, population: np.ndarray) -> np.ndarray:
-    """``evaluate(population)``, computed in k contiguous shares at once by
-    ``features.run_shares``, k the least of the rows, ``usable_cpus()`` and
-    ``features._MAX_WORKERS``.  Each share is pinned to one CPU, so each
-    crowd's pairwise pass gets one worker and no CPU runs two.  Each crowd is
-    ``simulate`` of its row bit for bit whatever share it lands in, so the
-    values do not depend on k.
-    """
-    k = min(len(population), features.usable_cpus(), features._MAX_WORKERS)
-    if k < 2:
-        return evaluate(population)
-    bounds = [len(population) * s // k for s in range(k + 1)]
-    values = features.shared_empty(len(population))
-
-    def share(s: int) -> None:
-        values[bounds[s] : bounds[s + 1]] = evaluate(population[bounds[s] : bounds[s + 1]])
-
-    features.run_shares(share, k)
-    return np.array(values)
 
 
 def quartile(score: float) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import crowdscore
-from crowdscore import features
+from crowdscore import shares
 from crowdscore.cli import build_parser, run
 from crowdscore.csvio import load_trajectory_csv
 from crowdscore.features import FEATURE_CODES
@@ -157,9 +157,9 @@ def test_worker_count_changes_no_output(tmp_path, monkeypatch, capsys):
     blocks of 30 agent rows; and on 150-agent crowds at the real budget, in
     10 chunks of 2 steps."""
 
-    def pipeline(cpus, budget=features._PAIR_BUDGET, agents=60, radius=6.0, duration=4.0):
-        monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
+    def pipeline(cpus, budget=shares.PAIR_BUDGET, agents=60, radius=6.0, duration=4.0):
+        monkeypatch.setattr(shares, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(shares, "PAIR_BUDGET", budget)
         root = tmp_path / f"cpus{cpus}-pairs{budget}-agents{agents}"
         (root / "golden").mkdir(parents=True)
         monkeypatch.chdir(root)
@@ -204,7 +204,7 @@ def test_a_refused_fork_runs_its_share_in_the_caller(tmp_path, workspace, monkey
     60-agent pairwise passes in the calling process: it exits 0 and writes
     the bytes of a run whose forks succeed.  The refusing fork starts no
     process."""
-    monkeypatch.setattr(features, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(shares, "usable_cpus", lambda: 2)
 
     def tune(name):
         (tmp_path / name).mkdir()

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crowdscore import features
+from crowdscore import features, shares
 from crowdscore.errors import DataError
 from crowdscore.features import (
     FEATURE_CODES,
@@ -354,9 +354,9 @@ def contact_crowd(seed=3, n_agents=9, steps=40):
 def one_block(monkeypatch, crowd):
     """extract on one slab that holds every pair of the crowd both ways."""
     with monkeypatch.context() as patch:
-        patch.setattr(features, "_PAIR_BUDGET", crowd.n_agents**2 * crowd.n_steps)
+        patch.setattr(shares, "PAIR_BUDGET", crowd.n_agents**2 * crowd.n_steps)
         patch.setattr(features, "_BLOCK_ROWS", crowd.n_agents + 1)
-        patch.setattr(features, "usable_cpus", lambda: 1)
+        patch.setattr(shares, "usable_cpus", lambda: 1)
         return extract(crowd)
 
 
@@ -365,10 +365,11 @@ def assert_bitwise(expected, got, *context):
         assert got[code].tobytes() == expected[code].tobytes(), (*context, code)
 
 
-def serial_shares(work, k):
-    """Stands in for ``features.run_shares``: every share in this process."""
-    for share in range(k):
-        work(share)
+def serial_shares(work, n, k):
+    """Stands in for ``shares.run_shares``: every share in this process."""
+    bounds = shares.cut(n, k)
+    for lo, hi in zip(bounds, bounds[1:]):
+        work(lo, hi)
 
 
 def slab_shapes(monkeypatch):
@@ -381,7 +382,7 @@ def slab_shapes(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(features, "pairwise_arrays", recording)
-    monkeypatch.setattr(features, "run_shares", serial_shares)
+    monkeypatch.setattr(shares, "run_shares", serial_shares)
     return shapes
 
 
@@ -394,14 +395,14 @@ def test_pairwise_chunking_is_exact(monkeypatch):
     # then blocks of 1 to 4 rows (2 to 9 blocks) against the neighbours past
     # them, for budgets of 1 row to 5,000 pairs on 1 to 4 CPUs
     for budget in (1, 2 * n, 7 * n * n):
-        monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(shares, "PAIR_BUDGET", budget)
         assert_bitwise(whole, extract(crowd), budget)
     for rows, budget, cpus in itertools.product(
         (1, 2, 4), (1, 13, 2 * n, 3 * n, 5000, 7 * n * n), (1, 2, 3, 4)
     ):
         monkeypatch.setattr(features, "_BLOCK_ROWS", rows)
-        monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
-        monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(shares, "PAIR_BUDGET", budget)
+        monkeypatch.setattr(shares, "usable_cpus", lambda: cpus)
         assert_bitwise(whole, extract(crowd), rows, budget, cpus)
 
 
@@ -421,9 +422,9 @@ def test_row_blocks_start_at_twice_the_block_rows(monkeypatch, n_agents, steps, 
     crowd = spread_crowd(n_agents, steps)
     whole = one_block(monkeypatch, crowd)
     shapes = slab_shapes(monkeypatch)
-    step_slab = n_agents**2 * (features._PAIR_BUDGET // n_agents**2)
+    step_slab = n_agents**2 * (shares.PAIR_BUDGET // n_agents**2)
     for cpus in (1, 2, 3, 4):
-        monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(shares, "usable_cpus", lambda: cpus)
         shapes.clear()
         assert_bitwise(whole, extract(crowd), cpus)
         assert sorted({(j, i) for j, _, i in shapes}, reverse=True) == blocks
@@ -463,8 +464,8 @@ def test_threaded_pairwise_pass_is_bitwise_serial(monkeypatch, n_agents, steps, 
         (features._BLOCK_ROWS, 3), budgets, (1, 2, 3, 4)
     ):
         monkeypatch.setattr(features, "_BLOCK_ROWS", rows)
-        monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
-        monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(shares, "PAIR_BUDGET", budget)
+        monkeypatch.setattr(shares, "usable_cpus", lambda: cpus)
         forked = extract(crowd)
         assert_no_child_and_affinity(affinity)  # every worker reaped
         assert_bitwise(serial, forked, rows, budget, cpus)
@@ -473,8 +474,8 @@ def test_threaded_pairwise_pass_is_bitwise_serial(monkeypatch, n_agents, steps, 
 def split_any_crowd(monkeypatch, cpus):
     """Let extract start a worker per slab of one agent row, on up to
     ``cpus`` CPUs."""
-    monkeypatch.setattr(features, "_PAIR_BUDGET", 1)
-    monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(shares, "PAIR_BUDGET", 1)
+    monkeypatch.setattr(shares, "usable_cpus", lambda: cpus)
 
 
 def test_forked_workers_compute_under_the_callers_error_state(monkeypatch):
@@ -482,7 +483,7 @@ def test_forked_workers_compute_under_the_callers_error_state(monkeypatch):
     shared memory whether that raised: it does under the caller's
     ``np.errstate(over="raise")`` and not under ``over="ignore"``."""
     caller, kernel = os.getpid(), features.pairwise_arrays
-    raised = features.shared_empty(2, bool)  # [ignored, raised], any worker
+    raised = shares.shared_empty(2, bool)  # [ignored, raised], any worker
 
     def overflowing(*args):
         if os.getpid() != caller:
@@ -507,21 +508,23 @@ def test_forked_workers_compute_under_the_callers_error_state(monkeypatch):
 def test_an_exception_in_a_forked_worker_is_raised_in_the_caller(monkeypatch):
     """Worker 1 fails wherever it runs: its child exits, and the caller runs
     that share again and raises the error.  ``tries`` counts both runs."""
-    run_shares = features.run_shares
-    tries = features.shared_empty(1, np.intp)
+    run_shares = shares.run_shares
+    tries = shares.shared_empty(1, np.intp)
     tries[0] = 0
 
-    def failing_share(work, k):
-        def share(s):
-            if s == 1:
+    def failing_share(work, n, k):
+        second = shares.cut(n, k)[1]
+
+        def share(lo, hi):
+            if lo == second:
                 tries[0] += 1
                 raise RuntimeError("worker failed")
-            work(s)
+            work(lo, hi)
 
-        run_shares(share, k)
+        run_shares(share, n, k)
 
     split_any_crowd(monkeypatch, cpus=4)
-    monkeypatch.setattr(features, "run_shares", failing_share)
+    monkeypatch.setattr(shares, "run_shares", failing_share)
     with pytest.raises(RuntimeError, match="worker failed"):
         extract(contact_crowd())
     assert tries[0] == 2  # in its child, then in the caller
@@ -531,7 +534,7 @@ def test_without_cpu_affinity_one_cpu_is_counted_and_nothing_forks(monkeypatch):
     """Off Linux there is no CPU affinity: ``usable_cpus()`` reads 1, and
     shares that ``run_shares`` gets all the same run here, one by one."""
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert features.usable_cpus() == 1
+    assert shares.usable_cpus() == 1
     monkeypatch.delattr(os, "sched_setaffinity")
 
     def no_fork():
@@ -539,16 +542,16 @@ def test_without_cpu_affinity_one_cpu_is_counted_and_nothing_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     pids = []
-    features.run_shares(lambda share: pids.append((share, os.getpid())), 3)
-    assert pids == [(share, os.getpid()) for share in range(3)]
+    shares.run_shares(lambda lo, hi: pids.append((lo, hi, os.getpid())), 7, 3)
+    assert pids == [(0, 2, os.getpid()), (2, 4, os.getpid()), (4, 7, os.getpid())]
 
 
 def test_workers_are_capped_by_cpus_steps_pairs_and_budget(monkeypatch):
     counts = []
 
-    def counting_shares(work, k):
+    def counting_shares(work, n, k):
         counts.append(k)
-        serial_shares(work, k)
+        serial_shares(work, n, k)
 
     def workers(crowd):
         counts.clear()
@@ -556,39 +559,39 @@ def test_workers_are_capped_by_cpus_steps_pairs_and_budget(monkeypatch):
         assert len(counts) == 1
         return counts[0], result
 
-    monkeypatch.setattr(features, "run_shares", counting_shares)
+    monkeypatch.setattr(shares, "run_shares", counting_shares)
     small = contact_crowd()  # 9 agents over 40 steps: 3,240 pairs, one slab
     dense = spread_crowd(150, 40)  # 22,500 pairs a step: 20 slabs of 2 steps
     large = spread_crowd(300, 2)  # 90,000 pairs a step, more than the budget
     assert workers(small)[0] == 1  # too few pairs to share
-    assert workers(dense)[0] <= features.usable_cpus()
-    monkeypatch.setattr(features, "usable_cpus", lambda: 2)
+    assert workers(dense)[0] <= shares.usable_cpus()
+    monkeypatch.setattr(shares, "usable_cpus", lambda: 2)
     # six blocks of 50 rows in each step: a step need not fit a worker, but
     # a worker owns whole steps, so 2 steps keep 2 workers on 4 CPUs
     assert workers(large)[0] == 2
-    monkeypatch.setattr(features, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(shares, "usable_cpus", lambda: 4)
     assert workers(large)[0] == 2
-    monkeypatch.setattr(features, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(shares, "usable_cpus", lambda: 2)
     # A crowd that fills one slab keeps one worker: bench tune's 20 agents
     # over 110 steps (44,000 pairs); 28 agents (86,240 pairs) get two.
     assert workers(spread_crowd(20, 110))[0] == 1
     assert workers(spread_crowd(28, 110))[0] == 2
     # On 64 CPUs the cap of 8 workers holds.
-    monkeypatch.setattr(features, "usable_cpus", lambda: 64)
+    monkeypatch.setattr(shares, "usable_cpus", lambda: 64)
     assert workers(dense)[0] == 8
     assert workers(small)[0] == 1
     serial = extract(small)
     # With one step a slab, the cap holds over 40 slabs, ...
-    monkeypatch.setattr(features, "_PAIR_BUDGET", small.n_agents**2)
+    monkeypatch.setattr(shares, "PAIR_BUDGET", small.n_agents**2)
     count, capped = workers(small)
     assert count == 8
     for code in FEATURE_CODES:
         assert np.array_equal(capped[code], serial[code]), code
-    monkeypatch.setattr(features, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(shares, "usable_cpus", lambda: 3)
     assert workers(small)[0] == 3
     # ... and with 8 steps a slab the slabs cap the workers: 5 of them.
-    monkeypatch.setattr(features, "usable_cpus", lambda: 64)
-    monkeypatch.setattr(features, "_PAIR_BUDGET", 8 * small.n_agents**2)
+    monkeypatch.setattr(shares, "usable_cpus", lambda: 64)
+    monkeypatch.setattr(shares, "PAIR_BUDGET", 8 * small.n_agents**2)
     count, capped = workers(small)
     assert count == 5
     for code in FEATURE_CODES:
@@ -597,7 +600,7 @@ def test_workers_are_capped_by_cpus_steps_pairs_and_budget(monkeypatch):
     # CPUs, go in blocks of 1 and 2 rows, 3 slabs, but on 2 workers.
     tiny = spread_crowd(3, 2)
     serial = extract(tiny)
-    monkeypatch.setattr(features, "_PAIR_BUDGET", 8)
+    monkeypatch.setattr(shares, "PAIR_BUDGET", 8)
     count, capped = workers(tiny)
     assert count == 2
     for code in FEATURE_CODES:
@@ -610,7 +613,7 @@ def test_each_worker_gets_a_slab_of_the_whole_budget(monkeypatch):
     45,000 pairs, as many as 2 whole steps, so a worker's slab is not cut to
     its share of the budget."""
     shapes = slab_shapes(monkeypatch)
-    monkeypatch.setattr(features, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(shares, "usable_cpus", lambda: 2)
     extract(spread_crowd(150, 12))
     assert sorted(shapes) == sorted([(150, 6, 50), (100, 6, 50), (50, 6, 50)] * 2)
 
@@ -637,7 +640,7 @@ def test_tca_and_dca_come_from_the_first_of_tied_neighbours(monkeypatch):
         # one slab on one worker; one row, two rows or one step a slab on
         # two; then blocks of 1 to 3 rows for one step a slab
         for budget, cpus, rows in (
-            (features._PAIR_BUDGET, 1, features._BLOCK_ROWS),
+            (shares.PAIR_BUDGET, 1, features._BLOCK_ROWS),
             (1, 2, features._BLOCK_ROWS),
             (2 * n, 2, features._BLOCK_ROWS),
             (n * n, 2, features._BLOCK_ROWS),
@@ -646,8 +649,8 @@ def test_tca_and_dca_come_from_the_first_of_tied_neighbours(monkeypatch):
             (3 * n, 1, 2),
             (n * n, 3, 1),
         ):
-            monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
-            monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(shares, "PAIR_BUDGET", budget)
+            monkeypatch.setattr(shares, "usable_cpus", lambda: cpus)
             monkeypatch.setattr(features, "_BLOCK_ROWS", rows)
             f = extract(crowd)
             setting = (order, budget, cpus, rows)
@@ -677,7 +680,7 @@ def test_a_nan_dca_gets_a_nan_tca(monkeypatch):
         assert np.array_equal(whole[code][:, others], clean[code][:, others]), code
     for rows, budget in itertools.product((1, 2, 4), (1, 13, 5000)):
         monkeypatch.setattr(features, "_BLOCK_ROWS", rows)
-        monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(shares, "PAIR_BUDGET", budget)
         with np.errstate(all="ignore"):
             blocked = extract(broken)
         for code in FEATURE_CODES:
@@ -689,28 +692,29 @@ def test_pairwise_memory_stays_within_the_budget(monkeypatch):
     and extract holds one slab's planes, not a step's.  Most of the traced
     peak left is O(N^2), not O(T N^2): the (N, N) sums of the body and the
     personal-space radii.  At the real budget a step is one slab of
-    _PAIR_BUDGET pairs, and each worker adds its planes, 60 bytes a pair, and
+    PAIR_BUDGET pairs, and each worker adds its planes, 60 bytes a pair, and
     numpy's cast buffers of its reductions, under 128 KiB: the caller to its
     own peak, and each forked worker to what it inherited, as it records in
     shared memory."""
-    budget = features._PAIR_BUDGET
+    budget = shares.PAIR_BUDGET
     worker = budget * 60 + 2**17
     crowd = spread_crowd(math.isqrt(budget), 5)  # 256 agents: a step fills a slab
-    caller, run_shares, forked = os.getpid(), features.run_shares, []
+    caller, run_shares, forked = os.getpid(), shares.run_shares, []
 
-    def traced_shares(work, k):
-        grown = features.shared_empty(k, np.int64)
+    def traced_shares(work, n, k):
+        bounds = shares.cut(n, k)
+        grown = shares.shared_empty(k, np.int64)
         grown[:] = -1
 
-        def share(s):
+        def share(lo, hi):
             if os.getpid() == caller:
-                return work(s)
+                return work(lo, hi)
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            work(s)
-            grown[s] = tracemalloc.get_traced_memory()[1] - start
+            work(lo, hi)
+            grown[bounds.index(lo)] = tracemalloc.get_traced_memory()[1] - start
 
-        run_shares(share, k)
+        run_shares(share, n, k)
         forked.append(grown[1:].tolist())
 
     def traced_peak():
@@ -721,13 +725,13 @@ def test_pairwise_memory_stays_within_the_budget(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    monkeypatch.setattr(features, "_PAIR_BUDGET", 2 * crowd.n_agents)
+    monkeypatch.setattr(shares, "PAIR_BUDGET", 2 * crowd.n_agents)
     fixed = traced_peak()
     assert fixed < 4 * 2**20
-    monkeypatch.setattr(features, "_PAIR_BUDGET", budget)
-    monkeypatch.setattr(features, "run_shares", traced_shares)
+    monkeypatch.setattr(shares, "PAIR_BUDGET", budget)
+    monkeypatch.setattr(shares, "run_shares", traced_shares)
     for cpus in (1, 2, 4):
-        monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(shares, "usable_cpus", lambda: cpus)
         forked.clear()
         assert traced_peak() < fixed + worker, cpus
         assert len(forked) == 1 and len(forked[0]) == cpus - 1, cpus

@@ -1,5 +1,6 @@
 """The package's public namespace."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ from crowdscore.quality import fit_reference_from_crowds, save_reference_stats
 from crowdscore.simulator import Scenario, simulate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(crowdscore.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -56,3 +58,32 @@ def test_readme_library_examples_run(tmp_path, monkeypatch):
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A module of the package reads only the public names of the others:
+    no ``from .other import _name`` and no ``other._name``."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()  # local names bound to modules of the package
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("crowdscore")
+            ):
+                for alias in node.names:
+                    if node.module in (None, "crowdscore"):
+                        if alias.name in modules:
+                            aliases.add(alias.asname or alias.name)
+                    elif _private(alias.name):
+                        found.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and _private(node.attr)):
+                found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert found == []

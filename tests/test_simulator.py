@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crowdscore import features
+from crowdscore import shares
 from crowdscore.errors import ConfigError, DataError
 from crowdscore.simulator import (
     COMFORT_RANGE,
@@ -365,7 +365,7 @@ def test_repulsion_row_blocks_are_exact(monkeypatch):
         whole = repulsion_forces(p, radii, strength, reach)
         P, N = len(points), len(radii)
         for rows in (1, 3, N - 1):  # blocks of one row, ragged blocks, one short block
-            monkeypatch.setattr(features, "_PAIR_BUDGET", rows * P * N)
+            monkeypatch.setattr(shares, "PAIR_BUDGET", rows * P * N)
             assert np.array_equal(repulsion_forces(p, radii, strength, reach), whole)
         monkeypatch.undo()
 
@@ -402,7 +402,7 @@ def test_population_matches_per_genome_simulate(monkeypatch, pairs_per_chunk):
     if pairs_per_chunk is not None:
         # budgets below P * N^2 split the population into chunks of 1 and 2 genomes;
         # below N^2 each crowd's repulsion also goes in blocks of 1 and 5 agent rows
-        monkeypatch.setattr(features, "_PAIR_BUDGET", int(pairs_per_chunk * 64))
+        monkeypatch.setattr(shares, "PAIR_BUDGET", int(pairs_per_chunk * 64))
     together = list(simulate_population(sc, MIXED_POPULATION, duration=4.0))
     assert len(together) == len(MIXED_POPULATION)
     for one, batched in zip(separate, together):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from crowdscore import features, tuning
+from crowdscore import shares, tuning
 from crowdscore.errors import ConfigError, DataError
 from crowdscore.features import FEATURE_CODES, extract
 from crowdscore.genetic import GaConfig, ga_optimize
@@ -134,11 +134,11 @@ def test_initial_params_seed_the_first_generation():
     assert res.best_score_history[0] == pytest.approx(expected, abs=1e-12)
 
 
-def share_cpus(monkeypatch, shares):
-    """Make the tuner cut each generation into ``shares`` shares; they are
+def share_cpus(monkeypatch, count):
+    """Make the tuner cut each generation into ``count`` shares; they are
     pinned round the CPUs this process may use, so any count runs on any
     host."""
-    monkeypatch.setattr(features, "usable_cpus", lambda: shares)
+    monkeypatch.setattr(shares, "usable_cpus", lambda: count)
 
 
 def recording_ga(monkeypatch, blocks, fitness_values):
@@ -186,9 +186,9 @@ def test_a_blown_up_crowd_gets_the_worst_fitness_and_the_search_goes_on(monkeypa
             yield crowd
 
     monkeypatch.setattr(tuning, "simulate_population", blowing_up)
-    for shares in (1, 2):
+    for count in (1, 2):
         blocks, fitness_values = [], []
-        share_cpus(monkeypatch, shares)
+        share_cpus(monkeypatch, count)
         recording_ga(monkeypatch, blocks, fitness_values)
         res = tune(tiny_config(), unit_stats(), only_weight("AWS", 0.5))
         assert_no_child_and_affinity(affinity)
@@ -204,14 +204,14 @@ def test_a_blown_up_crowd_gets_the_worst_fitness_and_the_search_goes_on(monkeypa
 def test_results_do_not_depend_on_the_share_count(monkeypatch, mode, affinity):
     forks = count_forks(monkeypatch)
     runs = []
-    for shares in (1, 2, 3):
-        share_cpus(monkeypatch, shares)
+    for count in (1, 2, 3):
+        share_cpus(monkeypatch, count)
         blocks, fitness_values = [], []
         recording_ga(monkeypatch, blocks, fitness_values)
         forks.clear()
         res = tune(tiny_config(mode=mode), unit_stats(), only_weight("AWS", 0.5))
         assert_no_child_and_affinity(affinity)
-        assert bool(forks) == (shares > 1)
+        assert bool(forks) == (count > 1)
         runs.append((
             [block.tobytes() for block in blocks],
             [np.asarray(values).tobytes() for values in fitness_values],
@@ -258,6 +258,26 @@ def test_an_error_in_a_share_is_raised_by_tune(monkeypatch, share, affinity):
     assert time.perf_counter() - start < 30
     assert forks == [1]
     assert_no_child_and_affinity(affinity)
+
+
+@pytest.mark.parametrize("population,expected", [(16, 8), (3, 3)])
+def test_tune_asks_for_one_share_a_cpu_up_to_the_cap(monkeypatch, population, expected):
+    """On 64 CPUs a generation of 16 new genomes goes in 8 shares, the cap,
+    and one of 3 genomes in 3.  Only tune's calls of the runner are counted,
+    not those of each crowd's pairwise pass."""
+    calls, run_shares = [], shares.run_shares
+
+    def counting_shares(work, n, k):
+        if work.__module__ == tuning.__name__:
+            calls.append((n, k))
+        run_shares(work, n, 1)  # in this process
+
+    monkeypatch.setattr(shares, "usable_cpus", lambda: 64)
+    monkeypatch.setattr(shares, "run_shares", counting_shares)
+    ga = GaConfig(population_size=population, max_generations=1, seed=1, plateau_generations=30)
+    tune(tiny_config(ga=ga), unit_stats(), only_weight("AWS", 0.5))
+    assert calls[0] == (population, expected)
+    assert all(k == min(n, shares.MAX_WORKERS) for n, k in calls)
 
 
 def test_tune_never_forks_while_another_thread_runs(monkeypatch):
