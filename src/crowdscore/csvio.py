@@ -10,9 +10,10 @@ trip is bit-exact.
 breakdown, the training and tuning histories and the feature dump.
 
 The loader reads a file once as bytes (``keyvalue.read_input``) and parses a
-body of plain numbers with one structured ``np.loadtxt``.  LF and CRLF files
-are parsed as read; only a file with a lone CR line end is copied, with LF
-ends.  Only a body that parse declines is decoded to text, for the row loop:
+body of plain numbers with one structured ``np.loadtxt``, or a large body with
+one per line-aligned part, each in a share of ``shares.run_shares``.  LF and
+CRLF files are parsed as read; only a file with a lone CR line end is copied,
+with LF ends.  Only a body that parse declines is decoded to text, for the row loop:
 the reference parser, and the one that says what is wrong and on which line.
 """
 
@@ -26,6 +27,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import shares
 from .errors import DataError
 from .keyvalue import decode_input, open_output, read_input
 from .trajectory import CANONICAL_DT, CrowdTrajectory, derive_kinematics, validate
@@ -40,21 +42,13 @@ OPTIONAL_COLUMNS = ("goal_x", "goal_y", "comfort_speed", "radius")
 _NUMERIC_BYTES = b"0123456789eE+-., \t\r\n"
 
 
-def _parse_numeric_body(data: bytes, dtype: np.dtype):
-    """The rows of ``data``, a whole file with LF or CRLF line ends, as one
-    array of ``dtype``, or None.
-
-    Declines, leaving the file to the row loop, unless the body after the
-    header line is made only of number characters, commas, spaces, tabs and
-    line ends, has a row, and every row parses with one field per column.
-    Blank lines are skipped, as the row loop skips them.
-    """
-    start = data.find(b"\n") + 1
-    if not start:
-        return None
-    # Deleting the number bytes leaves only the header's other bytes when the
-    # body has none; only those leftovers are copied, never the body.
-    if data.translate(None, _NUMERIC_BYTES) != data[:start].translate(None, _NUMERIC_BYTES):
+def _numeric_rows(data: bytes, head: int, dtype: np.dtype):
+    """The rows of ``data`` after its first ``head`` bytes (a header line, or
+    none) as an array of ``dtype``, or None if a byte after the head is not a
+    number byte or a row does not parse with one field per column."""
+    # Deleting the number bytes leaves only the head's other bytes when the
+    # rest has none; only those leftovers are copied, never the rows.
+    if data.translate(None, _NUMERIC_BYTES) != data[:head].translate(None, _NUMERIC_BYTES):
         return None
     try:
         with warnings.catch_warnings():
@@ -65,11 +59,49 @@ def _parse_numeric_body(data: bytes, dtype: np.dtype):
             warnings.simplefilter("error", DeprecationWarning)
             # "input contained no data": the row loop reports it.
             warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", comments=None,
-                              skiprows=1, ndmin=1)
+            return np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", comments=None,
+                              skiprows=int(head > 0), ndmin=1)
     except ValueError:
         return None
-    return rows if rows.size else None
+
+
+def _parse_numeric_body(data: bytes, dtype: np.dtype):
+    """The rows of ``data``, a whole file with LF or CRLF line ends, as one
+    array of ``dtype``, or None.
+
+    Declines, leaving the file to the row loop, unless the body after the
+    header line is made only of number characters, commas, spaces, tabs and
+    line ends, has a row, and every row parses with one field per column.
+    Blank lines are skipped, as the row loop skips them.  A body of
+    ``2 * shares.PARSE_BYTES`` or more is parsed in line-aligned parts, one
+    per share, joined without a copy unless a part skipped a line.
+    """
+    start = data.find(b"\n") + 1
+    if not start:
+        return None
+    k = shares.workers((len(data) - start) // shares.PARSE_BYTES)
+    if k < 2:
+        rows = _numeric_rows(data, start, dtype)
+        return rows if rows is not None and rows.size else None
+    bounds = [start, *(data.find(b"\n", start + c) + 1 or len(data)
+                       for c in shares.cut(len(data) - start, k)[1:-1]), len(data)]
+    lines = np.array([data.count(b"\n", lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+    firsts = np.cumsum(lines) - lines  # the parts' first lines
+    out = shares.shared_empty(lines.sum() + 1, dtype)  # + a last line with no line end
+    counts = shares.shared_empty(k, np.intp)  # rows a part wrote; -1 if it declined
+
+    def parse(s, _):  # part s: each of the k shares of range(k) holds one
+        rows = _numeric_rows(data[bounds[s] : bounds[s + 1]], 0, dtype)
+        counts[s] = -1 if rows is None else rows.size
+        if rows is not None:
+            out[firsts[s] : firsts[s] + rows.size] = rows
+
+    shares.run_shares(parse, k, k)
+    if counts.min() < 0 or not counts.any():
+        return None
+    if np.array_equal(counts[:-1], lines[:-1]):
+        return out[: firsts[-1] + counts[-1]]
+    return np.concatenate([out[a : a + n] for a, n in zip(firsts, counts)])
 
 
 def load_trajectory_csv(path) -> CrowdTrajectory:

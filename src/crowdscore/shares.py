@@ -2,7 +2,8 @@
 
 ``PAIR_BUDGET`` bounds the agent pairs that one kernel of the pairwise pass
 or of the simulator's repulsion holds at once.  The pairwise pass (over its
-time chunks) and ``tuning.tune`` (over a generation's new genomes) ask
+time chunks), ``tuning.tune`` (over a generation's new genomes) and the CSV
+parse (over line-aligned parts of ``PARSE_BYTES`` or more of a body) ask
 ``workers(most)`` how many shares to use and hand ``run_shares`` a
 ``work(lo, hi)`` to run on that many contiguous ranges at once, each on a
 CPU of its own, with results returned in ``shared_empty`` arrays.  Each item
@@ -15,6 +16,7 @@ import mmap
 import os
 import signal
 import threading
+import warnings
 
 import numpy as np
 
@@ -33,6 +35,12 @@ import numpy as np
 # N = 20 (44,000 pairs, one slab), 1.97x at N = 28 (two slabs), 1.45x at
 # N = 40, 1.04x at N = 60, 0.92x at N = 80 and 0.74x at N = 150.
 PAIR_BUDGET = 1 << 16
+# Trajectory CSV body bytes per share of its parse: a body under 1 MiB is
+# parsed in the caller, unforked and uncopied.  On 2 vCPUs (medians of 100
+# shuffled pairs, bench score-dense's 1.9 MB file cut to size), two shares took
+# 1.14x the time of one for a 512 KiB body, 1.02x for 768 KiB, 0.94x for 1 MiB
+# and 0.86x for 1.25 MiB and 1.9 MB: cutting, forking and joining cost 3-4 ms.
+PARSE_BYTES = 1 << 19
 # Shares at most, whatever the CPU count, so that at most about 31 MB of
 # pairwise planes are in flight on any host.
 MAX_WORKERS = 8
@@ -89,7 +97,10 @@ def run_shares(work, n: int, k: int) -> None:
     try:
         for s in range(1, k):
             try:
-                pid = os.fork()
+                # Python 3.12+ warns of other threads after forking; raised, it would lose the pid.
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
+                    pid = os.fork()
             except OSError:  # no process to spare: the share runs here
                 rerun.append(s)
                 continue

@@ -2,20 +2,27 @@ import codecs
 import csv
 import io
 import math
+import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from crowdscore import csvio
+from crowdscore import csvio, shares
 from crowdscore.csvio import load_trajectory_csv, save_trajectory_csv
 from crowdscore.errors import DataError
 from crowdscore.features import FEATURE_CODES, extract
 from crowdscore.simulator import Scenario, simulate
 from crowdscore.trajectory import derive_kinematics
 
-from helpers import colliding_crowd, crowd_arrays, crowd_from_positions, straight_crowd
+from helpers import (
+    assert_no_child_and_affinity,
+    colliding_crowd,
+    crowd_arrays,
+    crowd_from_positions,
+    straight_crowd,
+)
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -275,8 +282,9 @@ def both_parsers(path, monkeypatch, deprecations="error"):
 DEPRECATIONS = pytest.mark.parametrize("deprecations", ["error", "default"])
 
 
-@DEPRECATIONS
-def test_array_parser_matches_row_loop_on_mutated_files(tmp_path, monkeypatch, deprecations):
+def compare_on_mutated_files(tmp_path, monkeypatch, deprecations, each=lambda k: None):
+    """Both parsers on 600 seeded mutations of a small crowd's CSV, in four
+    flavours; ``each(k)`` runs after the k-th load."""
     crowd = simulate(Scenario(kind="random", agent_count=3, seed=4), duration=0.6)
     base = tmp_path / "base.csv"
     save_trajectory_csv(crowd, base)  # csv.writer: CRLF line ends
@@ -306,13 +314,36 @@ def test_array_parser_matches_row_loop_on_mutated_files(tmp_path, monkeypatch, d
         path.write_bytes(bytes(data))
         fast, slow, used = both_parsers(path, monkeypatch, deprecations)
         assert fast == slow, (k, bytes(data))
+        each(k)
         counts["fast"] += used
         counts["ok" if fast[0] == "ok" else "error"] += 1
     # the mutations exercise both parsers and both outcomes
     assert min(counts.values()) >= 40, counts
 
 
-@pytest.mark.parametrize(
+@DEPRECATIONS
+def test_array_parser_matches_row_loop_on_mutated_files(tmp_path, monkeypatch, deprecations):
+    compare_on_mutated_files(tmp_path, monkeypatch, deprecations)
+
+
+def split_parse(monkeypatch, cpus):
+    """Cut every CSV body of ``cpus`` bytes or more into ``cpus`` line-aligned
+    parts, one per share of the parse (forked, pinned round this host's CPUs)."""
+    monkeypatch.setattr(shares, "PARSE_BYTES", 1)
+    monkeypatch.setattr(shares, "usable_cpus", lambda: cpus)
+
+
+def test_split_parse_matches_row_loop_on_mutated_files(tmp_path, monkeypatch, affinity):
+    split_parse(monkeypatch, 2)
+
+    def next_split(k):
+        assert_no_child_and_affinity(affinity)
+        split_parse(monkeypatch, 2 + (k + 1) % 3)
+
+    compare_on_mutated_files(tmp_path, monkeypatch, "error", next_split)
+
+
+FIXED_CASES = pytest.mark.parametrize(
     "content,expected",
     [
         # a fifth field on every row of a four-column file
@@ -334,16 +365,35 @@ def test_array_parser_matches_row_loop_on_mutated_files(tmp_path, monkeypatch, d
         ("agent_id,t,x,y\r0,0,.5,-0\r0,0.1,5.,+1E-3\r", None),
     ],
 )
-@DEPRECATIONS
-def test_array_parser_fixed_cases(tmp_path, monkeypatch, content, expected, deprecations):
-    path = tmp_path / "c.csv"
-    path.write_bytes(content.encode())
+
+
+def check_fixed_case(path, monkeypatch, expected, deprecations):
     fast, slow, used = both_parsers(path, monkeypatch, deprecations)
     assert fast == slow
     if expected is None:
         assert used and fast[0] == "ok"
     else:
         assert fast[0] == "DataError" and expected in fast[1]
+
+
+@FIXED_CASES
+@DEPRECATIONS
+def test_array_parser_fixed_cases(tmp_path, monkeypatch, content, expected, deprecations):
+    path = tmp_path / "c.csv"
+    path.write_bytes(content.encode())
+    check_fixed_case(path, monkeypatch, expected, deprecations)
+
+
+@FIXED_CASES
+@DEPRECATIONS
+def test_split_parse_fixed_cases(tmp_path, monkeypatch, content, expected, deprecations,
+                                 affinity):
+    path = tmp_path / "c.csv"
+    path.write_bytes(content.encode())
+    for cpus in (2, 3, 4):
+        split_parse(monkeypatch, cpus)
+        check_fixed_case(path, monkeypatch, expected, deprecations)
+        assert_no_child_and_affinity(affinity)
 
 
 def test_line_ends_and_a_bom_do_not_change_the_load(tmp_path, monkeypatch):
@@ -424,3 +474,95 @@ def test_array_parser_refuses_int_via_float_ids(tmp_path, monkeypatch, deprecati
     fast, slow, used = both_parsers(path, monkeypatch, deprecations)
     assert fast == slow and fast[0] == "DataError" and not used
     assert fallbacks  # the array parser met the fallback and declined
+
+
+def small_csv(tmp_path, line_end=b"\n"):
+    """A path and the bytes of a 3-agent, 6-step crowd's CSV (19 lines)."""
+    crowd = simulate(Scenario(kind="random", agent_count=3, seed=4), duration=0.6)
+    path = tmp_path / "c.csv"
+    save_trajectory_csv(crowd, path)
+    data = path.read_bytes().replace(b"\r\n", line_end)
+    path.write_bytes(data)
+    return path, data
+
+
+@pytest.mark.parametrize("line", [3, 12, 19])
+@pytest.mark.parametrize("bad", [b"0,0.1,1,0x", b"0,0.1,1,0,9", b"0,0.1,1"])
+def test_a_bad_line_in_any_part_declines_to_the_row_loop(tmp_path, monkeypatch, affinity,
+                                                         line, bad):
+    """Line 19 is in the last of four parts, line 12 in the third (both run
+    in forked children) and line 3 in the caller's first; the row loop names
+    the line either way."""
+    path, data = small_csv(tmp_path)
+    lines = data.split(b"\n")
+    lines[line - 1] = bad
+    path.write_bytes(b"\n".join(lines))
+    split_parse(monkeypatch, 4)
+    fast, slow, used = both_parsers(path, monkeypatch)
+    assert_no_child_and_affinity(affinity)
+    assert fast == slow and not used
+    assert fast[0] == "DataError" and fast[1].startswith(f"{path}:{line}: ")
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n"])
+def test_split_parse_skips_blank_lines_at_and_between_cuts(tmp_path, monkeypatch, affinity,
+                                                           line_end):
+    """A blank line after each body line in turn, with and without a final
+    line end, so that one ends and one starts every part of every count."""
+    path, data = small_csv(tmp_path, line_end)
+    reference = load_outcome(path)
+    assert reference[0] == "ok"
+    lines = data.split(line_end)[:-1]
+    for cpus in (2, 3, 4):
+        split_parse(monkeypatch, cpus)
+        for at in range(1, len(lines) + 1):
+            for tail in (line_end, b""):
+                path.write_bytes(line_end.join(lines[:at] + [b""] + lines[at:]) + tail)
+                fast, slow, used = both_parsers(path, monkeypatch)
+                assert_no_child_and_affinity(affinity)
+                assert fast == slow == reference and used, (cpus, at, tail)
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n"])
+def test_split_parse_joins_its_parts_without_a_copy_unless_a_part_skipped_a_line(
+        tmp_path, monkeypatch, affinity, line_end):
+    path, data = small_csv(tmp_path, line_end)
+    names = data[: data.find(b"\n")].decode().strip().split(",")
+    dtype = np.dtype([(h, np.int64 if h == "agent_id" else float) for h in names])
+    whole = csvio._parse_numeric_body(data, dtype)
+    assert whole.size == 18
+    blank_first = data.replace(line_end, line_end * 2, 2)  # blank after the header and row 1
+    concatenate, joins = np.concatenate, []
+    monkeypatch.setattr(np, "concatenate", lambda *a, **kw: joins.append(a) or concatenate(*a, **kw))
+    for cpus in (2, 3, 4):
+        split_parse(monkeypatch, cpus)
+        for body, copies in ((data, 0), (data.rstrip(), 0), (blank_first, 1)):
+            joins.clear()
+            rows = csvio._parse_numeric_body(body, dtype)
+            assert_no_child_and_affinity(affinity)
+            assert rows.tobytes() == whole.tobytes() and len(joins) == copies, (cpus, copies)
+            assert rows.flags.owndata == bool(copies)
+
+
+def test_a_fork_that_warns_still_takes_the_array_parser(tmp_path, monkeypatch, affinity):
+    """Python 3.12 and later issue a DeprecationWarning from ``os.fork`` in a
+    process with other threads, in the parent, after the child exists.  Under
+    the suite's warning-as-error filter the load still forks, reaps its child
+    and takes the array parser."""
+    path, _ = small_csv(tmp_path)
+    reference = load_outcome(path)
+    fork, forks = os.fork, []
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    split_parse(monkeypatch, 2)
+    fast, slow, used = both_parsers(path, monkeypatch, "error")
+    assert_no_child_and_affinity(affinity)
+    assert fast == slow == reference and used and forks

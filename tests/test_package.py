@@ -87,3 +87,26 @@ def test_no_module_reads_another_modules_private_names():
                     and node.value.id in aliases and _private(node.attr)):
                 found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
     assert found == []
+
+
+def test_only_shares_forks_pins_or_maps_memory():
+    """One way to use several CPUs: ``os.fork``, ``os.sched_setaffinity`` and
+    ``mmap`` appear in ``crowdscore/shares.py`` and in no other module."""
+    names = {"fork", "sched_setaffinity", "mmap"}
+    uses = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                used = {node.attr}
+            elif isinstance(node, ast.Name):
+                used = {node.id}
+            elif isinstance(node, ast.Import):
+                used = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                used = {(node.module or "").split(".")[0]} | {a.name for a in node.names}
+            else:
+                continue
+            for name in used & names:
+                uses.setdefault(path.name, []).append(f"{node.lineno} {name}")
+    assert sorted({u.split()[1] for u in uses.pop("shares.py", [])}) == sorted(names)
+    assert uses == {}
